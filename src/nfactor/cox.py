@@ -5,6 +5,17 @@ event record contributes its linear predictor minus the log of the summed
 weighted hazards of everything at risk at its stop time, all scaled by the
 frequency weight. Tied event times simply reuse the full risk-set sum, which
 keeps the fit exactly equivalent to physically replicating every record.
+
+Newton-Raphson stops when the Newton decrement ``g' H^-1 g`` (gradient ``g``,
+negated Hessian ``H``), about twice the log likelihood still to gain, is at
+most ``DECREMENT_PER_EVENT`` times the weighted number of events. Both sides
+scale linearly with the frequency weight, so the fit stops on the same
+iterate at every weight. (A bound relative to ``|ll|`` would not: ll carries
+the coefficient-free term ``-w * d * log(w)``.) A step is accepted when its
+log likelihood is no more than ``ULP_SLACK`` ulps of ``|ll|`` below the
+current one; near the optimum the likelihood is flat to within round-off,
+and demanding a strict rise there would stall the search on a tie.
+Otherwise the step is halved, down to ``MIN_STEP_SCALE``.
 """
 
 from __future__ import annotations
@@ -29,8 +40,10 @@ from .numerics import chi2_sf, inverse_spd, normal_two_sided, pivoted_rank_facto
 
 MAX_ITERATIONS = 100
 MAX_ABS_COEF = 50.0
-LL_RTOL = 1e-10
-GRADIENT_TOL = 1e-6
+DECREMENT_PER_EVENT = 1e-20
+ULP_SLACK = 8.0
+MIN_STEP_SCALE = 1e-10
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -124,28 +137,31 @@ def _newton(frame: SurvivalFrame, x: np.ndarray, names, w: float):
     beta = np.zeros(x.shape[1])
     ll, grad, neg_hess = kernels.score(*args, beta, w)
     loglik_null = ll
+    tolerance = DECREMENT_PER_EVENT * w * frame.n_events
     iterations = 0
-    delta_ll = math.inf
     while True:
-        if abs(delta_ll) <= LL_RTOL * (1.0 + abs(ll)) and np.abs(grad).max() <= GRADIENT_TOL:
+        step = solve_spd(neg_hess, grad)
+        decrement = float(grad @ step)
+        if decrement <= tolerance:
             break
         if iterations >= MAX_ITERATIONS:
-            raise NotConverged(iterations, delta_ll)
+            raise NotConverged(int(w), iterations, decrement)
         iterations += 1
-        step = solve_spd(neg_hess, grad)
+        floor = ll - ULP_SLACK * _EPS * abs(ll)
         scale = 1.0
         while True:
             candidate = beta + scale * step
             cand_ll = kernels.loglik(*args, candidate, w)
-            # step-halving: only accept a step that raises the likelihood
-            # (or has shrunk to nothing, meaning we sit at the optimum).
-            if cand_ll > ll or scale < 1e-10:
+            if cand_ll >= floor:
                 break
             scale *= 0.5
+            if scale < MIN_STEP_SCALE:
+                # g'step > 0, so a short enough step must raise ll unless
+                # the likelihood itself is not finite there.
+                raise NotConverged(int(w), iterations, decrement)
         worst = int(np.abs(candidate).argmax())
         if abs(candidate[worst]) > MAX_ABS_COEF:
             raise MonotoneLikelihood(names[worst], float(candidate[worst]))
-        delta_ll = cand_ll - ll
         beta = candidate
         ll, grad, neg_hess = kernels.score(*args, beta, w)
     return beta, ll, loglik_null, neg_hess, iterations

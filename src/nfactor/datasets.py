@@ -59,7 +59,7 @@ WALD_MEAN = 0.0929164
 WALD_CENTERED_SS = 34.1462048
 
 
-def rescale_to_moments(values, mean: float, centered_ss: float) -> np.ndarray:
+def _rescale_to_moments(values, mean: float, centered_ss: float) -> np.ndarray:
     """Shift and scale ``values`` to the exact sample mean and centered sum of squares."""
     v = np.asarray(values, dtype=np.float64)
     centered = v - v.mean()
@@ -75,4 +75,4 @@ def heart_transplant_30() -> Dataset:
 
 def wald_example() -> Dataset:
     """30 observations whose intercept-only regression matches the reference tables."""
-    return Dataset({"y": rescale_to_moments(WALD_BASE, WALD_MEAN, WALD_CENTERED_SS)})
+    return Dataset({"y": _rescale_to_moments(WALD_BASE, WALD_MEAN, WALD_CENTERED_SS)})

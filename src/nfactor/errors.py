@@ -71,20 +71,15 @@ class NoEvents(NfactorError):
     """Survival frame contains no event records; nothing to fit."""
 
 
-class EmptyRiskSet(NfactorError):
-    def __init__(self, time):
-        super().__init__(f"no records at risk at event time {time}")
-        self.time = time
-
-
 class NotConverged(NfactorError):
-    def __init__(self, iterations, last_delta):
+    def __init__(self, weight, iterations, decrement):
         super().__init__(
-            f"Newton-Raphson did not converge after {iterations} iterations "
-            f"(last log-likelihood change {last_delta:.3e})"
+            f"Newton-Raphson did not converge at weight {weight} after "
+            f"{iterations} iterations (last Newton decrement {decrement:.3e})"
         )
+        self.weight = weight
         self.iterations = iterations
-        self.last_delta = last_delta
+        self.decrement = decrement
 
 
 class MonotoneLikelihood(NfactorError):

@@ -4,7 +4,10 @@ The solvers are plain Cholesky routines sized for the small Hessians and
 Gram matrices produced by the model fits. The tail functions follow the
 classic series / continued-fraction evaluations of the regularized
 incomplete gamma and beta functions and are accurate to well below 1e-12
-absolute over the ranges the tests exercise.
+absolute over the ranges the tests exercise. The Student t tail, whose
+degrees of freedom grow with the frequency weight, switches to an
+asymptotic expansion for large ``df`` and keeps about 1e-14 relative
+accuracy up to ``df`` of 10^10.
 """
 
 from __future__ import annotations
@@ -219,28 +222,104 @@ def _beta_contfrac(a: float, b: float, x: float) -> float:
     return h
 
 
-def beta_inc(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function I_x(a, b) for a, b > 0, 0 <= x <= 1."""
-    if a <= 0 or b <= 0:
-        raise DomainError(f"beta parameters must be positive, got a={a}, b={b}")
-    if x < 0 or x > 1:
-        raise DomainError(f"argument must lie in [0, 1], got {x}")
+# Coefficients B_2k / (2k (2k - 1)) of Stirling's series for log Gamma.
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0)
+# Above this argument the truncated series is exact to double precision.
+_STIRLING_MIN = 15.0
+# Domain and length of the large-a expansion in _beta_inc_large_a.
+_GRAT_MIN_A = 15.0
+_GRAT_TERMS = 30
+
+
+def _stirling_tail(z: float) -> float:
+    """log Gamma(z) minus its leading terms (z - 1/2) log z - z + log(2 pi) / 2."""
+    inv2 = 1.0 / (z * z)
+    total = 0.0
+    for coef in reversed(_STIRLING):
+        total = total * inv2 + coef
+    return total / z
+
+
+def _log_gamma_ratio(a: float, b: float) -> float:
+    """log(Gamma(a + b) / Gamma(a)) for b > 0.
+
+    For large ``a`` the difference of two lgamma values near ``a log a``
+    cancels; the Stirling form keeps only terms of the size of the result.
+    """
+    if a < _STIRLING_MIN:
+        return math.lgamma(a + b) - math.lgamma(a)
+    return (
+        b * math.log(a)
+        + (a + b - 0.5) * math.log1p(b / a)
+        - b
+        + (_stirling_tail(a + b) - _stirling_tail(a))
+    )
+
+
+# (2m + 1)! for the coefficients of the large-a expansion below.
+_ODD_FACTORIALS = tuple(float(math.factorial(2 * m + 1)) for m in range(_GRAT_TERMS))
+
+
+def _beta_inc_large_a(a: float, b: float, x: float, y: float) -> float:
+    """I_x(a, b) for a >= 15, b <= 1 and x >= 1/2.
+
+    The asymptotic expansion in incomplete gamma functions of DiDonato and
+    Morris (ACM TOMS 708, 1992, eq. 9; their BGRAT). Every term is formed
+    without cancellation, so the relative error stays near machine precision
+    however large ``a`` is; the continued fraction loses about ``a`` ulps as
+    x approaches 1.
+    """
+    bm1 = b - 1.0
+    nu = a + bm1 / 2.0
+    log_x = math.log1p(-y) if y < 0.35 else math.log(x)
+    u = -nu * log_x
+    # h = u^b e^-u / Gamma(b); k_n = h * J_n of the reference.
+    h = math.exp(b * math.log(u) - u - math.lgamma(b))
+    scale = math.exp(_log_gamma_ratio(a, b) - b * math.log(nu))
+    k = gamma_q(b, u)
+    total = k
+    p = [1.0]
+    half_log_x_sq = (log_x / 2.0) ** 2
+    power = h
+    four_nu_sq = 4.0 * nu * nu
+    b2n = b
+    for n in range(1, _GRAT_TERMS):
+        pn = bm1 / _ODD_FACTORIALS[n]
+        pn += sum((m * b - n) * p[n - m] / _ODD_FACTORIALS[m] for m in range(1, n)) / n
+        p.append(pn)
+        k = (b2n * (b2n + 1.0) * k + (u + b2n + 1.0) * power) / four_nu_sq
+        power *= half_log_x_sq
+        b2n += 2.0
+        term = pn * k
+        total += term
+        if abs(term) <= _EPS * abs(total):
+            break
+    return scale * total
+
+
+def _beta_inc(a: float, b: float, x: float, y: float) -> float:
+    """Regularized incomplete beta I_x(a, b) for a, b > 0 and 0 <= x <= 1.
+
+    Takes both ``x`` and ``y = 1 - x``, each to full precision.
+    """
     if x == 0.0:
         return 0.0
-    if x == 1.0:
+    if y == 0.0:
         return 1.0
-    front = math.exp(
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
+    if b <= 1.0 and a >= _GRAT_MIN_A and x >= 0.5:
+        return _beta_inc_large_a(a, b, x, y)
+    log_x = math.log1p(-y) if y < 0.5 else math.log(x)
+    log_y = math.log1p(-x) if x < 0.5 else math.log(y)
+    if a >= b:
+        log_beta = math.lgamma(b) - _log_gamma_ratio(a, b)
+    else:
+        log_beta = math.lgamma(a) - _log_gamma_ratio(b, a)
+    front = math.exp(a * log_x + b * log_y - log_beta)
     # The continued fraction converges fast on the side where x is below the
     # distribution mean; use the symmetry I_x(a,b) = 1 - I_{1-x}(b,a) otherwise.
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_contfrac(a, b, x) / a
-    return 1.0 - front * _beta_contfrac(b, a, 1.0 - x) / b
+    return 1.0 - front * _beta_contfrac(b, a, y) / b
 
 
 def student_t_two_sided(t: float, df: float) -> float:
@@ -249,9 +328,10 @@ def student_t_two_sided(t: float, df: float) -> float:
         raise DomainError(f"degrees of freedom must be positive, got {df}")
     if t == 0.0:
         return 1.0
-    if math.isinf(t):
-        return 0.0
-    return beta_inc(df / 2.0, 0.5, df / (df + t * t))
+    # Form x = df / (df + t^2) and its complement separately: at large df,
+    # 1 - x recomputed from a rounded x has lost most of its digits.
+    t2 = t * t
+    return _beta_inc(df / 2.0, 0.5, df / (df + t2), t2 / (df + t2))
 
 
 def normal_two_sided(z: float) -> float:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,18 +7,23 @@ import pytest
 from nfactor import (
     SurvivalFrame,
     chi2_sf,
+    cox,
     cox_loglik,
     cox_score_hessian,
     fit_cox,
+    kernels,
     replicate_frame,
+    stset_reconstruct,
 )
 from nfactor.errors import (
     DegenerateTestWarning,
     InvalidWeight,
     MonotoneLikelihood,
     NoEvents,
+    NotConverged,
     TiesWarning,
 )
+from nfactor.search import DEFAULT_MAX_WEIGHT
 
 # Reference output for the 30-row fixture, weight 1.
 LL_NULL = -42.335616
@@ -150,6 +156,97 @@ def test_weight_identity_fit(heart_frame, heart_fit, w):
 def test_p_lr_strictly_decreasing_in_weight(heart_frame):
     values = [fit_cox(heart_frame, w).p_lr for w in (1, 2, 3, 5, 8)]
     assert all(a > b for a, b in zip(values, values[1:]))
+
+
+# ---- convergence at every weight ---------------------------------------------
+
+SWEEP_WEIGHTS = (
+    *range(1, 65),
+    *(2**k for k in range(7, DEFAULT_MAX_WEIGHT.bit_length())),
+    DEFAULT_MAX_WEIGHT,
+)
+HEART_COVARIATES = ("age", "posttran", "surgery", "year")
+SUBSETS = [
+    sub
+    for r in range(1, len(HEART_COVARIATES) + 1)
+    for sub in itertools.combinations(HEART_COVARIATES, r)
+]
+
+
+@pytest.mark.filterwarnings("ignore::nfactor.errors.DegenerateTestWarning")
+@pytest.mark.parametrize("subset", SUBSETS, ids=",".join)
+def test_every_subset_converges_at_every_weight(heart_dataset, subset):
+    # Frequency weights rescale the partial likelihood, so beta-hat does not
+    # move with w and the LR statistic is exactly w times its weight-1 value.
+    frame = stset_reconstruct(heart_dataset, "t1", "died", "id", list(subset))
+    base = fit_cox(frame, 1)
+    for w in SWEEP_WEIGHTS[1:]:
+        fit = fit_cox(frame, w)
+        np.testing.assert_allclose(fit.beta, base.beta, rtol=1e-9, atol=0, err_msg=f"w={w}")
+        assert fit.lr_stat == pytest.approx(w * base.lr_stat, rel=1e-9, abs=0), w
+
+
+def raw_scale_frame(seed, n_subjects=800):
+    """Survival records with age and two-digit calendar year at raw scale.
+
+    Effects are drawn near zero and about 40% of subjects carry two records,
+    as in the bundled data. Seed 1 never converges under an absolute
+    gradient tolerance.
+    """
+    rng = np.random.default_rng(seed)
+    age = rng.integers(18, 71, n_subjects).astype(float)
+    year = rng.integers(67, 75, n_subjects).astype(float)
+    posttran = (rng.random(n_subjects) < 0.5).astype(float)
+    x = np.column_stack([age, posttran, year])
+    eta = (x - x.mean(axis=0)) @ (rng.normal(0.0, 0.02, 3) / x.std(axis=0))
+    died_at = np.ceil(rng.exponential(300.0, n_subjects) * np.exp(-eta))
+    censored_at = rng.integers(30, 1500, n_subjects).astype(float)
+    died = died_at <= censored_at
+    last = np.maximum(np.where(died, died_at, censored_at), 2.0)
+    split = np.floor(rng.random(n_subjects) * (last - 1.0)) + 1.0
+    two = rng.random(n_subjects) < 0.4
+    first = np.flatnonzero(two)
+    ids = np.concatenate([first, np.arange(n_subjects)])
+    order = np.argsort(2 * ids + np.concatenate([np.zeros(first.size), np.ones(n_subjects)]))
+    return SurvivalFrame(
+        subject_ids=ids[order].astype(float),
+        start=np.concatenate([np.zeros(first.size), np.where(two, split, 0.0)])[order],
+        stop=np.concatenate([split[two], last])[order],
+        event=np.concatenate([np.zeros(first.size, bool), died])[order],
+        covariates=x[ids][order],
+        covariate_names=("age", "posttran", "year"),
+    )
+
+
+def test_raw_scale_synthetic_frame_converges():
+    frame = raw_scale_frame(1)
+    assert frame.n_records > 1000
+    with pytest.warns(TiesWarning):
+        fit = fit_cox(frame, 1)
+    assert fit.iterations <= 10
+    grad, neg_hess = cox_score_hessian(frame, fit.beta, 1)
+    assert grad @ np.linalg.solve(neg_hess, grad) <= 1e-12
+
+
+def test_not_converged_names_weight_and_decrement(heart_dataset, monkeypatch):
+    frame = stset_reconstruct(heart_dataset, "t1", "died", "id", ["age", "posttran", "year"])
+    monkeypatch.setattr(cox, "MAX_ITERATIONS", 0)
+    with pytest.raises(NotConverged) as info:
+        fit_cox(frame, 3)
+    exc = info.value
+    assert (exc.weight, exc.iterations) == (3, 0)
+    # at beta = 0 the Newton decrement is the score test statistic
+    grad, neg_hess = cox_score_hessian(frame, np.zeros(3), 3)
+    assert exc.decrement == pytest.approx(grad @ np.linalg.solve(neg_hess, grad), rel=1e-12)
+    assert "did not converge at weight 3 " in str(exc)
+
+
+def test_failed_line_search_raises_at_once(heart_frame, monkeypatch):
+    # no step length can restore a likelihood that is not finite
+    monkeypatch.setattr(kernels, "loglik", lambda *args: -math.inf)
+    with pytest.raises(NotConverged) as info:
+        fit_cox(heart_frame, 2)
+    assert (info.value.weight, info.value.iterations) == (2, 1)
 
 
 # ---- replication oracle -----------------------------------------------------

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from nfactor import (
     chi2_sf,
@@ -224,6 +225,13 @@ def test_chi2_domain_errors():
 def test_t_spot_values(t, df, expected):
     assert student_t_two_sided(t, df) == pytest.approx(expected, abs=1e-10)
     assert student_t_two_sided_quadrature(t, df) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("df", [30, 1e4, 1e6, 1e7, 1e8, 1e9])
+@pytest.mark.parametrize("t", [1.0, 1.96, 3.0, 5.0])
+def test_t_matches_scipy_at_large_df(t, df):
+    # the linear model's df grows with the weight, up to ~10^9 in a search
+    assert student_t_two_sided(t, df) == pytest.approx(2 * stats.t.sf(t, df), rel=1e-10, abs=0)
 
 
 def test_t_reference_values():
