@@ -170,7 +170,11 @@ def _run_spec(spec: TestSpec) -> Report:
             fit = fit_cox(frame, 1)
 
             def p_of_weight(w: int) -> float:
-                return fit_cox(frame, w).p_lr
+                if w == 1:
+                    return fit.p_lr
+                # beta-hat does not move with a uniform weight, so Newton
+                # starts at the weight-1 estimate and is already converged.
+                return fit_cox(frame, w, init=fit.beta).p_lr
 
         else:
             required = [spec.response_col, *spec.covariate_cols]
@@ -185,6 +189,8 @@ def _run_spec(spec: TestSpec) -> Report:
             index = fit.term_names.index(spec.wald_coefficient)
 
             def p_of_weight(w: int) -> float:
+                if w == 1:
+                    return fit.p_values[index]
                 return fit_wls(data, spec.response_col, spec.covariate_cols, w).p_values[index]
 
         nf = None

@@ -16,6 +16,11 @@ log likelihood is no more than ``ULP_SLACK`` ulps of ``|ll|`` below the
 current one; near the optimum the likelihood is flat to within round-off,
 and demanding a strict rise there would stall the search on a tie.
 Otherwise the step is halved, down to ``MIN_STEP_SCALE``.
+
+Each Newton step costs one kernel pass when the full step is accepted: the
+full step is scored with ``kernels.score`` and judged by the ``ll`` it
+returns. ``kernels.loglik`` runs only while halving (then ``score`` once at
+the accepted step) and for the null log likelihood of a warm-started fit.
 """
 
 from __future__ import annotations
@@ -131,12 +136,17 @@ def cox_score_hessian(frame: SurvivalFrame, beta, weight: int = 1):
     return grad, neg_hess
 
 
-def _newton(frame: SurvivalFrame, x: np.ndarray, names, w: float):
-    """Maximize the partial likelihood over the kept covariates from beta = 0."""
+def _newton(frame: SurvivalFrame, x: np.ndarray, names, w: float, init=None):
+    """Maximize the partial likelihood over the kept covariates.
+
+    Newton starts at ``init`` when given, else at beta = 0, where the null
+    log likelihood falls out of the first score.
+    """
     args = _kernel_args(frame, x)
-    beta = np.zeros(x.shape[1])
+    zero = np.zeros(x.shape[1])
+    beta = zero if init is None else init
     ll, grad, neg_hess = kernels.score(*args, beta, w)
-    loglik_null = ll
+    loglik_null = ll if init is None else kernels.loglik(*args, zero, w)
     tolerance = DECREMENT_PER_EVENT * w * frame.n_events
     iterations = 0
     while True:
@@ -148,32 +158,44 @@ def _newton(frame: SurvivalFrame, x: np.ndarray, names, w: float):
             raise NotConverged(int(w), iterations, decrement)
         iterations += 1
         floor = ll - ULP_SLACK * _EPS * abs(ll)
+        candidate = beta + step
+        scored = kernels.score(*args, candidate, w)
         scale = 1.0
-        while True:
-            candidate = beta + scale * step
-            cand_ll = kernels.loglik(*args, candidate, w)
-            if cand_ll >= floor:
-                break
+        while not scored[0] >= floor:
             scale *= 0.5
             if scale < MIN_STEP_SCALE:
                 # g'step > 0, so a short enough step must raise ll unless
                 # the likelihood itself is not finite there.
                 raise NotConverged(int(w), iterations, decrement)
+            candidate = beta + scale * step
+            if kernels.loglik(*args, candidate, w) >= floor:
+                scored = kernels.score(*args, candidate, w)
+                break
         worst = int(np.abs(candidate).argmax())
         if abs(candidate[worst]) > MAX_ABS_COEF:
             raise MonotoneLikelihood(names[worst], float(candidate[worst]))
         beta = candidate
-        ll, grad, neg_hess = kernels.score(*args, beta, w)
+        ll, grad, neg_hess = scored
     return beta, ll, loglik_null, neg_hess, iterations
 
 
-def fit_cox(frame: SurvivalFrame, weight: int = 1) -> CoxFit:
+def fit_cox(frame: SurvivalFrame, weight: int = 1, init=None) -> CoxFit:
     """Fit the weighted Cox model and its likelihood-ratio test.
 
     Collinear covariate columns (detected on the event records) are omitted
-    from estimation and reported in ``omitted``. Newton-Raphson runs from
-    beta = 0 with step-halving; the null log likelihood falls out of the
-    first iteration.
+    from estimation and reported in ``omitted``. Newton-Raphson runs with
+    step-halving from beta = 0, where the null log likelihood falls out of
+    the first iteration.
+
+    ``init`` is a start vector over the kept covariates, for example the
+    ``beta`` of an earlier fit to the same frame, as with the ``init``
+    argument of R's ``survival::coxph``. Newton then starts there, and the
+    null log likelihood takes one extra ``kernels.loglik`` pass at beta = 0.
+    With a uniform frequency weight the estimate does not depend on the
+    weight, so a start from the weight-1 ``beta`` is already converged at
+    any weight. The result is a converged fit either way; ``init`` changes
+    only where Newton starts. A start of the wrong length or with a
+    non-finite entry raises ``ValueError``.
     """
     w = _check_weight(weight)
     if frame.n_events == 0:
@@ -195,6 +217,14 @@ def fit_cox(frame: SurvivalFrame, weight: int = 1) -> CoxFit:
         kept, dropped = [], []
     kept_names = tuple(frame.covariate_names[j] for j in kept)
     omitted = tuple(frame.covariate_names[j] for j in dropped)
+    if init is not None:
+        init = np.array(init, dtype=np.float64)
+        if init.shape != (len(kept),):
+            raise ValueError(
+                f"init has shape {init.shape}, fit has {len(kept)} kept covariates"
+            )
+        if not np.isfinite(init).all():
+            raise ValueError("init has a non-finite entry")
 
     if not kept:
         warnings.warn(
@@ -223,7 +253,9 @@ def fit_cox(frame: SurvivalFrame, weight: int = 1) -> CoxFit:
         )
 
     x = frame.covariates[:, kept]
-    beta, ll_full, ll_null, neg_hess, iterations = _newton(frame, x, kept_names, w)
+    beta, ll_full, ll_null, neg_hess, iterations = _newton(
+        frame, x, kept_names, w, init
+    )
 
     covariance = inverse_spd(neg_hess)
     se = np.sqrt(np.diag(covariance))

@@ -1,7 +1,9 @@
 import json
+from collections import Counter
 
 import pytest
 
+from nfactor import cli, kernels
 from nfactor.cli import emit_report, run
 
 from conftest import HEART_CSV, LINEAR_CSV
@@ -198,3 +200,39 @@ def test_nf_invariants_hold_in_emitted_json(capsys):
     assert doc["w0"] <= doc["w_int"] <= doc["w1"]
     assert doc["nf_integer"] == doc["w1"]
     assert doc["n_int"] == 30 * doc["w_int"]
+
+
+# ---- work budget (counts, not wall time) --------------------------------------
+
+
+def record_calls(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        calls.append((name, args))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+
+
+def test_cox_request_kernel_budget(capsys, monkeypatch):
+    # Each later weight starts Newton at the weight-1 estimate, and an
+    # accepted full step costs one score pass; a cold start at every
+    # weight with a separate line-search pass took 63 calls.
+    calls = []
+    record_calls(monkeypatch, kernels, "score", calls)
+    record_calls(monkeypatch, kernels, "loglik", calls)
+    code, doc, _ = run_json(capsys, COX_ARGS)
+    assert code == 0 and doc["nf_integer"] == 5
+    assert len(calls) <= 16, Counter(name for name, _ in calls)
+
+
+@pytest.mark.parametrize("args, fitter", [(COX_ARGS, "fit_cox"), (LINEAR_ARGS, "fit_wls")])
+def test_weight_1_fit_runs_once(capsys, monkeypatch, args, fitter):
+    calls = []
+    record_calls(monkeypatch, cli, fitter, calls)
+    code, doc, _ = run_json(capsys, args)
+    assert code == 0 and doc["trace"][0][0] == 1
+    weights = [fit_args[-1] for _, fit_args in calls]
+    assert weights.count(1) == 1
+    assert len(weights) == len(doc["trace"])

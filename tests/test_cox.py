@@ -186,6 +186,32 @@ def test_every_subset_converges_at_every_weight(heart_dataset, subset):
         assert fit.lr_stat == pytest.approx(w * base.lr_stat, rel=1e-9, abs=0), w
 
 
+@pytest.mark.filterwarnings("ignore::nfactor.errors.DegenerateTestWarning")
+@pytest.mark.parametrize("subset", SUBSETS, ids=",".join)
+def test_warm_start_from_weight_1_is_converged(heart_dataset, subset):
+    frame = stset_reconstruct(heart_dataset, "t1", "died", "id", list(subset))
+    base = fit_cox(frame, 1)
+    for w in SWEEP_WEIGHTS:
+        warm = fit_cox(frame, w, init=base.beta)
+        cold = fit_cox(frame, w)
+        assert warm.iterations == 0, w
+        np.testing.assert_array_equal(warm.beta, base.beta, err_msg=f"w={w}")
+        assert warm.loglik_null == cold.loglik_null, w
+        assert warm.lr_stat == pytest.approx(cold.lr_stat, rel=1e-9, abs=0), w
+
+
+def test_warm_start_away_from_optimum_converges(heart_frame, heart_fit):
+    fit = fit_cox(heart_frame, 7, init=heart_fit.beta + 0.1)
+    assert fit.iterations > 0
+    np.testing.assert_allclose(fit.beta, heart_fit.beta, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("init", [np.zeros(2), np.zeros(4), [0.0, math.nan, 0.0]])
+def test_warm_start_rejects_bad_init(heart_frame, init):
+    with pytest.raises(ValueError, match="init"):
+        fit_cox(heart_frame, 2, init=init)
+
+
 def raw_scale_frame(seed, n_subjects=800):
     """Survival records with age and two-digit calendar year at raw scale.
 
@@ -242,8 +268,20 @@ def test_not_converged_names_weight_and_decrement(heart_dataset, monkeypatch):
 
 
 def test_failed_line_search_raises_at_once(heart_frame, monkeypatch):
-    # no step length can restore a likelihood that is not finite
-    monkeypatch.setattr(kernels, "loglik", lambda *args: -math.inf)
+    # no step length can restore a likelihood that is not finite; the full
+    # step is judged by score's ll and the halvings by loglik, so both lose
+    # it away from beta = 0
+    real_score, real_loglik = kernels.score, kernels.loglik
+
+    def score(start, stop, event, x, beta, w):
+        ll, grad, neg_hess = real_score(start, stop, event, x, beta, w)
+        return (-math.inf if beta.any() else ll), grad, neg_hess
+
+    def loglik(start, stop, event, x, beta, w):
+        return -math.inf if beta.any() else real_loglik(start, stop, event, x, beta, w)
+
+    monkeypatch.setattr(kernels, "score", score)
+    monkeypatch.setattr(kernels, "loglik", loglik)
     with pytest.raises(NotConverged) as info:
         fit_cox(heart_frame, 2)
     assert (info.value.weight, info.value.iterations) == (2, 1)
