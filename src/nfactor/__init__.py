@@ -16,7 +16,6 @@ from .data import (
     stset_reconstruct,
     survival_frame_from_intervals,
 )
-from .kernels import active_backend
 from .linear import INTERCEPT, LinearFit, fit_wls
 from .numerics import (
     chi2_sf,
@@ -37,7 +36,6 @@ __all__ = [
     "LinearFit",
     "NfResult",
     "SurvivalFrame",
-    "active_backend",
     "chi2_sf",
     "compute_nf",
     "cox_loglik",

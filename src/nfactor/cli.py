@@ -209,8 +209,6 @@ def _run_spec(spec: TestSpec) -> Report:
             labels.add("ties")
         elif issubclass(item.category, DegenerateTestWarning):
             labels.add("degenerate")
-    if nf is not None and nf.non_monotone:
-        labels.add("non_monotone")
     return Report(spec=spec, fit=fit, nf=nf, warnings=tuple(sorted(labels)),
                   best_p=best_p, trace=trace)
 
@@ -228,6 +226,10 @@ def _json_float(value) -> str:
     return text
 
 
+# JSON strings may not hold raw control characters; all other text stays raw.
+_JSON_ESCAPES = {c: f"\\u{c:04x}" for c in range(0x20)} | {ord("\\"): "\\\\", ord('"'): '\\"'}
+
+
 def _to_json(obj) -> str:
     if obj is None:
         return "null"
@@ -236,8 +238,7 @@ def _to_json(obj) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return f'"{obj.translate(_JSON_ESCAPES)}"'
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):

@@ -20,12 +20,12 @@ Otherwise the step is halved, down to ``MIN_STEP_SCALE``.
 Each Newton step costs one kernel pass when the full step is accepted: the
 full step is scored with ``kernels.score`` and judged by the ``ll`` it
 returns. ``kernels.loglik`` runs only while halving (then ``score`` once at
-the accepted step) and for the null log likelihood of a warm-started fit.
+the accepted step), for the null log likelihood of a warm-started fit, and
+for a model with no kept covariate.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -93,16 +93,6 @@ def _kernel_args(frame: SurvivalFrame, x: np.ndarray):
     )
 
 
-def _null_loglik(frame: SurvivalFrame, w: float) -> float:
-    """Log partial likelihood of the empty (no covariate) model."""
-    ll = 0.0
-    start, stop, event = frame.start, frame.stop, frame.event
-    for t in stop[event]:
-        size = float(((start < t) & (t <= stop)).sum())
-        ll -= w * math.log(w * size)
-    return ll
-
-
 def cox_loglik(frame: SurvivalFrame, beta, weight: int = 1) -> float:
     """Weighted Breslow log partial likelihood at coefficient vector ``beta``."""
     w = _check_weight(weight)
@@ -113,8 +103,6 @@ def cox_loglik(frame: SurvivalFrame, beta, weight: int = 1) -> float:
         raise ValueError(
             f"beta has length {beta.size}, frame has {frame.covariates.shape[1]} covariates"
         )
-    if beta.size == 0:
-        return _null_loglik(frame, w)
     return float(kernels.loglik(*_kernel_args(frame, frame.covariates), beta, w))
 
 
@@ -226,14 +214,15 @@ def fit_cox(frame: SurvivalFrame, weight: int = 1, init=None) -> CoxFit:
         if not np.isfinite(init).all():
             raise ValueError("init has a non-finite entry")
 
+    x = frame.covariates[:, kept]
     if not kept:
         warnings.warn(
             "no estimable covariates remain; likelihood-ratio test is degenerate",
             DegenerateTestWarning,
             stacklevel=2,
         )
-        ll0 = _null_loglik(frame, w)
         empty = np.empty(0)
+        ll0 = float(kernels.loglik(*_kernel_args(frame, x), empty, w))
         return CoxFit(
             covariate_names=(),
             beta=empty,
@@ -252,7 +241,6 @@ def fit_cox(frame: SurvivalFrame, weight: int = 1, init=None) -> CoxFit:
             iterations=0,
         )
 
-    x = frame.covariates[:, kept]
     beta, ll_full, ll_null, neg_hess, iterations = _newton(
         frame, x, kept_names, w, init
     )

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    DuplicateColumn,
     EmptyFile,
     InvalidEventFlag,
     InvalidWeight,
@@ -140,7 +141,8 @@ def load_csv(path, required_columns=()) -> Dataset:
     """Load a comma-separated file with a header row into a Dataset.
 
     Every cell is parsed as a float; blank or non-numeric cells (including
-    nan/inf spellings) are rejected. Row order is preserved.
+    nan/inf spellings) and repeated header names are rejected. Row order is
+    preserved.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -148,6 +150,9 @@ def load_csv(path, required_columns=()) -> Dataset:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise EmptyFile(f"{path}: no header row") from None
+        for i, name in enumerate(header):
+            if name in header[:i]:
+                raise DuplicateColumn(name)
         for name in required_columns:
             if name not in header:
                 raise MissingColumn(name)

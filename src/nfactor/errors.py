@@ -18,6 +18,12 @@ class MissingColumn(NfactorError):
         self.name = name
 
 
+class DuplicateColumn(NfactorError):
+    def __init__(self, name):
+        super().__init__(f"column {name!r} appears more than once in the header")
+        self.name = name
+
+
 class NonNumericCell(NfactorError):
     def __init__(self, row, column, value=None):
         super().__init__(

@@ -1,16 +1,8 @@
-"""Hot kernels for the weighted Cox partial likelihood.
+"""Kernels for the weighted Cox partial likelihood.
 
-Two interchangeable backends compute the log partial likelihood and its
-derivatives over counting-process risk sets:
-
-* a loop kernel compiled with numba's ``@njit`` (default when numba imports),
-* a vectorized pure-numpy fallback.
-
-Set ``NFACTOR_NO_NUMBA=1`` in the environment before import to force the
-numpy path. Both backends implement the same contract and agree to float
-round-off; ``benchmarks/bench_kernels.py`` compares their speed.
-
-Contract (shared by both backends), with frequency weight ``w``:
+``loglik`` returns the log partial likelihood and ``score`` returns it
+together with its gradient and negated Hessian, both over counting-process
+risk sets, with frequency weight ``w``:
 
     ll   = sum over event records i of  w * (eta_i - log(w * S0(t_i)))
     grad = sum over event records i of  w * (x_i - S1(t_i) / S0(t_i))
@@ -20,23 +12,21 @@ where eta = X @ beta, the risk set at time t is {j : start_j < t <= stop_j},
 and S0, S1, S2 are the exp(eta)-weighted sums of 1, x, and x x' over it.
 ``hess`` is the negated Hessian (positive semidefinite). exp arguments are
 shifted by the risk-set maximum of eta so large coefficients cannot overflow.
+An ``x`` with no columns (and an empty ``beta``) gives the empty model,
+whose log likelihood is ``-sum w * log(w * |risk set|)``.
+
+Event records sharing a stop time share one risk set, so each distinct event
+time is visited once.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_ENV_FLAG = "NFACTOR_NO_NUMBA"
 
-
-def _numba_disabled() -> bool:
-    return os.environ.get(_ENV_FLAG, "").strip().lower() in ("1", "true", "yes")
-
-
-def loglik_numpy(start, stop, event, x, beta, w):
+def loglik(start, stop, event, x, beta, w):
     eta = x @ beta
     ev_stop = stop[event]
     ev_eta = eta[event]
@@ -50,7 +40,7 @@ def loglik_numpy(start, stop, event, x, beta, w):
     return ll
 
 
-def score_numpy(start, stop, event, x, beta, w):
+def score(start, stop, event, x, beta, w):
     p = x.shape[1]
     eta = x @ beta
     ll = 0.0
@@ -73,88 +63,3 @@ def score_numpy(start, stop, event, x, beta, w):
         grad += w * (ev_x[at_t].sum(axis=0) - d * xbar)
         hess += (w * d / s0) * ((rel[:, None] * centered).T @ centered)
     return ll, grad, hess
-
-
-def _loglik_loops(start, stop, event, x, beta, w):
-    n, p = x.shape
-    eta = np.dot(x, beta)
-    ll = 0.0
-    for i in range(n):
-        if not event[i]:
-            continue
-        t = stop[i]
-        m = -np.inf
-        for j in range(n):
-            if start[j] < t and t <= stop[j] and eta[j] > m:
-                m = eta[j]
-        s0 = 0.0
-        for j in range(n):
-            if start[j] < t and t <= stop[j]:
-                s0 += np.exp(eta[j] - m)
-        ll += w * (eta[i] - (np.log(w * s0) + m))
-    return ll
-
-
-def _score_loops(start, stop, event, x, beta, w):
-    n, p = x.shape
-    eta = np.dot(x, beta)
-    ll = 0.0
-    grad = np.zeros(p)
-    hess = np.zeros((p, p))
-    s1 = np.zeros(p)
-    s2 = np.zeros((p, p))
-    for i in range(n):
-        if not event[i]:
-            continue
-        t = stop[i]
-        m = -np.inf
-        for j in range(n):
-            if start[j] < t and t <= stop[j] and eta[j] > m:
-                m = eta[j]
-        s0 = 0.0
-        s1[:] = 0.0
-        s2[:, :] = 0.0
-        for j in range(n):
-            if start[j] < t and t <= stop[j]:
-                rel = np.exp(eta[j] - m)
-                s0 += rel
-                for a in range(p):
-                    s1[a] += rel * x[j, a]
-                    for b in range(a + 1):
-                        s2[a, b] += rel * x[j, a] * x[j, b]
-        ll += w * (eta[i] - (np.log(w * s0) + m))
-        for a in range(p):
-            grad[a] += w * (x[i, a] - s1[a] / s0)
-            for b in range(a + 1):
-                v = s2[a, b] / s0 - (s1[a] / s0) * (s1[b] / s0)
-                hess[a, b] += w * v
-    for a in range(p):
-        for b in range(a):
-            hess[b, a] = hess[a, b]
-    return ll, grad, hess
-
-
-loglik_numba = None
-score_numba = None
-if not _numba_disabled():
-    try:
-        import numba
-
-        loglik_numba = numba.njit(cache=True)(_loglik_loops)
-        score_numba = numba.njit(cache=True)(_score_loops)
-    except ImportError:  # pragma: no cover - exercised only without numba
-        pass
-
-if loglik_numba is not None:
-    loglik = loglik_numba
-    score = score_numba
-    BACKEND = "numba"
-else:
-    loglik = loglik_numpy
-    score = score_numpy
-    BACKEND = "numpy"
-
-
-def active_backend() -> str:
-    """Name of the backend bound at import time: ``"numba"`` or ``"numpy"``."""
-    return BACKEND

@@ -8,8 +8,9 @@ interpolation of the p-values:
 
     w_int = (W0 * (target - p1) + W1 * (p0 - target)) / (p0 - p1)
 
-Monotonicity is verified at the bracket; if it fails, an exhaustive
-ascending scan recovers the true minimum.
+Doubling and bisection keep p(lo) > target >= p(hi) at every step, so the
+bracket always straddles the target; on a monotone p-curve W1 is the
+smallest significant weight.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ class NfResult:
     nf_integer: int
     trace: tuple[tuple[int, float], ...]
     exact_hit: bool
-    non_monotone: bool = False
 
 
 def interpolate(w0: int, p0: float, w1: int, p1: float, target: float) -> float:
@@ -103,7 +103,7 @@ def compute_nf(
 
     evaluate = _Evaluator(p_of_weight)
 
-    def result(w0, p0, w1, p1, w_int, non_monotone=False):
+    def result(w0, p0, w1, p1, w_int):
         return NfResult(
             target_alpha=target,
             p_at_1=evaluate(1),
@@ -116,7 +116,6 @@ def compute_nf(
             nf_integer=w1,
             trace=tuple(evaluate.trace),
             exact_hit=abs(p1 - target) <= EXACT_HIT_TOL,
-            non_monotone=non_monotone,
         )
 
     p_first = evaluate(1)
@@ -146,21 +145,6 @@ def compute_nf(
     w1, w0 = hi, hi - 1
     p1 = evaluate(w1)
     p0 = evaluate(w0)
-    non_monotone = p0 <= target
-    if non_monotone:  # pragma: no cover
-        # Safety net for a p-curve that dips below the target before the
-        # bracket. Bisection keeps p(lo) > target invariantly and w0 == lo at
-        # termination, so with deterministic cached evaluations this branch
-        # cannot trigger; scan ascending for the definitional smallest weight.
-        w1 = next(
-            (w for w in range(2, max_weight + 1) if evaluate(w) <= target), None
-        )
-        if w1 is None:
-            raise UnreachableSignificance(max_weight, evaluate.best_p, evaluate.trace)
-        w0 = w1 - 1
-        p1 = evaluate(w1)
-        p0 = evaluate(w0)
-
     if abs(p1 - target) <= EXACT_HIT_TOL:
-        return result(w0, p0, w1, p1, float(w1), non_monotone)
-    return result(w0, p0, w1, p1, interpolate(w0, p0, w1, p1, target), non_monotone)
+        return result(w0, p0, w1, p1, float(w1))
+    return result(w0, p0, w1, p1, interpolate(w0, p0, w1, p1, target))

@@ -193,6 +193,16 @@ def test_json_round_trip_is_fixed_point(capsys):
     assert _to_json(again) + "\n" == text
 
 
+def test_json_escapes_control_characters_in_data_path(capsys, tmp_path):
+    path = tmp_path / "tab\there.csv"
+    path.write_bytes(LINEAR_CSV.read_bytes())
+    args = [a if a != str(LINEAR_CSV) else str(path) for a in LINEAR_ARGS]
+    code, doc, text = run_json(capsys, args)
+    assert code == 0
+    assert doc["spec"]["data"] == str(path)
+    assert "\t" not in text
+
+
 def test_nf_invariants_hold_in_emitted_json(capsys):
     _, doc, _ = run_json(capsys, COX_ARGS)
     assert doc["w1"] == doc["w0"] + 1

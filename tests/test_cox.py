@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -380,6 +381,13 @@ def test_all_zero_covariate_gives_degenerate_test():
     assert fit.lr_stat == 0.0
     assert fit.p_lr == 1.0
     assert fit.loglik_full == fit.loglik_null
+    # events at t = 1 and t = 2 with 3 and 2 records at risk
+    assert fit.loglik_null == pytest.approx(-(math.log(3) + math.log(2)), rel=1e-15)
+    with pytest.warns(DegenerateTestWarning):
+        fit4 = fit_cox(frame, 4)
+    assert fit4.loglik_null == pytest.approx(-4 * (math.log(12) + math.log(8)), rel=1e-15)
+    no_covariates = dataclasses.replace(frame, covariates=np.empty((3, 0)), covariate_names=())
+    assert cox_loglik(no_covariates, [], 4) == fit4.loglik_null
 
 
 def test_no_events_raises():

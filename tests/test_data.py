@@ -12,6 +12,7 @@ from nfactor import (
 )
 from nfactor.datasets import heart_transplant_30, wald_example
 from nfactor.errors import (
+    DuplicateColumn,
     EmptyFile,
     InvalidEventFlag,
     InvalidWeight,
@@ -52,6 +53,15 @@ def test_missing_required_column(tmp_path):
     with pytest.raises(MissingColumn) as err:
         load_csv(path, ["id", "t1"])
     assert err.value.name == "t1"
+
+
+def test_duplicate_header_name(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("y,x, x\n1,2,3\n")
+    with pytest.raises(DuplicateColumn) as err:
+        load_csv(path, ["y", "x"])
+    assert err.value.name == "x"
+    assert "'x'" in str(err.value)
 
 
 def test_empty_file(tmp_path):

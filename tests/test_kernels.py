@@ -1,15 +1,9 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from nfactor import kernels
 
-pytestmark = pytest.mark.skipif(
-    kernels.loglik_numba is None, reason="numba backend unavailable"
-)
+from oracles import _loglik_loops, _score_loops
 
 
 def _args(frame):
@@ -17,52 +11,28 @@ def _args(frame):
 
 
 @pytest.mark.parametrize("w", [1, 4])
-def test_backends_agree_on_loglik(heart_frame, w):
+def test_loglik_matches_loop_oracle(heart_frame, w):
     rng = np.random.default_rng(3)
     for _ in range(5):
         beta = 0.1 * rng.standard_normal(4)
-        a = kernels.loglik_numpy(*_args(heart_frame), beta, float(w))
-        b = kernels.loglik_numba(*_args(heart_frame), beta, float(w))
+        a = _loglik_loops(*_args(heart_frame), beta, float(w))
+        b = kernels.loglik(*_args(heart_frame), beta, float(w))
         assert b == pytest.approx(a, rel=1e-12)
 
 
 @pytest.mark.parametrize("w", [1, 4])
-def test_backends_agree_on_score(heart_frame, w):
+def test_score_matches_loop_oracle(heart_frame, w):
     rng = np.random.default_rng(4)
     for _ in range(5):
         beta = 0.1 * rng.standard_normal(4)
-        ll_np, g_np, h_np = kernels.score_numpy(*_args(heart_frame), beta, float(w))
-        ll_nb, g_nb, h_nb = kernels.score_numba(*_args(heart_frame), beta, float(w))
-        assert ll_nb == pytest.approx(ll_np, rel=1e-12)
-        np.testing.assert_allclose(g_nb, g_np, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(h_nb, h_np, rtol=1e-10, atol=1e-12)
+        ll_o, g_o, h_o = _score_loops(*_args(heart_frame), beta, float(w))
+        ll, g, h = kernels.score(*_args(heart_frame), beta, float(w))
+        assert ll == pytest.approx(ll_o, rel=1e-12)
+        np.testing.assert_allclose(g, g_o, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(h, h_o, rtol=1e-10, atol=1e-12)
 
 
 def test_large_coefficients_do_not_overflow(heart_frame):
     # year ~ 68, so eta ~ 2700; the risk-set max shift must absorb it
     beta = np.array([0.0, 0.0, 0.0, 40.0])
-    for fn in (kernels.loglik_numpy, kernels.loglik_numba):
-        assert np.isfinite(fn(*_args(heart_frame), beta, 1.0))
-
-
-def _backend_in_subprocess(env_value):
-    env = dict(os.environ)
-    env.pop("NFACTOR_NO_NUMBA", None)
-    if env_value is not None:
-        env["NFACTOR_NO_NUMBA"] = env_value
-    out = subprocess.run(
-        [sys.executable, "-c", "import nfactor; print(nfactor.active_backend())"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    return out.stdout.strip()
-
-
-def test_env_flag_selects_numpy_backend():
-    assert _backend_in_subprocess("1") == "numpy"
-
-
-def test_default_backend_is_numba():
-    assert _backend_in_subprocess(None) == "numba"
+    assert np.isfinite(kernels.loglik(*_args(heart_frame), beta, 1.0))
