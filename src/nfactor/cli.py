@@ -168,14 +168,7 @@ def _run_spec(spec: TestSpec) -> Report:
                     list(spec.covariate_cols),
                 )
             fit = fit_cox(frame, 1)
-
-            def p_of_weight(w: int) -> float:
-                if w == 1:
-                    return fit.p_lr
-                # beta-hat does not move with a uniform weight, so Newton
-                # starts at the weight-1 estimate and is already converged.
-                return fit_cox(frame, w, init=fit.beta).p_lr
-
+            p_of_weight = fit.p_lr_at
         else:
             required = [spec.response_col, *spec.covariate_cols]
             data = load_csv(spec.data_path, required)
@@ -186,12 +179,9 @@ def _run_spec(spec: TestSpec) -> Report:
                 )
             if spec.wald_coefficient not in fit.term_names:
                 raise CliError(f"no coefficient named {spec.wald_coefficient!r}")
-            index = fit.term_names.index(spec.wald_coefficient)
 
             def p_of_weight(w: int) -> float:
-                if w == 1:
-                    return fit.p_values[index]
-                return fit_wls(data, spec.response_col, spec.covariate_cols, w).p_values[index]
+                return fit.p_value_at(spec.wald_coefficient, w)
 
         nf = None
         best_p = None

@@ -20,8 +20,12 @@ Otherwise the step is halved, down to ``MIN_STEP_SCALE``.
 Each Newton step costs one kernel pass when the full step is accepted: the
 full step is scored with ``kernels.score`` and judged by the ``ll`` it
 returns. ``kernels.loglik`` runs only while halving (then ``score`` once at
-the accepted step), for the null log likelihood of a warm-started fit, and
-for a model with no kept covariate.
+the accepted step) and for a model with no kept covariate.
+
+A uniform frequency weight only rescales the likelihood:
+``ll_w(beta) = w * ll_1(beta) - w * d * log(w)``. So the estimate does not
+depend on w and ``LR_w = w * LR_1``; ``CoxFit.p_lr_at`` answers the
+likelihood-ratio p-value at any weight from one fit, without refitting.
 """
 
 from __future__ import annotations
@@ -32,10 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .data import SurvivalFrame
+from .data import SurvivalFrame, check_weight
 from .errors import (
     DegenerateTestWarning,
-    InvalidWeight,
     MonotoneLikelihood,
     NoEvents,
     NotConverged,
@@ -77,11 +80,19 @@ class CoxFit:
     n_failures: float
     iterations: int
 
+    def p_lr_at(self, weight) -> float:
+        """Likelihood-ratio p-value with every record's weight multiplied by ``weight``.
 
-def _check_weight(weight) -> float:
-    if not isinstance(weight, (int, np.integer)) or weight < 1:
-        raise InvalidWeight(weight)
-    return float(weight)
+        The statistic scales linearly with a uniform weight, so this is
+        ``chi2_sf(weight * lr_stat, lr_df)``: on a weight-1 fit it equals
+        ``fit_cox(frame, weight).p_lr`` up to round-off, and at weight 1 it
+        is ``p_lr`` exactly. A test with no kept covariate has p = 1 at
+        every weight.
+        """
+        w = check_weight(weight)
+        if self.lr_df == 0:
+            return 1.0
+        return chi2_sf(max(w * self.lr_stat, 0.0), self.lr_df)
 
 
 def _kernel_args(frame: SurvivalFrame, x: np.ndarray):
@@ -95,7 +106,7 @@ def _kernel_args(frame: SurvivalFrame, x: np.ndarray):
 
 def cox_loglik(frame: SurvivalFrame, beta, weight: int = 1) -> float:
     """Weighted Breslow log partial likelihood at coefficient vector ``beta``."""
-    w = _check_weight(weight)
+    w = check_weight(weight)
     beta = np.asarray(beta, dtype=np.float64)
     if frame.n_records == 0:
         raise NoEvents("survival frame is empty")
@@ -112,7 +123,7 @@ def cox_score_hessian(frame: SurvivalFrame, beta, weight: int = 1):
     The negated Hessian is positive semidefinite; it is the risk-set
     covariance of the covariates summed over event records.
     """
-    w = _check_weight(weight)
+    w = check_weight(weight)
     beta = np.asarray(beta, dtype=np.float64)
     if frame.n_records == 0:
         raise NoEvents("survival frame is empty")
@@ -124,17 +135,16 @@ def cox_score_hessian(frame: SurvivalFrame, beta, weight: int = 1):
     return grad, neg_hess
 
 
-def _newton(frame: SurvivalFrame, x: np.ndarray, names, w: float, init=None):
+def _newton(frame: SurvivalFrame, x: np.ndarray, names, w: float):
     """Maximize the partial likelihood over the kept covariates.
 
-    Newton starts at ``init`` when given, else at beta = 0, where the null
-    log likelihood falls out of the first score.
+    Newton starts at beta = 0, where the null log likelihood falls out of
+    the first score.
     """
     args = _kernel_args(frame, x)
-    zero = np.zeros(x.shape[1])
-    beta = zero if init is None else init
+    beta = np.zeros(x.shape[1])
     ll, grad, neg_hess = kernels.score(*args, beta, w)
-    loglik_null = ll if init is None else kernels.loglik(*args, zero, w)
+    loglik_null = ll
     tolerance = DECREMENT_PER_EVENT * w * frame.n_events
     iterations = 0
     while True:
@@ -167,25 +177,15 @@ def _newton(frame: SurvivalFrame, x: np.ndarray, names, w: float, init=None):
     return beta, ll, loglik_null, neg_hess, iterations
 
 
-def fit_cox(frame: SurvivalFrame, weight: int = 1, init=None) -> CoxFit:
+def fit_cox(frame: SurvivalFrame, weight: int = 1) -> CoxFit:
     """Fit the weighted Cox model and its likelihood-ratio test.
 
     Collinear covariate columns (detected on the event records) are omitted
     from estimation and reported in ``omitted``. Newton-Raphson runs with
     step-halving from beta = 0, where the null log likelihood falls out of
     the first iteration.
-
-    ``init`` is a start vector over the kept covariates, for example the
-    ``beta`` of an earlier fit to the same frame, as with the ``init``
-    argument of R's ``survival::coxph``. Newton then starts there, and the
-    null log likelihood takes one extra ``kernels.loglik`` pass at beta = 0.
-    With a uniform frequency weight the estimate does not depend on the
-    weight, so a start from the weight-1 ``beta`` is already converged at
-    any weight. The result is a converged fit either way; ``init`` changes
-    only where Newton starts. A start of the wrong length or with a
-    non-finite entry raises ``ValueError``.
     """
-    w = _check_weight(weight)
+    w = check_weight(weight)
     if frame.n_events == 0:
         raise NoEvents("survival frame has no event records")
     if frame.has_tied_event_times:
@@ -205,14 +205,6 @@ def fit_cox(frame: SurvivalFrame, weight: int = 1, init=None) -> CoxFit:
         kept, dropped = [], []
     kept_names = tuple(frame.covariate_names[j] for j in kept)
     omitted = tuple(frame.covariate_names[j] for j in dropped)
-    if init is not None:
-        init = np.array(init, dtype=np.float64)
-        if init.shape != (len(kept),):
-            raise ValueError(
-                f"init has shape {init.shape}, fit has {len(kept)} kept covariates"
-            )
-        if not np.isfinite(init).all():
-            raise ValueError("init has a non-finite entry")
 
     x = frame.covariates[:, kept]
     if not kept:
@@ -241,9 +233,7 @@ def fit_cox(frame: SurvivalFrame, weight: int = 1, init=None) -> CoxFit:
             iterations=0,
         )
 
-    beta, ll_full, ll_null, neg_hess, iterations = _newton(
-        frame, x, kept_names, w, init
-    )
+    beta, ll_full, ll_null, neg_hess, iterations = _newton(frame, x, kept_names, w)
 
     covariance = inverse_spd(neg_hess)
     se = np.sqrt(np.diag(covariance))

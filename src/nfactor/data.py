@@ -25,6 +25,25 @@ from .errors import (
 )
 
 
+def distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a 1-d array of finite numbers.
+
+    The same result as ``np.unique``, without the import of ``numpy.ma``
+    that ``np.unique`` makes under numpy 2.x.
+    """
+    ordered = np.sort(values)
+    if ordered.size == 0:
+        return ordered
+    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+
+
+def check_weight(weight) -> float:
+    """A frequency weight as a float; raises InvalidWeight unless an integer >= 1."""
+    if not isinstance(weight, (int, np.integer)) or weight < 1:
+        raise InvalidWeight(weight)
+    return float(weight)
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -121,7 +140,7 @@ class SurvivalFrame:
 
     @property
     def n_subjects(self) -> int:
-        return len(np.unique(self.subject_ids))
+        return len(distinct(self.subject_ids))
 
     @property
     def n_events(self) -> int:
@@ -134,7 +153,7 @@ class SurvivalFrame:
     @property
     def has_tied_event_times(self) -> bool:
         times = self.stop[self.event]
-        return len(np.unique(times)) < len(times)
+        return len(distinct(times)) < len(times)
 
 
 def load_csv(path, required_columns=()) -> Dataset:
@@ -246,8 +265,7 @@ def replicate(d: Dataset, w: int) -> Dataset:
     The brute-force counterpart of a frequency weight: fitting the replicated
     data unweighted must match fitting the original with weight ``w``.
     """
-    if not isinstance(w, (int, np.integer)) or w < 1:
-        raise InvalidWeight(w)
+    check_weight(w)
     return Dataset({name: np.repeat(col, w) for name, col in d.columns.items()})
 
 
@@ -257,8 +275,7 @@ def replicate_frame(frame: SurvivalFrame, w: int) -> SurvivalFrame:
     Each copy of a subject gets its own id so that per-subject interval
     chaining still holds; risk sets are unaffected by the relabeling.
     """
-    if not isinstance(w, (int, np.integer)) or w < 1:
-        raise InvalidWeight(w)
+    check_weight(w)
     _, inverse = np.unique(frame.subject_ids, return_inverse=True)
     copies = np.tile(np.arange(w), frame.n_records)
     return SurvivalFrame(

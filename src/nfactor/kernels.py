@@ -25,13 +25,15 @@ import math
 
 import numpy as np
 
+from .data import distinct
+
 
 def loglik(start, stop, event, x, beta, w):
     eta = x @ beta
     ev_stop = stop[event]
     ev_eta = eta[event]
     ll = 0.0
-    for t in np.unique(ev_stop):
+    for t in distinct(ev_stop):
         at_t = ev_stop == t
         risk = (start < t) & (t <= stop)
         m = eta[risk].max()
@@ -49,7 +51,7 @@ def score(start, stop, event, x, beta, w):
     ev_stop = stop[event]
     ev_eta = eta[event]
     ev_x = x[event]
-    for t in np.unique(ev_stop):
+    for t in distinct(ev_stop):
         at_t = ev_stop == t
         d = int(at_t.sum())
         risk = (start < t) & (t <= stop)

@@ -3,6 +3,8 @@
 A uniform frequency weight w multiplies the residual sum of squares and
 inflates the residual degrees of freedom to w*n - k, exactly as if every
 row appeared w times; the coefficients themselves do not depend on w.
+So ``t_w = t_1 * sqrt((w*n - k) / (n - k))``, and ``LinearFit.p_value_at``
+answers a coefficient's p-value at any weight from one fit.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
-from .errors import DegenerateTestWarning, InsufficientObservations, InvalidWeight
+from .data import Dataset, check_weight
+from .errors import DegenerateTestWarning, InsufficientObservations
 from .numerics import inverse_spd, pivoted_rank_factor, solve_spd, student_t_two_sided
 
 INTERCEPT = "intercept"
@@ -40,6 +42,23 @@ class LinearFit:
     root_mse: float
     weighted_n: float
 
+    def p_value_at(self, term: str, weight) -> float:
+        """Wald p-value of ``term`` with every row's weight multiplied by ``weight``.
+
+        The residual degrees of freedom grow from ``df_residual`` to
+        ``weight * weighted_n - k`` and the t-statistic by the square root
+        of their ratio, so on a weight-1 fit this equals the p-value of
+        ``fit_wls(..., weight)`` up to round-off. A zero-residual fit keeps
+        its weight-1 p-value.
+        """
+        w = check_weight(weight)
+        j = self.term_names.index(term)
+        if self.residual_ss == 0.0:
+            return float(self.p_values[j])
+        df = w * self.weighted_n - len(self.term_names)
+        t = self.t_stats[j] * math.sqrt(df / self.df_residual)
+        return student_t_two_sided(t, df)
+
 
 def fit_wls(
     d: Dataset,
@@ -54,9 +73,7 @@ def fit_wls(
     p-values (0 for a nonzero coefficient, 1 for a zero one) together with a
     DegenerateTestWarning.
     """
-    if not isinstance(weight, (int, np.integer)) or weight < 1:
-        raise InvalidWeight(weight)
-    w = float(weight)
+    w = check_weight(weight)
     y = d.column(response)
     n = d.n_rows
     if n < 1:

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import nfactor
 from nfactor import cli, kernels
 from nfactor.cli import emit_report, run
+from nfactor.search import DEFAULT_MAX_WEIGHT
 
 from conftest import HEART_CSV, LINEAR_CSV
 
@@ -226,23 +232,57 @@ def record_calls(monkeypatch, module, name, calls):
 
 
 def test_cox_request_kernel_budget(capsys, monkeypatch):
-    # Each later weight starts Newton at the weight-1 estimate, and an
-    # accepted full step costs one score pass; a cold start at every
-    # weight with a separate line-search pass took 63 calls.
+    # One weight-1 fit: a score pass at beta = 0 and one per accepted Newton
+    # step. Refitting at every searched weight took 15 calls, and 63 with a
+    # cold start and a separate line-search pass.
     calls = []
     record_calls(monkeypatch, kernels, "score", calls)
     record_calls(monkeypatch, kernels, "loglik", calls)
     code, doc, _ = run_json(capsys, COX_ARGS)
     assert code == 0 and doc["nf_integer"] == 5
-    assert len(calls) <= 16, Counter(name for name, _ in calls)
+    assert len(calls) <= 5, Counter(name for name, _ in calls)
 
 
 @pytest.mark.parametrize("args, fitter", [(COX_ARGS, "fit_cox"), (LINEAR_ARGS, "fit_wls")])
 def test_weight_1_fit_runs_once(capsys, monkeypatch, args, fitter):
+    # Each request fits once, at weight 1; every later weight is answered
+    # from that fit in closed form.
     calls = []
     record_calls(monkeypatch, cli, fitter, calls)
     code, doc, _ = run_json(capsys, args)
-    assert code == 0 and doc["trace"][0][0] == 1
-    weights = [fit_args[-1] for _, fit_args in calls]
-    assert weights.count(1) == 1
-    assert len(weights) == len(doc["trace"])
+    assert code == 0 and doc["trace"][0][0] == 1 and len(doc["trace"]) > 1
+    assert [fit_args[-1] for _, fit_args in calls] == [1]
+
+
+SURGERY_ARGS = [*COX_ARGS[:-4], "--covariates", "surgery"]
+
+
+@pytest.mark.parametrize("max_weight, evaluations", [(None, 21), (10**12, 41)])
+def test_degenerate_cox_test_fits_once(capsys, monkeypatch, max_weight, evaluations):
+    # surgery is all zero, so no covariate is kept and p = 1 at every
+    # weight: the search runs to the cap on the one weight-1 fit.
+    calls = []
+    record_calls(monkeypatch, cli, "fit_cox", calls)
+    record_calls(monkeypatch, kernels, "score", calls)
+    record_calls(monkeypatch, kernels, "loglik", calls)
+    cap = [] if max_weight is None else ["--max-weight", str(max_weight)]
+    code, doc, _ = run_json(capsys, [*SURGERY_ARGS, *cap])
+    assert code == 2 and doc["best_p"] == 1.0 and doc["fit"]["lr_df"] == 0
+    assert len(doc["trace"]) == evaluations
+    assert doc["trace"][-1] == [max_weight or DEFAULT_MAX_WEIGHT, 1.0]
+    assert [name for name, _ in calls] == ["fit_cox", "loglik"]
+
+
+def test_requests_do_not_import_numpy_ma():
+    # np.unique imports numpy.ma under numpy 2.x, which costs every CLI
+    # process start-up time and memory.
+    script = (
+        "import sys\n"
+        "from nfactor.cli import run\n"
+        f"codes = [run({COX_ARGS!r}), run({LINEAR_ARGS!r})]\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(nfactor.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "[0, 0] False"

@@ -179,38 +179,34 @@ SUBSETS = [
 def test_every_subset_converges_at_every_weight(heart_dataset, subset):
     # Frequency weights rescale the partial likelihood, so beta-hat does not
     # move with w and the LR statistic is exactly w times its weight-1 value.
+    # So the closed-form profile p_lr_at(w) is the p-value of a refit at w.
     frame = stset_reconstruct(heart_dataset, "t1", "died", "id", list(subset))
     base = fit_cox(frame, 1)
+    assert base.p_lr_at(1) == base.p_lr
     for w in SWEEP_WEIGHTS[1:]:
         fit = fit_cox(frame, w)
         np.testing.assert_allclose(fit.beta, base.beta, rtol=1e-9, atol=0, err_msg=f"w={w}")
         assert fit.lr_stat == pytest.approx(w * base.lr_stat, rel=1e-9, abs=0), w
+        assert base.p_lr_at(w) == pytest.approx(fit.p_lr, rel=1e-9, abs=0), w
 
 
-@pytest.mark.filterwarnings("ignore::nfactor.errors.DegenerateTestWarning")
-@pytest.mark.parametrize("subset", SUBSETS, ids=",".join)
-def test_warm_start_from_weight_1_is_converged(heart_dataset, subset):
-    frame = stset_reconstruct(heart_dataset, "t1", "died", "id", list(subset))
-    base = fit_cox(frame, 1)
-    for w in SWEEP_WEIGHTS:
-        warm = fit_cox(frame, w, init=base.beta)
-        cold = fit_cox(frame, w)
-        assert warm.iterations == 0, w
-        np.testing.assert_array_equal(warm.beta, base.beta, err_msg=f"w={w}")
-        assert warm.loglik_null == cold.loglik_null, w
-        assert warm.lr_stat == pytest.approx(cold.lr_stat, rel=1e-9, abs=0), w
+def test_cold_fit_that_halves_a_step_converges(monkeypatch):
+    # The outlying covariate makes the full Newton step overshoot once; the
+    # halved step is accepted and Newton goes on to the optimum.
+    frame = tiny_frame([[0.0], [1.0], [0.0], [1.0], [0.0], [10.0]],
+                       [True, False, True, False, False, True], stops=[2, 3, 4, 5, 6, 1])
+    halvings = []
+    real_loglik = kernels.loglik
 
+    def loglik(*args):
+        halvings.append(args)
+        return real_loglik(*args)
 
-def test_warm_start_away_from_optimum_converges(heart_frame, heart_fit):
-    fit = fit_cox(heart_frame, 7, init=heart_fit.beta + 0.1)
-    assert fit.iterations > 0
-    np.testing.assert_allclose(fit.beta, heart_fit.beta, rtol=1e-9, atol=0)
-
-
-@pytest.mark.parametrize("init", [np.zeros(2), np.zeros(4), [0.0, math.nan, 0.0]])
-def test_warm_start_rejects_bad_init(heart_frame, init):
-    with pytest.raises(ValueError, match="init"):
-        fit_cox(heart_frame, 2, init=init)
+    monkeypatch.setattr(kernels, "loglik", loglik)
+    fit = fit_cox(frame, 1)
+    assert len(halvings) == 1 and fit.iterations > 1
+    grad, neg_hess = cox_score_hessian(frame, fit.beta, 1)
+    assert grad @ np.linalg.solve(neg_hess, grad) <= cox.DECREMENT_PER_EVENT * frame.n_events
 
 
 def raw_scale_frame(seed, n_subjects=800):
@@ -388,6 +384,8 @@ def test_all_zero_covariate_gives_degenerate_test():
     assert fit4.loglik_null == pytest.approx(-4 * (math.log(12) + math.log(8)), rel=1e-15)
     no_covariates = dataclasses.replace(frame, covariates=np.empty((3, 0)), covariate_names=())
     assert cox_loglik(no_covariates, [], 4) == fit4.loglik_null
+    for w in (1, 4, 10**12):
+        assert fit.p_lr_at(w) == 1.0
 
 
 def test_no_events_raises():
@@ -415,3 +413,9 @@ def test_perfectly_separating_covariate_raises_monotone():
 def test_fit_rejects_bad_weight(heart_frame):
     with pytest.raises(InvalidWeight):
         fit_cox(heart_frame, 1.5)
+
+
+@pytest.mark.parametrize("weight", [0, -3, 2.0, 1.5])
+def test_profile_rejects_bad_weight(heart_fit, weight):
+    with pytest.raises(InvalidWeight):
+        heart_fit.p_lr_at(weight)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from nfactor import Dataset, fit_wls, replicate, student_t_two_sided
+from nfactor import INTERCEPT, Dataset, fit_wls, replicate, student_t_two_sided
 from nfactor.errors import DegenerateTestWarning, InsufficientObservations, InvalidWeight
+from nfactor.search import DEFAULT_MAX_WEIGHT
 
 from oracles import gauss_solve
 
@@ -86,6 +87,47 @@ def test_intercept_se_scaling_law(wald_dataset, w):
     n = wald_dataset.n_rows
     expected = math.sqrt(w * ss1 / (w * n - 1)) / math.sqrt(w * n)
     assert fit.standard_errors[0] == pytest.approx(expected, rel=1e-12)
+
+
+def covariate_dataset():
+    rng = np.random.default_rng(33)
+    n = 25
+    a = rng.standard_normal(n)
+    b = rng.uniform(-2, 2, n)
+    return Dataset({"y": 0.02 + 0.01 * a - 0.005 * b + rng.standard_normal(n), "a": a, "b": b})
+
+
+PROFILE_WEIGHTS = (1, 2, 3, 7, 16, 17, 18, 64, 1000, 2**19, DEFAULT_MAX_WEIGHT)
+
+
+@pytest.mark.parametrize("which", ["linear30", "covariates"])
+def test_profile_matches_refit_at_every_weight(wald_dataset, which):
+    # t_w = t_1 * sqrt((w*n - k) / (n - k)) with df = w*n - k, so the
+    # closed-form profile is the p-value of a refit at w.
+    d, covariates = (wald_dataset, ()) if which == "linear30" else (covariate_dataset(), ("a", "b"))
+    base = fit_wls(d, "y", covariates, 1)
+    for j, term in enumerate(base.term_names):
+        assert base.p_value_at(term, 1) == base.p_values[j]
+        for w in PROFILE_WEIGHTS[1:]:
+            refit = fit_wls(d, "y", covariates, w)
+            assert base.p_value_at(term, w) == pytest.approx(
+                refit.p_values[j], rel=1e-9, abs=0
+            ), (term, w)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # t = inf must not reach the t tail
+@pytest.mark.parametrize("response, p", [([5.0] * 8, 0.0), ([0.0] * 8, 1.0)])
+def test_zero_residual_profile_keeps_weight_1_p(response, p):
+    with pytest.warns(DegenerateTestWarning):
+        fit = fit_wls(Dataset({"y": response}), "y", (), 1)
+    for w in (1, 2, 10**6):
+        assert fit.p_value_at(INTERCEPT, w) == p
+
+
+@pytest.mark.parametrize("weight", [0, -3, 2.0, 1.5])
+def test_profile_rejects_bad_weight(wald_dataset, weight):
+    with pytest.raises(InvalidWeight):
+        fit_wls(wald_dataset, "y", (), 1).p_value_at(INTERCEPT, weight)
 
 
 def test_p_values_strictly_decrease_in_weight(wald_dataset):
