@@ -24,6 +24,7 @@ from nfactor.errors import (
     NotConverged,
     TiesWarning,
 )
+from nfactor.numerics import solve_spd
 from nfactor.search import DEFAULT_MAX_WEIGHT
 
 # Reference output for the 30-row fixture, weight 1.
@@ -188,6 +189,33 @@ def test_every_subset_converges_at_every_weight(heart_dataset, subset):
         np.testing.assert_allclose(fit.beta, base.beta, rtol=1e-9, atol=0, err_msg=f"w={w}")
         assert fit.lr_stat == pytest.approx(w * base.lr_stat, rel=1e-9, abs=0), w
         assert base.p_lr_at(w) == pytest.approx(fit.p_lr, rel=1e-9, abs=0), w
+
+
+@pytest.mark.filterwarnings("ignore::nfactor.errors.DegenerateTestWarning")
+@pytest.mark.parametrize("subset", SUBSETS, ids=",".join)
+def test_warm_start_from_weight_1_is_converged(heart_dataset, subset):
+    # The closed-form profile rests on the weight-1 estimate being the optimum
+    # at every weight: Newton started there stops at once, and the weighted
+    # log likelihood is ll_w(beta) = w*ll_1(beta) - w*d*log(w).
+    frame = stset_reconstruct(heart_dataset, "t1", "died", "id", list(subset))
+    base = fit_cox(frame, 1)
+    kept = [frame.covariate_names.index(name) for name in base.covariate_names]
+    kept_frame = dataclasses.replace(
+        frame, covariates=frame.covariates[:, kept], covariate_names=base.covariate_names
+    )
+    d = frame.n_events
+    for w in SWEEP_WEIGHTS:
+        grad, neg_hess = cox_score_hessian(kept_frame, base.beta, w)
+        if kept:
+            decrement = float(grad @ solve_spd(neg_hess, grad))
+            assert decrement <= cox.DECREMENT_PER_EVENT * w * d, w
+        shift = w * d * math.log(w)
+        assert cox_loglik(kept_frame, base.beta, w) == pytest.approx(
+            w * base.loglik_full - shift, rel=1e-12, abs=0
+        ), w
+        assert cox_loglik(kept_frame, np.zeros(len(kept)), w) == pytest.approx(
+            w * base.loglik_null - shift, rel=1e-12, abs=0
+        ), w
 
 
 def test_cold_fit_that_halves_a_step_converges(monkeypatch):
