@@ -1,12 +1,13 @@
 """Non-significance factor: how many times each observation would have to be
 repeated for the same test on the same data to reach a required significance.
 
-The package pairs frequency-weighted test engines (Cox likelihood-ratio,
-linear Wald) with a bracketing search over integer weights and a linear
+The package pairs two test engines (Cox likelihood-ratio, linear Wald), each
+fitted once and answering its p-value at any frequency weight in closed
+form, with a bracketing search over integer weights and a linear
 interpolation refinement between the bracketing p-values.
 """
 
-from .cox import CoxFit, cox_loglik, cox_score_hessian, fit_cox
+from .cox import CoxFit, fit_cox
 from .data import (
     Dataset,
     SurvivalFrame,
@@ -38,8 +39,6 @@ __all__ = [
     "SurvivalFrame",
     "chi2_sf",
     "compute_nf",
-    "cox_loglik",
-    "cox_score_hessian",
     "fit_cox",
     "fit_wls",
     "interpolate",

@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 from .cox import CoxFit, fit_cox
-from .data import load_csv, stset_reconstruct, survival_frame_from_intervals
+from .data import MAX_WEIGHT, load_csv, stset_reconstruct, survival_frame_from_intervals
 from .errors import DegenerateTestWarning, NfactorError, TiesWarning, UnreachableSignificance
 from .linear import INTERCEPT, LinearFit, fit_wls
 from .search import DEFAULT_MAX_WEIGHT, NfResult, compute_nf
@@ -51,8 +51,8 @@ class TestSpec:
     def validate(self):
         if not 0.0 < self.target_alpha < 1.0:
             raise CliError("target significance must lie in (0,1)")
-        if self.max_weight < 1:
-            raise CliError("--max-weight must be a positive integer")
+        if not 1 <= self.max_weight <= MAX_WEIGHT:
+            raise CliError("--max-weight must be an integer from 1 to 2**53")
         if self.model == COX_LR:
             missing = [
                 flag
@@ -106,7 +106,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--alpha", type=float, default=0.05,
                         help="target significance level (default 0.05)")
     parser.add_argument("--max-weight", type=int, default=DEFAULT_MAX_WEIGHT,
-                        help="largest weight tried before giving up")
+                        help="largest weight tried before giving up (at most 2**53)")
     parser.add_argument("--time", help="last-observation time column (cox-lr)")
     parser.add_argument("--event", help="event flag column (cox-lr)")
     parser.add_argument("--id", dest="id_col", help="subject id column (cox-lr)")
@@ -167,12 +167,12 @@ def _run_spec(spec: TestSpec) -> Report:
                     data, spec.time_col, spec.event_col, spec.id_col,
                     list(spec.covariate_cols),
                 )
-            fit = fit_cox(frame, 1)
+            fit = fit_cox(frame)
             p_of_weight = fit.p_lr_at
         else:
             required = [spec.response_col, *spec.covariate_cols]
             data = load_csv(spec.data_path, required)
-            fit = fit_wls(data, spec.response_col, spec.covariate_cols, 1)
+            fit = fit_wls(data, spec.response_col, spec.covariate_cols)
             if spec.wald_coefficient in fit.omitted:
                 raise CliError(
                     f"coefficient {spec.wald_coefficient!r} was omitted as collinear"

@@ -1,21 +1,18 @@
-"""Frequency-weighted Cox proportional-hazards regression.
+"""Cox proportional-hazards regression and its weight profile.
 
-The objective is the weighted log partial likelihood in Breslow form: each
-event record contributes its linear predictor minus the log of the summed
-weighted hazards of everything at risk at its stop time, all scaled by the
-frequency weight. Tied event times simply reuse the full risk-set sum, which
-keeps the fit exactly equivalent to physically replicating every record.
+The objective is the log partial likelihood in Breslow form: each event
+record contributes its linear predictor minus the log of the summed hazards
+of everything at risk at its stop time. Tied event times simply reuse the
+full risk-set sum, so a fit of replicated records (every record repeated w
+times, which ties each event w ways) is exactly the frequency-weighted fit.
 
 Newton-Raphson stops when the Newton decrement ``g' H^-1 g`` (gradient ``g``,
 negated Hessian ``H``), about twice the log likelihood still to gain, is at
-most ``DECREMENT_PER_EVENT`` times the weighted number of events. Both sides
-scale linearly with the frequency weight, so the fit stops on the same
-iterate at every weight. (A bound relative to ``|ll|`` would not: ll carries
-the coefficient-free term ``-w * d * log(w)``.) A step is accepted when its
-log likelihood is no more than ``ULP_SLACK`` ulps of ``|ll|`` below the
-current one; near the optimum the likelihood is flat to within round-off,
-and demanding a strict rise there would stall the search on a tie.
-Otherwise the step is halved, down to ``MIN_STEP_SCALE``.
+most ``DECREMENT_PER_EVENT`` times the number of events. A step is accepted
+when its log likelihood is no more than ``ULP_SLACK`` ulps of ``|ll|`` below
+the current one; near the optimum the likelihood is flat to within
+round-off, and demanding a strict rise there would stall the search on a
+tie. Otherwise the step is halved, down to ``MIN_STEP_SCALE``.
 
 Each Newton step costs one kernel pass when the full step is accepted: the
 full step is scored with ``kernels.score`` and judged by the ``ll`` it
@@ -24,8 +21,8 @@ the accepted step) and for a model with no kept covariate.
 
 A uniform frequency weight only rescales the likelihood:
 ``ll_w(beta) = w * ll_1(beta) - w * d * log(w)``. So the estimate does not
-depend on w and ``LR_w = w * LR_1``; ``CoxFit.p_lr_at`` answers the
-likelihood-ratio p-value at any weight from one fit, without refitting.
+depend on w and ``LR_w = w * LR_1``; the fit is made once, unweighted, and
+``CoxFit.p_lr_at`` answers the likelihood-ratio p-value at any weight.
 """
 
 from __future__ import annotations
@@ -60,8 +57,9 @@ class CoxFit:
 
     ``covariate_names`` lists the estimated (kept) covariates in input order;
     per-coefficient arrays align with it. ``n_subjects`` and ``n_failures``
-    are weighted counts. The likelihood-ratio test compares the fitted model
-    against the null model over the same kept covariates.
+    count the frame's subjects and event records (as floats). The
+    likelihood-ratio test compares the fitted model against the null model
+    over the same kept covariates; ``p_lr_at`` scales it to any weight.
     """
 
     covariate_names: tuple[str, ...]
@@ -84,10 +82,10 @@ class CoxFit:
         """Likelihood-ratio p-value with every record's weight multiplied by ``weight``.
 
         The statistic scales linearly with a uniform weight, so this is
-        ``chi2_sf(weight * lr_stat, lr_df)``: on a weight-1 fit it equals
-        ``fit_cox(frame, weight).p_lr`` up to round-off, and at weight 1 it
-        is ``p_lr`` exactly. A test with no kept covariate has p = 1 at
-        every weight.
+        ``chi2_sf(weight * lr_stat, lr_df)``: it equals
+        ``fit_cox(replicate_frame(frame, weight)).p_lr`` up to round-off, and
+        at weight 1 it is ``p_lr`` exactly. A test with no kept covariate has
+        p = 1 at every weight.
         """
         w = check_weight(weight)
         if self.lr_df == 0:
@@ -104,38 +102,7 @@ def _kernel_args(frame: SurvivalFrame, x: np.ndarray):
     )
 
 
-def cox_loglik(frame: SurvivalFrame, beta, weight: int = 1) -> float:
-    """Weighted Breslow log partial likelihood at coefficient vector ``beta``."""
-    w = check_weight(weight)
-    beta = np.asarray(beta, dtype=np.float64)
-    if frame.n_records == 0:
-        raise NoEvents("survival frame is empty")
-    if beta.shape != (frame.covariates.shape[1],):
-        raise ValueError(
-            f"beta has length {beta.size}, frame has {frame.covariates.shape[1]} covariates"
-        )
-    return float(kernels.loglik(*_kernel_args(frame, frame.covariates), beta, w))
-
-
-def cox_score_hessian(frame: SurvivalFrame, beta, weight: int = 1):
-    """Gradient and negated Hessian of the weighted log partial likelihood.
-
-    The negated Hessian is positive semidefinite; it is the risk-set
-    covariance of the covariates summed over event records.
-    """
-    w = check_weight(weight)
-    beta = np.asarray(beta, dtype=np.float64)
-    if frame.n_records == 0:
-        raise NoEvents("survival frame is empty")
-    if beta.shape != (frame.covariates.shape[1],):
-        raise ValueError(
-            f"beta has length {beta.size}, frame has {frame.covariates.shape[1]} covariates"
-        )
-    _, grad, neg_hess = kernels.score(*_kernel_args(frame, frame.covariates), beta, w)
-    return grad, neg_hess
-
-
-def _newton(frame: SurvivalFrame, x: np.ndarray, names, w: float):
+def _newton(frame: SurvivalFrame, x: np.ndarray, names):
     """Maximize the partial likelihood over the kept covariates.
 
     Newton starts at beta = 0, where the null log likelihood falls out of
@@ -143,9 +110,9 @@ def _newton(frame: SurvivalFrame, x: np.ndarray, names, w: float):
     """
     args = _kernel_args(frame, x)
     beta = np.zeros(x.shape[1])
-    ll, grad, neg_hess = kernels.score(*args, beta, w)
+    ll, grad, neg_hess = kernels.score(*args, beta)
     loglik_null = ll
-    tolerance = DECREMENT_PER_EVENT * w * frame.n_events
+    tolerance = DECREMENT_PER_EVENT * frame.n_events
     iterations = 0
     while True:
         step = solve_spd(neg_hess, grad)
@@ -153,21 +120,21 @@ def _newton(frame: SurvivalFrame, x: np.ndarray, names, w: float):
         if decrement <= tolerance:
             break
         if iterations >= MAX_ITERATIONS:
-            raise NotConverged(int(w), iterations, decrement)
+            raise NotConverged(iterations, decrement)
         iterations += 1
         floor = ll - ULP_SLACK * _EPS * abs(ll)
         candidate = beta + step
-        scored = kernels.score(*args, candidate, w)
+        scored = kernels.score(*args, candidate)
         scale = 1.0
         while not scored[0] >= floor:
             scale *= 0.5
             if scale < MIN_STEP_SCALE:
                 # g'step > 0, so a short enough step must raise ll unless
                 # the likelihood itself is not finite there.
-                raise NotConverged(int(w), iterations, decrement)
+                raise NotConverged(iterations, decrement)
             candidate = beta + scale * step
-            if kernels.loglik(*args, candidate, w) >= floor:
-                scored = kernels.score(*args, candidate, w)
+            if kernels.loglik(*args, candidate) >= floor:
+                scored = kernels.score(*args, candidate)
                 break
         worst = int(np.abs(candidate).argmax())
         if abs(candidate[worst]) > MAX_ABS_COEF:
@@ -177,15 +144,15 @@ def _newton(frame: SurvivalFrame, x: np.ndarray, names, w: float):
     return beta, ll, loglik_null, neg_hess, iterations
 
 
-def fit_cox(frame: SurvivalFrame, weight: int = 1) -> CoxFit:
-    """Fit the weighted Cox model and its likelihood-ratio test.
+def fit_cox(frame: SurvivalFrame) -> CoxFit:
+    """Fit the Cox model and its likelihood-ratio test, unweighted.
 
     Collinear covariate columns (detected on the event records) are omitted
     from estimation and reported in ``omitted``. Newton-Raphson runs with
     step-halving from beta = 0, where the null log likelihood falls out of
-    the first iteration.
+    the first iteration. The fit at frequency weight w is the fit of
+    ``replicate_frame(frame, w)``; ``CoxFit.p_lr_at`` gives its p-value.
     """
-    w = check_weight(weight)
     if frame.n_events == 0:
         raise NoEvents("survival frame has no event records")
     if frame.has_tied_event_times:
@@ -196,8 +163,8 @@ def fit_cox(frame: SurvivalFrame, weight: int = 1) -> CoxFit:
             stacklevel=2,
         )
 
-    n_subjects = w * frame.n_subjects
-    n_failures = w * frame.n_events
+    n_subjects = float(frame.n_subjects)
+    n_failures = float(frame.n_events)
 
     if frame.covariates.shape[1] > 0:
         kept, dropped = pivoted_rank_factor(frame.covariates[frame.event])
@@ -214,7 +181,7 @@ def fit_cox(frame: SurvivalFrame, weight: int = 1) -> CoxFit:
             stacklevel=2,
         )
         empty = np.empty(0)
-        ll0 = float(kernels.loglik(*_kernel_args(frame, x), empty, w))
+        ll0 = float(kernels.loglik(*_kernel_args(frame, x), empty))
         return CoxFit(
             covariate_names=(),
             beta=empty,
@@ -233,7 +200,7 @@ def fit_cox(frame: SurvivalFrame, weight: int = 1) -> CoxFit:
             iterations=0,
         )
 
-    beta, ll_full, ll_null, neg_hess, iterations = _newton(frame, x, kept_names, w)
+    beta, ll_full, ll_null, neg_hess, iterations = _newton(frame, x, kept_names)
 
     covariance = inverse_spd(neg_hess)
     se = np.sqrt(np.diag(covariance))

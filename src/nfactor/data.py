@@ -37,9 +37,14 @@ def distinct(values: np.ndarray) -> np.ndarray:
     return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
 
 
+# Largest frequency weight: every integer up to 2**53 converts to a double
+# exactly, and w * statistic and w * n - k stay finite.
+MAX_WEIGHT = 2**53
+
+
 def check_weight(weight) -> float:
-    """A frequency weight as a float; raises InvalidWeight unless an integer >= 1."""
-    if not isinstance(weight, (int, np.integer)) or weight < 1:
+    """A frequency weight as a float; raises InvalidWeight unless an integer 1..MAX_WEIGHT."""
+    if not isinstance(weight, (int, np.integer)) or not 1 <= weight <= MAX_WEIGHT:
         raise InvalidWeight(weight)
     return float(weight)
 

@@ -50,7 +50,7 @@ class InvalidEventFlag(NfactorError):
 
 class InvalidWeight(NfactorError):
     def __init__(self, w):
-        super().__init__(f"frequency weight must be a positive integer, got {w!r}")
+        super().__init__(f"frequency weight must be an integer from 1 to 2**53, got {w!r}")
         self.weight = w
 
 
@@ -78,12 +78,11 @@ class NoEvents(NfactorError):
 
 
 class NotConverged(NfactorError):
-    def __init__(self, weight, iterations, decrement):
+    def __init__(self, iterations, decrement):
         super().__init__(
-            f"Newton-Raphson did not converge at weight {weight} after "
-            f"{iterations} iterations (last Newton decrement {decrement:.3e})"
+            f"Newton-Raphson did not converge after {iterations} iterations "
+            f"(last Newton decrement {decrement:.3e})"
         )
-        self.weight = weight
         self.iterations = iterations
         self.decrement = decrement
 
@@ -99,10 +98,9 @@ class MonotoneLikelihood(NfactorError):
 
 
 class InsufficientObservations(NfactorError):
-    def __init__(self, weighted_n, k):
+    def __init__(self, n, k):
         super().__init__(
-            f"weighted sample size {weighted_n} does not exceed the "
-            f"{k} coefficient(s) to estimate"
+            f"sample size {n} does not exceed the {k} coefficient(s) to estimate"
         )
 
 

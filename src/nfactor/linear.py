@@ -1,10 +1,11 @@
-"""Frequency-weighted least squares with per-coefficient Wald t-tests.
+"""Least squares with per-coefficient Wald t-tests, and their weight profile.
 
 A uniform frequency weight w multiplies the residual sum of squares and
 inflates the residual degrees of freedom to w*n - k, exactly as if every
 row appeared w times; the coefficients themselves do not depend on w.
-So ``t_w = t_1 * sqrt((w*n - k) / (n - k))``, and ``LinearFit.p_value_at``
-answers a coefficient's p-value at any weight from one fit.
+So ``t_w = t_1 * sqrt((w*n - k) / (n - k))``: the fit is made once,
+unweighted, and ``LinearFit.p_value_at`` answers a coefficient's p-value at
+any weight.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ INTERCEPT = "intercept"
 
 @dataclass(frozen=True)
 class LinearFit:
-    """Weighted OLS estimates with t-statistics against a zero null.
+    """OLS estimates with t-statistics against a zero null.
 
     ``term_names`` lists the estimated terms (intercept first) and aligns
     with the per-coefficient arrays; collinear covariates appear in
-    ``omitted`` instead.
+    ``omitted`` instead. ``weighted_n`` (the row count) and ``df_residual``
+    are floats; ``p_value_at`` scales the test to any weight.
     """
 
     term_names: tuple[str, ...]
@@ -47,14 +49,12 @@ class LinearFit:
 
         The residual degrees of freedom grow from ``df_residual`` to
         ``weight * weighted_n - k`` and the t-statistic by the square root
-        of their ratio, so on a weight-1 fit this equals the p-value of
-        ``fit_wls(..., weight)`` up to round-off. A zero-residual fit keeps
-        its weight-1 p-value.
+        of their ratio, so this equals the p-value of a fit of
+        ``replicate(d, weight)`` up to round-off. A zero-residual fit keeps
+        its weight-1 p-value: its t is +-inf or 0 at every weight.
         """
         w = check_weight(weight)
         j = self.term_names.index(term)
-        if self.residual_ss == 0.0:
-            return float(self.p_values[j])
         df = w * self.weighted_n - len(self.term_names)
         t = self.t_stats[j] * math.sqrt(df / self.df_residual)
         return student_t_two_sided(t, df)
@@ -64,16 +64,15 @@ def fit_wls(
     d: Dataset,
     response: str,
     covariates: list[str] | tuple[str, ...] = (),
-    weight: int = 1,
 ) -> LinearFit:
-    """Fit ``response ~ intercept + covariates`` under frequency weight ``weight``.
+    """Fit ``response ~ intercept + covariates`` by ordinary least squares.
 
     An intercept column of ones is always included (first). A response with
     zero residual variance yields zero standard errors and degenerate
     p-values (0 for a nonzero coefficient, 1 for a zero one) together with a
-    DegenerateTestWarning.
+    DegenerateTestWarning. The fit at frequency weight w is the fit of
+    ``replicate(d, w)``; ``LinearFit.p_value_at`` gives its p-values.
     """
-    w = check_weight(weight)
     y = d.column(response)
     n = d.n_rows
     if n < 1:
@@ -86,17 +85,17 @@ def fit_wls(
     omitted = tuple(names[j] for j in dropped)
     x = design[:, kept]
     k = len(kept)
-    if w * n <= k:
-        raise InsufficientObservations(w * n, k)
+    if n <= k:
+        raise InsufficientObservations(n, k)
 
     gram = x.T @ x
     coef = solve_spd(gram, x.T @ y)
     resid = y - x @ coef
-    rss = w * float(resid @ resid)
-    df = w * n - k
+    rss = float(resid @ resid)
+    df = float(n - k)
 
     # a residual sum of squares at round-off level is a zero-variance fit
-    if rss <= (64 * np.finfo(float).eps) ** 2 * w * float(y @ y):
+    if rss <= (64 * np.finfo(float).eps) ** 2 * float(y @ y):
         warnings.warn(
             "response has zero residual variance; the Wald test is degenerate",
             DegenerateTestWarning,
@@ -109,8 +108,8 @@ def fit_wls(
         p = np.array([0.0 if c != 0.0 else 1.0 for c in coef])
     else:
         mse = rss / df
-        # cov(beta) = mse * (w X'X)^-1
-        se = np.sqrt(np.diag(inverse_spd(gram)) * mse / w)
+        # cov(beta) = mse * (X'X)^-1
+        se = np.sqrt(np.diag(inverse_spd(gram)) * mse)
         t = coef / se
         p = np.array([student_t_two_sided(v, df) for v in t])
 
@@ -124,5 +123,5 @@ def fit_wls(
         df_residual=df,
         residual_ss=rss,
         root_mse=math.sqrt(mse),
-        weighted_n=w * n,
+        weighted_n=float(n),
     )

@@ -177,8 +177,10 @@ def chi2_sf(x: float, df: int) -> float:
     """Upper tail P(X >= x) of the chi-square distribution with ``df`` degrees."""
     if df < 1:
         raise DomainError(f"degrees of freedom must be >= 1, got {df}")
-    if x < 0:
+    if not x >= 0:
         raise DomainError(f"chi-square statistic must be nonnegative, got {x}")
+    if x == math.inf:
+        return 0.0
     return gamma_q(df / 2.0, x / 2.0)
 
 
@@ -324,10 +326,14 @@ def _beta_inc(a: float, b: float, x: float, y: float) -> float:
 
 def student_t_two_sided(t: float, df: float) -> float:
     """Two-sided tail P(|T| >= |t|) of Student's t with ``df`` degrees of freedom."""
-    if df <= 0:
-        raise DomainError(f"degrees of freedom must be positive, got {df}")
+    if not 0 < df < math.inf:
+        raise DomainError(f"degrees of freedom must be positive and finite, got {df}")
+    if math.isnan(t):
+        raise DomainError("t statistic is nan")
     if t == 0.0:
         return 1.0
+    if math.isinf(t):
+        return 0.0
     # Form x = df / (df + t^2) and its complement separately: at large df,
     # 1 - x recomputed from a rounded x has lost most of its digits.
     t2 = t * t

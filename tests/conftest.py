@@ -1,8 +1,10 @@
+import warnings
 from pathlib import Path
 
 import pytest
 
-from nfactor import fit_cox, load_csv, stset_reconstruct
+from nfactor import fit_cox, load_csv, replicate_frame, stset_reconstruct
+from nfactor.errors import TiesWarning
 
 DATA_DIR = Path(__file__).parent / "data"
 HEART_CSV = DATA_DIR / "stan30.csv"
@@ -24,7 +26,22 @@ def heart_frame(heart_dataset):
 
 @pytest.fixture(scope="session")
 def heart_fit(heart_frame):
-    return fit_cox(heart_frame, 1)
+    return fit_cox(heart_frame)
+
+
+@pytest.fixture(scope="session")
+def replicated_heart_fit(heart_frame):
+    """w -> fit of the fixture with every record repeated w times (the paper's weighting)."""
+    fits = {}
+
+    def fit_at(w):
+        if w not in fits:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", TiesWarning)
+                fits[w] = fit_cox(replicate_frame(heart_frame, w))
+        return fits[w]
+
+    return fit_at
 
 
 @pytest.fixture(scope="session")

@@ -3,16 +3,20 @@
 Each oracle deliberately takes a different route than the code under test:
 tail probabilities come from adaptive quadrature of the density written out
 from its textbook formula, linear solves from Gaussian elimination with
-partial pivoting, the normal tail from the erf Taylor series, and the Cox
-log likelihood, score and negated Hessian from scalar loops that rebuild the
-risk set of every event record separately (ties included) instead of
-vectorizing once per distinct event time.
+partial pivoting, the normal tail from the erf Taylor series, weighted
+least-squares p-values from the normal equations and scipy's t tail, and the
+Cox log likelihood, score and negated Hessian from scalar loops that rebuild
+the risk set of every event record separately (ties included) instead of
+vectorizing once per distinct event time. The loops and the least-squares
+oracle take a frequency weight; the package's fits do not, so these are the
+weighted reference where replicating the data would be too large.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.stats import t as student_t
 
 
 def chi2_sf_quadrature(x: float, df: int) -> float:
@@ -76,6 +80,25 @@ def gauss_solve(a, b) -> np.ndarray:
     for row in range(n - 1, -1, -1):
         x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
     return x
+
+
+def wls_wald_p_values(y, x, w: int) -> np.ndarray:
+    """Two-sided Wald p-values of least squares with every row weighted ``w``.
+
+    The textbook route: weighted normal equations by Gaussian elimination,
+    the covariance ``mse * (w X'X)^-1``, and scipy's Student t tail.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    n, k = x.shape
+    gram = w * (x.T @ x)
+    coef = gauss_solve(gram, w * (x.T @ y))
+    resid = y - x @ coef
+    df = w * n - k
+    mse = w * float(resid @ resid) / df
+    inverse_diag = np.array([gauss_solve(gram, e)[j] for j, e in enumerate(np.eye(k))])
+    t = coef / np.sqrt(mse * inverse_diag)
+    return 2.0 * student_t.sf(np.abs(t), df)
 
 
 def matrix_rank_by_elimination(x, rtol: float = 1e-9) -> int:

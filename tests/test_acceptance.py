@@ -1,7 +1,10 @@
 """Acceptance gate: every release criterion at its stated tolerance.
 
-Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them all
-even when interleaved with the progress dots).
+Weight w is the paper's definition: every record repeated w times
+(``replicate``, ``replicate_frame``). The weighted criteria fit replicated
+data and check the weight-1 fit's closed-form profile against the same
+numbers. Each test prints one PASS/FAIL line (run with ``pytest -s`` to see
+them all even when interleaved with the progress dots).
 """
 
 import functools
@@ -11,12 +14,12 @@ import numpy as np
 import pytest
 
 from nfactor import (
+    INTERCEPT,
     chi2_sf,
     compute_nf,
-    cox_loglik,
-    cox_score_hessian,
     fit_cox,
     fit_wls,
+    kernels,
     replicate,
     replicate_frame,
     student_t_two_sided,
@@ -24,6 +27,7 @@ from nfactor import (
 from nfactor.errors import TiesWarning, UnreachableSignificance
 
 from oracles import chi2_sf_quadrature, student_t_two_sided_quadrature
+from test_kernels import kernel_args
 from test_numerics import CHI2_SPOTS, T_SPOTS
 
 
@@ -58,88 +62,104 @@ def test_criterion_1(heart_fit):
 
 
 @criterion(2, "Cox weighted fits at weights 4 and 5")
-def test_criterion_2(heart_frame, heart_fit):
-    fit4 = fit_cox(heart_frame, 4)
+def test_criterion_2(replicated_heart_fit, heart_fit):
+    fit4 = replicated_heart_fit(4)
     assert fit4.loglik_full == pytest.approx(-276.90339, abs=1e-3)
     assert fit4.lr_stat == pytest.approx(6.69, abs=0.01)
     assert fit4.p_lr == pytest.approx(0.0826, abs=5e-4)
-    fit5 = fit_cox(heart_frame, 5)
+    fit5 = replicated_heart_fit(5)
     assert fit5.lr_stat == pytest.approx(8.36, abs=0.01)
     assert fit5.p_lr == pytest.approx(0.0392, abs=5e-4)
     for fit in (fit4, fit5):
         np.testing.assert_allclose(fit.hazard_ratios, heart_fit.hazard_ratios, rtol=1e-6)
+    assert 4 * heart_fit.lr_stat == pytest.approx(6.69, abs=0.01)
+    assert heart_fit.p_lr_at(4) == pytest.approx(0.0826, abs=5e-4)
+    assert 5 * heart_fit.lr_stat == pytest.approx(8.36, abs=0.01)
+    assert heart_fit.p_lr_at(5) == pytest.approx(0.0392, abs=5e-4)
 
 
 @criterion(3, "NF end-to-end for the Cox test at alpha 0.05")
-def test_criterion_3(heart_frame):
-    result = compute_nf(lambda w: fit_cox(heart_frame, w).p_lr, 30, 0.05)
-    assert (result.w0, result.w1) == (4, 5)
-    assert result.w_int == pytest.approx(4.751, abs=1e-3)
-    assert result.n_int == pytest.approx(142.53, abs=0.05)
+def test_criterion_3(replicated_heart_fit, heart_fit):
+    for p_of_weight in (lambda w: replicated_heart_fit(w).p_lr, heart_fit.p_lr_at):
+        result = compute_nf(p_of_weight, 30, 0.05)
+        assert (result.w0, result.w1) == (4, 5)
+        assert result.w_int == pytest.approx(4.751, abs=1e-3)
+        assert result.n_int == pytest.approx(142.53, abs=0.05)
 
 
 @criterion(4, "linear fixture tables and NF 17 at alpha 0.05")
 def test_criterion_4(wald_dataset):
-    fit1 = fit_wls(wald_dataset, "y", (), 1)
+    fit1 = fit_wls(wald_dataset, "y", ())
     assert fit1.standard_errors[0] == pytest.approx(0.1981124, abs=1e-6)
     assert fit1.p_values[0] == pytest.approx(0.643, abs=5e-4)
     for w, p in ((16, 0.057), (17, 0.050), (18, 0.044)):
-        assert fit_wls(wald_dataset, "y", (), w).p_values[0] == pytest.approx(p, abs=5e-4)
-    result = compute_nf(
-        lambda w: fit_wls(wald_dataset, "y", (), w).p_values[0], 30, 0.05
-    )
+        fit = fit_wls(replicate(wald_dataset, w), "y", ())
+        assert fit.p_values[0] == pytest.approx(p, abs=5e-4)
+        assert fit1.p_value_at(INTERCEPT, w) == pytest.approx(p, abs=5e-4)
+    # the replicated fits bracket alpha between 16 and 17 copies
+    p16 = fit_wls(replicate(wald_dataset, 16), "y", ()).p_values[0]
+    p17 = fit_wls(replicate(wald_dataset, 17), "y", ()).p_values[0]
+    assert p16 > 0.05 >= p17
+    result = compute_nf(lambda w: fit1.p_value_at(INTERCEPT, w), 30, 0.05)
     assert result.nf_integer == 17
     assert result.nf_integer * 30 == 510
 
 
 @criterion(5, "weight identities for log likelihood, LR, and standard errors")
-def test_criterion_5(heart_frame, heart_fit):
+def test_criterion_5(heart_frame, heart_fit, replicated_heart_fit):
     beta_hat = np.insert(heart_fit.beta, 2, 0.0)  # surgery column is omitted
-    ll1 = cox_loglik(heart_frame, beta_hat, 1)
+    ll1 = kernels.loglik(*kernel_args(heart_frame), beta_hat)
     for w in (2, 3, 7, 13):
         identity = w * ll1 - 20 * w * math.log(w)
-        assert cox_loglik(heart_frame, beta_hat, w) == pytest.approx(identity, rel=1e-9)
-        fit = fit_cox(heart_frame, w)
+        ll_w = kernels.loglik(*kernel_args(replicate_frame(heart_frame, w)), beta_hat)
+        assert ll_w == pytest.approx(identity, rel=1e-9)
+        fit = replicated_heart_fit(w)
         assert fit.lr_stat == pytest.approx(w * heart_fit.lr_stat, rel=1e-9)
         np.testing.assert_allclose(
             fit.se_beta * math.sqrt(w), heart_fit.se_beta, rtol=1e-8
         )
+        assert heart_fit.p_lr_at(w) == pytest.approx(fit.p_lr, rel=1e-9)
 
 
 @criterion(6, "physical replication matches weighted fits for both models")
-def test_criterion_6(heart_frame, wald_dataset):
+def test_criterion_6(heart_frame, heart_fit, wald_dataset):
+    lin_1 = fit_wls(wald_dataset, "y", ())
     for w in (2, 5):
-        weighted = fit_cox(heart_frame, w)
+        # the weighted fits that the weight-1 fits imply
         with pytest.warns(TiesWarning):
-            replicated = fit_cox(replicate_frame(heart_frame, w), 1)
-        np.testing.assert_allclose(replicated.beta, weighted.beta, rtol=1e-8)
-        assert replicated.loglik_full == pytest.approx(weighted.loglik_full, rel=1e-8)
-        assert replicated.lr_stat == pytest.approx(weighted.lr_stat, rel=1e-8)
+            replicated = fit_cox(replicate_frame(heart_frame, w))
+        np.testing.assert_allclose(replicated.beta, heart_fit.beta, rtol=1e-8)
+        identity = w * heart_fit.loglik_full - 20 * w * math.log(w)
+        assert replicated.loglik_full == pytest.approx(identity, rel=1e-8)
+        assert replicated.lr_stat == pytest.approx(w * heart_fit.lr_stat, rel=1e-8)
+        assert replicated.p_lr == pytest.approx(heart_fit.p_lr_at(w), rel=1e-8)
 
-        lin_w = fit_wls(wald_dataset, "y", (), w)
-        lin_r = fit_wls(replicate(wald_dataset, w), "y", (), 1)
-        np.testing.assert_allclose(lin_r.coefficients, lin_w.coefficients, rtol=1e-8)
-        assert lin_r.residual_ss == pytest.approx(lin_w.residual_ss, rel=1e-8)
-        np.testing.assert_allclose(lin_r.standard_errors, lin_w.standard_errors, rtol=1e-8)
-        np.testing.assert_allclose(lin_r.p_values, lin_w.p_values, rtol=1e-8)
+        lin_r = fit_wls(replicate(wald_dataset, w), "y", ())
+        shrink = math.sqrt(lin_1.df_residual / (w * 30 - 1))
+        np.testing.assert_allclose(lin_r.coefficients, lin_1.coefficients, rtol=1e-8)
+        assert lin_r.residual_ss == pytest.approx(w * lin_1.residual_ss, rel=1e-8)
+        np.testing.assert_allclose(lin_r.standard_errors, lin_1.standard_errors * shrink,
+                                   rtol=1e-8)
+        assert lin_r.p_values[0] == pytest.approx(lin_1.p_value_at(INTERCEPT, w), rel=1e-8)
 
 
 @criterion(7, "analytic derivatives match finite differences")
 def test_criterion_7(heart_frame):
     rng = np.random.default_rng(7)
     h = 1e-5
+    args = kernel_args(heart_frame)
     for _ in range(5):
         beta = 0.2 * rng.standard_normal(4)
-        grad, neg_hess = cox_score_hessian(heart_frame, beta, 1)
+        _, grad, neg_hess = kernels.score(*args, beta)
         fd_grad = np.zeros(4)
         fd_hess = np.zeros((4, 4))
         for j in range(4):
             up, down = beta.copy(), beta.copy()
             up[j] += h
             down[j] -= h
-            fd_grad[j] = (cox_loglik(heart_frame, up, 1) - cox_loglik(heart_frame, down, 1)) / (2 * h)
-            g_up, _ = cox_score_hessian(heart_frame, up, 1)
-            g_down, _ = cox_score_hessian(heart_frame, down, 1)
+            fd_grad[j] = (kernels.loglik(*args, up) - kernels.loglik(*args, down)) / (2 * h)
+            g_up = kernels.score(*args, up)[1]
+            g_down = kernels.score(*args, down)[1]
             fd_hess[:, j] = -(g_up - g_down) / (2 * h)
         np.testing.assert_allclose(grad, fd_grad, rtol=1e-5, atol=1e-7)
         np.testing.assert_allclose(neg_hess, fd_hess, rtol=1e-5, atol=1e-5)

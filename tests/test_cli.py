@@ -251,13 +251,13 @@ def test_weight_1_fit_runs_once(capsys, monkeypatch, args, fitter):
     record_calls(monkeypatch, cli, fitter, calls)
     code, doc, _ = run_json(capsys, args)
     assert code == 0 and doc["trace"][0][0] == 1 and len(doc["trace"]) > 1
-    assert [fit_args[-1] for _, fit_args in calls] == [1]
+    assert len(calls) == 1
 
 
 SURGERY_ARGS = [*COX_ARGS[:-4], "--covariates", "surgery"]
 
 
-@pytest.mark.parametrize("max_weight, evaluations", [(None, 21), (10**12, 41)])
+@pytest.mark.parametrize("max_weight, evaluations", [(None, 21), (10**12, 41), (2**53, 54)])
 def test_degenerate_cox_test_fits_once(capsys, monkeypatch, max_weight, evaluations):
     # surgery is all zero, so no covariate is kept and p = 1 at every
     # weight: the search runs to the cap on the one weight-1 fit.
@@ -271,6 +271,23 @@ def test_degenerate_cox_test_fits_once(capsys, monkeypatch, max_weight, evaluati
     assert len(doc["trace"]) == evaluations
     assert doc["trace"][-1] == [max_weight or DEFAULT_MAX_WEIGHT, 1.0]
     assert [name for name, _ in calls] == ["fit_cox", "loglik"]
+
+
+@pytest.mark.parametrize("cap", [0, 2**53 + 1, 10**308, 10**400])
+def test_max_weight_outside_1_to_2_53_is_rejected(capsys, cap):
+    # float(w) overflows at 10**400, and a linear test's w * n is inf at 10**308
+    code = run([*SURGERY_ARGS, "--max-weight", str(cap)])
+    assert code == 1
+    assert "--max-weight must be an integer from 1 to 2**53" in capsys.readouterr().err
+
+
+def test_zero_wald_coefficient_keeps_p_one_up_to_2_53(capsys, tmp_path):
+    # t = 0 at every weight; w * n - k stays finite up to the cap
+    zero_mean = tmp_path / "zero_mean.csv"
+    zero_mean.write_text("y\n-1.5\n1.5\n-0.25\n0.25\n")
+    code, doc, _ = run_json(capsys, ["--model", "linear-wald", "--data", str(zero_mean),
+                                     "--response", "y", "--max-weight", str(2**53)])
+    assert code == 2 and doc["best_p"] == 1.0 and doc["trace"][-1] == [2**53, 1.0]
 
 
 def test_requests_do_not_import_numpy_ma():

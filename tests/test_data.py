@@ -10,6 +10,7 @@ from nfactor import (
     stset_reconstruct,
     survival_frame_from_intervals,
 )
+from nfactor.data import MAX_WEIGHT, check_weight
 from nfactor.datasets import heart_transplant_30, wald_example
 from nfactor.errors import (
     DuplicateColumn,
@@ -190,6 +191,21 @@ def test_replicate_rows_are_consecutive():
 def test_replicate_rejects_bad_weight(heart_dataset, w):
     with pytest.raises(InvalidWeight):
         replicate(heart_dataset, w)
+
+
+def test_weight_is_bounded_where_doubles_are_exact():
+    # every integer up to 2**53 is an exact double; past it float(w) rounds,
+    # and past about 2**1024 it overflows
+    assert check_weight(MAX_WEIGHT) == 2.0**53 and MAX_WEIGHT == 2**53
+    assert check_weight(np.int64(MAX_WEIGHT)) == 2.0**53
+    for w in (MAX_WEIGHT + 1, 10**400):
+        with pytest.raises(InvalidWeight):
+            check_weight(w)
+        with pytest.raises(InvalidWeight):
+            replicate_frame(SurvivalFrame(
+                subject_ids=np.zeros(1), start=np.zeros(1), stop=np.ones(1),
+                event=np.ones(1, bool), covariates=np.zeros((1, 0)), covariate_names=(),
+            ), w)
 
 
 def test_replicate_is_associative_up_to_order(wald_dataset):

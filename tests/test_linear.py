@@ -7,9 +7,10 @@ from nfactor import INTERCEPT, Dataset, fit_wls, replicate, student_t_two_sided
 from nfactor.errors import DegenerateTestWarning, InsufficientObservations, InvalidWeight
 from nfactor.search import DEFAULT_MAX_WEIGHT
 
-from oracles import gauss_solve
+from oracles import gauss_solve, wls_wald_p_values
 
-# Reference regression tables for the moment-matched fixture:
+# Reference regression tables for the moment-matched fixture, weighted by
+# replication (every row repeated w times):
 # weight -> (std err, t, p, df, root mse)
 GOLDEN = {
     1: (0.1981124, 0.47, 0.643, 29, 1.0851),
@@ -22,7 +23,11 @@ GOLDEN = {
 @pytest.mark.parametrize("w", sorted(GOLDEN))
 def test_golden_tables(wald_dataset, w):
     se, t, p, df, root_mse = GOLDEN[w]
-    fit = fit_wls(wald_dataset, "y", (), w)
+    base = fit_wls(wald_dataset, "y", ())
+    assert base.p_value_at(INTERCEPT, w) == pytest.approx(p, abs=5e-4)
+    profile_t = base.t_stats[0] * math.sqrt((w * base.weighted_n - 1) / base.df_residual)
+    assert round(float(profile_t), 2) == t
+    fit = fit_wls(replicate(wald_dataset, w), "y", ())
     assert fit.term_names == ("intercept",)
     assert fit.coefficients[0] == pytest.approx(0.0929164, abs=1e-7)
     assert fit.standard_errors[0] == pytest.approx(se, abs=1e-6)
@@ -34,17 +39,19 @@ def test_golden_tables(wald_dataset, w):
 
 
 def test_golden_residual_ss(wald_dataset):
-    assert fit_wls(wald_dataset, "y", (), 1).residual_ss == pytest.approx(
-        34.1462048, abs=1e-6
-    )
-    assert fit_wls(wald_dataset, "y", (), 17).residual_ss == pytest.approx(
+    base = fit_wls(wald_dataset, "y", ())
+    assert base.residual_ss == pytest.approx(34.1462048, abs=1e-6)
+    assert 17 * base.residual_ss == pytest.approx(580.485481, abs=1e-5)
+    assert fit_wls(replicate(wald_dataset, 17), "y", ()).residual_ss == pytest.approx(
         580.485481, abs=1e-5
     )
 
 
 def test_weight_17_is_just_significant(wald_dataset):
-    assert fit_wls(wald_dataset, "y", (), 17).p_values[0] < 0.05
-    assert fit_wls(wald_dataset, "y", (), 16).p_values[0] > 0.05
+    assert fit_wls(replicate(wald_dataset, 17), "y", ()).p_values[0] < 0.05
+    assert fit_wls(replicate(wald_dataset, 16), "y", ()).p_values[0] > 0.05
+    base = fit_wls(wald_dataset, "y", ())
+    assert base.p_value_at(INTERCEPT, 17) < 0.05 < base.p_value_at(INTERCEPT, 16)
 
 
 # ---- invariants -------------------------------------------------------------
@@ -52,8 +59,8 @@ def test_weight_17_is_just_significant(wald_dataset):
 
 @pytest.mark.parametrize("w", [2, 9, 40])
 def test_coefficients_do_not_depend_on_weight(wald_dataset, w):
-    base = fit_wls(wald_dataset, "y", (), 1)
-    fit = fit_wls(wald_dataset, "y", (), w)
+    base = fit_wls(wald_dataset, "y", ())
+    fit = fit_wls(replicate(wald_dataset, w), "y", ())
     np.testing.assert_allclose(fit.coefficients, base.coefficients, rtol=1e-10)
 
 
@@ -67,21 +74,28 @@ def test_replication_oracle(w):
             "b": rng.uniform(-2, 2, 12),
         }
     )
-    weighted = fit_wls(d, "y", ("a", "b"), w)
-    unrolled = fit_wls(replicate(d, w), "y", ("a", "b"), 1)
-    np.testing.assert_allclose(weighted.coefficients, unrolled.coefficients, rtol=1e-10)
-    np.testing.assert_allclose(weighted.standard_errors, unrolled.standard_errors, rtol=1e-10)
-    np.testing.assert_allclose(weighted.t_stats, unrolled.t_stats, rtol=1e-10)
-    np.testing.assert_allclose(weighted.p_values, unrolled.p_values, rtol=1e-10)
-    assert weighted.df_residual == unrolled.df_residual
-    assert weighted.residual_ss == pytest.approx(unrolled.residual_ss, rel=1e-10)
-    assert weighted.root_mse == pytest.approx(unrolled.root_mse, rel=1e-10)
-    assert weighted.weighted_n == unrolled.weighted_n
+    # the weighted fit that the weight-1 fit implies: rss and df grow to
+    # w * rss and w * n - k, so se shrinks by sqrt((n - k) / (w * n - k))
+    base = fit_wls(d, "y", ("a", "b"))
+    unrolled = fit_wls(replicate(d, w), "y", ("a", "b"))
+    df = w * base.weighted_n - 3
+    shrink = math.sqrt(base.df_residual / df)
+    np.testing.assert_allclose(unrolled.coefficients, base.coefficients, rtol=1e-10)
+    np.testing.assert_allclose(unrolled.standard_errors, base.standard_errors * shrink,
+                               rtol=1e-10)
+    np.testing.assert_allclose(unrolled.t_stats, base.t_stats / shrink, rtol=1e-10)
+    np.testing.assert_allclose(
+        unrolled.p_values, [base.p_value_at(term, w) for term in base.term_names], rtol=1e-10
+    )
+    assert unrolled.df_residual == df
+    assert unrolled.residual_ss == pytest.approx(w * base.residual_ss, rel=1e-10)
+    assert unrolled.root_mse == pytest.approx(math.sqrt(w * base.residual_ss / df), rel=1e-10)
+    assert unrolled.weighted_n == w * base.weighted_n
 
 
 @pytest.mark.parametrize("w", [1, 4, 17])
 def test_intercept_se_scaling_law(wald_dataset, w):
-    fit = fit_wls(wald_dataset, "y", (), w)
+    fit = fit_wls(replicate(wald_dataset, w), "y", ())
     y = wald_dataset.column("y")
     ss1 = float(((y - y.mean()) ** 2).sum())
     n = wald_dataset.n_rows
@@ -103,49 +117,57 @@ PROFILE_WEIGHTS = (1, 2, 3, 7, 16, 17, 18, 64, 1000, 2**19, DEFAULT_MAX_WEIGHT)
 @pytest.mark.parametrize("which", ["linear30", "covariates"])
 def test_profile_matches_refit_at_every_weight(wald_dataset, which):
     # t_w = t_1 * sqrt((w*n - k) / (n - k)) with df = w*n - k, so the
-    # closed-form profile is the p-value of a refit at w.
+    # closed-form profile is the p-value of a fit of the replicated rows; past
+    # 1000 copies, of the textbook weighted fit.
     d, covariates = (wald_dataset, ()) if which == "linear30" else (covariate_dataset(), ("a", "b"))
-    base = fit_wls(d, "y", covariates, 1)
+    base = fit_wls(d, "y", covariates)
+    design = np.column_stack([np.ones(d.n_rows), *(d.column(c) for c in covariates)])
     for j, term in enumerate(base.term_names):
         assert base.p_value_at(term, 1) == base.p_values[j]
-        for w in PROFILE_WEIGHTS[1:]:
-            refit = fit_wls(d, "y", covariates, w)
+    for w in PROFILE_WEIGHTS[1:]:
+        if w <= 1000:
+            expected = fit_wls(replicate(d, w), "y", covariates).p_values
+        else:
+            expected = wls_wald_p_values(d.column("y"), design, w)
+        for j, term in enumerate(base.term_names):
             assert base.p_value_at(term, w) == pytest.approx(
-                refit.p_values[j], rel=1e-9, abs=0
+                expected[j], rel=1e-9, abs=0
             ), (term, w)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")  # t = inf must not reach the t tail
 @pytest.mark.parametrize("response, p", [([5.0] * 8, 0.0), ([0.0] * 8, 1.0)])
 def test_zero_residual_profile_keeps_weight_1_p(response, p):
+    # t stays +-inf or 0 at every weight; the t tail maps them to 0 and 1
+    # without an inf / inf (RuntimeWarning is an error in this suite)
     with pytest.warns(DegenerateTestWarning):
-        fit = fit_wls(Dataset({"y": response}), "y", (), 1)
+        fit = fit_wls(Dataset({"y": response}), "y", ())
     for w in (1, 2, 10**6):
         assert fit.p_value_at(INTERCEPT, w) == p
 
 
-@pytest.mark.parametrize("weight", [0, -3, 2.0, 1.5])
+@pytest.mark.parametrize("weight", [0, -3, 2.0, 1.5, 2**53 + 1])
 def test_profile_rejects_bad_weight(wald_dataset, weight):
     with pytest.raises(InvalidWeight):
-        fit_wls(wald_dataset, "y", (), 1).p_value_at(INTERCEPT, weight)
+        fit_wls(wald_dataset, "y", ()).p_value_at(INTERCEPT, weight)
 
 
 def test_p_values_strictly_decrease_in_weight(wald_dataset):
-    values = [fit_wls(wald_dataset, "y", (), w).p_values[0] for w in (1, 2, 5, 11, 23)]
+    base = fit_wls(wald_dataset, "y", ())
+    values = [base.p_value_at(INTERCEPT, w) for w in (1, 2, 5, 11, 23)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_zero_mean_response_keeps_p_at_one():
     d = Dataset({"y": [-1.5, 1.5, -0.25, 0.25]})
     for w in (1, 7):
-        fit = fit_wls(d, "y", (), w)
+        fit = fit_wls(replicate(d, w), "y", ())
         assert fit.coefficients[0] == 0.0
         assert fit.t_stats[0] == 0.0
         assert fit.p_values[0] == 1.0
 
 
 def test_fit_invariants(wald_dataset):
-    fit = fit_wls(wald_dataset, "y", (), 3)
+    fit = fit_wls(replicate(wald_dataset, 3), "y", ())
     assert fit.t_stats[0] == pytest.approx(
         fit.coefficients[0] / fit.standard_errors[0], rel=1e-15
     )
@@ -163,7 +185,7 @@ def test_covariate_fit_matches_normal_equations_oracle():
     b = rng.standard_normal(n)
     y = 1.0 + 0.5 * a - 0.25 * b + rng.standard_normal(n)
     d = Dataset({"y": y, "a": a, "b": b})
-    fit = fit_wls(d, "y", ("a", "b"), 1)
+    fit = fit_wls(d, "y", ("a", "b"))
     design = np.column_stack([np.ones(n), a, b])
     expected = gauss_solve(design.T @ design, design.T @ y)
     np.testing.assert_allclose(fit.coefficients, expected, rtol=1e-10)
@@ -177,7 +199,7 @@ def test_collinear_covariate_is_omitted():
     rng = np.random.default_rng(32)
     a = rng.standard_normal(15)
     d = Dataset({"y": rng.standard_normal(15), "a": a, "twice_a": 2 * a})
-    fit = fit_wls(d, "y", ("a", "twice_a"), 1)
+    fit = fit_wls(d, "y", ("a", "twice_a"))
     assert fit.term_names == ("intercept", "a")
     assert fit.omitted == ("twice_a",)
 
@@ -188,7 +210,7 @@ def test_collinear_covariate_is_omitted():
 def test_constant_response_is_degenerate():
     d = Dataset({"y": [5.0] * 8})
     with pytest.warns(DegenerateTestWarning):
-        fit = fit_wls(d, "y", (), 3)
+        fit = fit_wls(d, "y", ())
     assert fit.coefficients[0] == pytest.approx(5.0, rel=1e-15)
     assert fit.residual_ss == 0.0
     assert fit.standard_errors[0] == 0.0
@@ -199,18 +221,13 @@ def test_constant_response_is_degenerate():
 def test_constant_zero_response_is_degenerate_with_p_one():
     d = Dataset({"y": [0.0] * 8})
     with pytest.warns(DegenerateTestWarning):
-        fit = fit_wls(d, "y", (), 1)
+        fit = fit_wls(d, "y", ())
     assert fit.t_stats[0] == 0.0
     assert fit.p_values[0] == 1.0
 
 
 def test_insufficient_observations():
     with pytest.raises(InsufficientObservations):
-        fit_wls(Dataset({"y": [1.0]}), "y", (), 1)
+        fit_wls(Dataset({"y": [1.0]}), "y", ())
     with pytest.raises(InsufficientObservations):
-        fit_wls(Dataset({"y": np.empty(0)}), "y", (), 4)
-
-
-def test_rejects_bad_weight(wald_dataset):
-    with pytest.raises(InvalidWeight):
-        fit_wls(wald_dataset, "y", (), 0)
+        fit_wls(Dataset({"y": np.empty(0)}), "y", ())

@@ -216,6 +216,14 @@ def test_chi2_domain_errors():
         chi2_sf(-0.1, 3)
     with pytest.raises(DomainError):
         chi2_sf(1.0, 0)
+    with pytest.raises(DomainError):
+        chi2_sf(math.nan, 3)
+
+
+@pytest.mark.parametrize("df", [1, 3, 30])
+def test_chi2_at_infinity_is_zero(df):
+    assert chi2_sf(math.inf, df) == 0.0
+    assert chi2_sf(np.float64(math.inf), df) == 0.0
 
 
 # ---- student_t_two_sided ----------------------------------------------------
@@ -257,11 +265,18 @@ def test_t_strictly_decreasing_in_abs_t():
 
 def test_t_infinite_statistic():
     assert student_t_two_sided(math.inf, 29) == 0.0
+    # a numpy infinity would warn on inf / inf if it reached the beta tail
+    for t in (np.float64(math.inf), np.float64(-math.inf)):
+        for df in (0.5, 29, 1e12):
+            assert student_t_two_sided(t, df) == 0.0
 
 
 def test_t_domain_error():
-    with pytest.raises(DomainError):
-        student_t_two_sided(1.0, 0.0)
+    # an infinite df is the normal limit, which this function does not give
+    for t, df in [(1.0, 0.0), (1.0, -2.0), (math.nan, 29), (3.0, math.inf),
+                  (3.0, math.nan), (math.inf, math.inf)]:
+        with pytest.raises(DomainError):
+            student_t_two_sided(t, df)
 
 
 # ---- normal_two_sided -------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nfactor import compute_nf, fit_cox, fit_wls, interpolate
+from nfactor import INTERCEPT, compute_nf, fit_cox, fit_wls, interpolate
 from nfactor.errors import DegenerateBracket, EvaluationFailed, UnreachableSignificance
 
 
@@ -179,7 +179,7 @@ def test_max_weight_one_unreachable():
 
 
 def test_cox_end_to_end(heart_frame):
-    result = compute_nf(lambda w: fit_cox(heart_frame, w).p_lr, 30, 0.05)
+    result = compute_nf(fit_cox(heart_frame).p_lr_at, 30, 0.05)
     assert (result.w0, result.w1) == (4, 5)
     assert result.w_int == pytest.approx(4.751, abs=1e-3)
     assert result.n_int == pytest.approx(142.53, abs=0.05)
@@ -191,15 +191,14 @@ def test_cox_end_to_end(heart_frame):
 
 
 def test_cox_generous_target_needs_no_weighting(heart_frame):
-    result = compute_nf(lambda w: fit_cox(heart_frame, w).p_lr, 30, 0.7)
+    result = compute_nf(fit_cox(heart_frame).p_lr_at, 30, 0.7)
     assert result.nf_integer == 1
     assert result.w_int == 1.0
 
 
 def test_linear_end_to_end(wald_dataset):
-    result = compute_nf(
-        lambda w: fit_wls(wald_dataset, "y", (), w).p_values[0], 30, 0.05
-    )
+    fit = fit_wls(wald_dataset, "y", ())
+    result = compute_nf(lambda w: fit.p_value_at(INTERCEPT, w), 30, 0.05)
     assert result.nf_integer == 17
     assert result.nf_integer * 30 == 510
     assert (result.w0, result.w1) == (16, 17)
