@@ -14,10 +14,11 @@ the current one; near the optimum the likelihood is flat to within
 round-off, and demanding a strict rise there would stall the search on a
 tie. Otherwise the step is halved, down to ``MIN_STEP_SCALE``.
 
-Each Newton step costs one kernel pass when the full step is accepted: the
-full step is scored with ``kernels.score`` and judged by the ``ll`` it
-returns. ``kernels.loglik`` runs only while halving (then ``score`` once at
-the accepted step) and for a model with no kept covariate.
+``kernels.score`` is the only kernel the fit calls. Each Newton step costs
+one pass when the full step is accepted, because a step is judged by the
+``ll`` that scoring it returns; each halving costs one more pass. A model
+with no kept covariate is Newton with no columns: the first score gives its
+log likelihood, and it has converged at beta = () after 0 iterations.
 
 A uniform frequency weight only rescales the likelihood:
 ``ll_w(beta) = w * ll_1(beta) - w * d * log(w)``. So the estimate does not
@@ -87,28 +88,22 @@ class CoxFit:
         at weight 1 it is ``p_lr`` exactly. A test with no kept covariate has
         p = 1 at every weight.
         """
-        w = check_weight(weight)
-        if self.lr_df == 0:
-            return 1.0
-        return chi2_sf(max(w * self.lr_stat, 0.0), self.lr_df)
+        return _lr_p_value(check_weight(weight) * self.lr_stat, self.lr_df)
 
 
-def _kernel_args(frame: SurvivalFrame, x: np.ndarray):
-    return (
-        frame.start,
-        frame.stop,
-        frame.event,
-        np.ascontiguousarray(x, dtype=np.float64),
-    )
+def _lr_p_value(lr_stat: float, lr_df: int) -> float:
+    return chi2_sf(max(lr_stat, 0.0), lr_df) if lr_df else 1.0
 
 
 def _newton(frame: SurvivalFrame, x: np.ndarray, names):
     """Maximize the partial likelihood over the kept covariates.
 
     Newton starts at beta = 0, where the null log likelihood falls out of
-    the first score.
+    the first score. With no columns it stops there, after 0 iterations.
     """
-    args = _kernel_args(frame, x)
+    # frame.covariates[:, kept] is Fortran-ordered, and the kernel's matrix
+    # products round differently on it; the fit always scores a C-ordered copy.
+    args = (frame.start, frame.stop, frame.event, np.ascontiguousarray(x, dtype=np.float64))
     beta = np.zeros(x.shape[1])
     ll, grad, neg_hess = kernels.score(*args, beta)
     loglik_null = ll
@@ -133,9 +128,7 @@ def _newton(frame: SurvivalFrame, x: np.ndarray, names):
                 # the likelihood itself is not finite there.
                 raise NotConverged(iterations, decrement)
             candidate = beta + scale * step
-            if kernels.loglik(*args, candidate) >= floor:
-                scored = kernels.score(*args, candidate)
-                break
+            scored = kernels.score(*args, candidate)
         worst = int(np.abs(candidate).argmax())
         if abs(candidate[worst]) > MAX_ABS_COEF:
             raise MonotoneLikelihood(names[worst], float(candidate[worst]))
@@ -173,33 +166,14 @@ def fit_cox(frame: SurvivalFrame) -> CoxFit:
     kept_names = tuple(frame.covariate_names[j] for j in kept)
     omitted = tuple(frame.covariate_names[j] for j in dropped)
 
-    x = frame.covariates[:, kept]
     if not kept:
         warnings.warn(
             "no estimable covariates remain; likelihood-ratio test is degenerate",
             DegenerateTestWarning,
             stacklevel=2,
         )
-        empty = np.empty(0)
-        ll0 = float(kernels.loglik(*_kernel_args(frame, x), empty))
-        return CoxFit(
-            covariate_names=(),
-            beta=empty,
-            hazard_ratios=empty.copy(),
-            se_beta=empty.copy(),
-            z_stats=empty.copy(),
-            p_wald=empty.copy(),
-            omitted=omitted,
-            loglik_null=ll0,
-            loglik_full=ll0,
-            lr_stat=0.0,
-            lr_df=0,
-            p_lr=1.0,
-            n_subjects=n_subjects,
-            n_failures=n_failures,
-            iterations=0,
-        )
 
+    x = frame.covariates[:, kept]
     beta, ll_full, ll_null, neg_hess, iterations = _newton(frame, x, kept_names)
 
     covariance = inverse_spd(neg_hess)
@@ -209,7 +183,7 @@ def fit_cox(frame: SurvivalFrame) -> CoxFit:
 
     lr_stat = 2.0 * (ll_full - ll_null)
     lr_df = len(kept)
-    p_lr = chi2_sf(max(lr_stat, 0.0), lr_df)
+    p_lr = _lr_p_value(lr_stat, lr_df)
 
     return CoxFit(
         covariate_names=kept_names,

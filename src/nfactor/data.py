@@ -129,15 +129,13 @@ class SurvivalFrame:
         object.__setattr__(self, "event", event)
         object.__setattr__(self, "covariate_names", tuple(self.covariate_names))
         # start < stop on every record; per subject the intervals chain.
+        # Each check names the subject of its first offending record.
         bad = np.flatnonzero(start >= stop)
+        if bad.size == 0:
+            previous_stop, chained = _previous_in_subject(ids, stop)
+            bad = np.flatnonzero(chained & (start != previous_stop))
         if bad.size:
-            raise NonIncreasingTime(ids[bad[0]])
-        last_stop: dict[float, float] = {}
-        for i in range(n):
-            sid = float(ids[i])
-            if sid in last_stop and start[i] != last_stop[sid]:
-                raise NonIncreasingTime(sid)
-            last_stop[sid] = float(stop[i])
+            raise NonIncreasingTime(float(ids[bad[0]]))
 
     @property
     def n_records(self) -> int:
@@ -159,6 +157,32 @@ class SurvivalFrame:
     def has_tied_event_times(self) -> bool:
         times = self.stop[self.event]
         return len(distinct(times)) < len(times)
+
+
+def _previous_in_subject(ids: np.ndarray, values: np.ndarray):
+    """``values`` at each record's previous record of the same subject.
+
+    Returns ``(previous, chained)``: ``chained`` is False where a record is
+    its subject's first in file order, and ``previous`` is 0 there. Records
+    belong to one subject when their ids compare equal (so -0.0 joins 0.0);
+    a stable sort by id keeps each subject's records in file order.
+    """
+    order = np.argsort(ids, kind="stable")
+    grouped = ids[order]
+    linked = grouped[1:] == grouped[:-1]
+    chained = np.zeros(len(ids), dtype=bool)
+    chained[order[1:]] = linked
+    previous = np.zeros(len(ids))
+    previous[order[1:][linked]] = values[order[:-1][linked]]
+    return previous, chained
+
+
+def _event_flags(events: np.ndarray) -> np.ndarray:
+    """Event flags as booleans; raises InvalidEventFlag at the first value not 0 or 1."""
+    bad = np.flatnonzero((events != 0.0) & (events != 1.0))
+    if bad.size:
+        raise InvalidEventFlag(int(bad[0]) + 1, events[bad[0]])
+    return events.astype(bool)
 
 
 def load_csv(path, required_columns=()) -> Dataset:
@@ -207,7 +231,8 @@ def stset_reconstruct(
     Within each subject (grouped by id value, rows kept in file order) the
     k-th row becomes the interval from the previous row's time (0 for the
     first row) to its own time, with that row's event flag. Times must be
-    strictly increasing within a subject.
+    strictly increasing within a subject; SurvivalFrame names the subject of
+    the first row where they are not.
     """
     times = d.column(time_col)
     events = d.column(event_col)
@@ -215,25 +240,13 @@ def stset_reconstruct(
     x = np.column_stack([d.column(c) for c in covariate_cols]) if covariate_cols \
         else np.empty((d.n_rows, 0))
 
-    for i, e in enumerate(events):
-        if e not in (0.0, 1.0):
-            raise InvalidEventFlag(i + 1, e)
-
-    start = np.zeros(d.n_rows)
-    last_time: dict[float, float] = {}
-    for i in range(d.n_rows):
-        sid = float(ids[i])
-        prev = last_time.get(sid, 0.0)
-        if times[i] <= prev:
-            raise NonIncreasingTime(sid)
-        start[i] = prev
-        last_time[sid] = float(times[i])
-
+    flags = _event_flags(events)
+    start, _ = _previous_in_subject(ids, times)
     return SurvivalFrame(
         subject_ids=ids,
         start=start,
         stop=times,
-        event=events.astype(bool),
+        event=flags,
         covariates=x,
         covariate_names=tuple(covariate_cols),
     )
@@ -248,17 +261,14 @@ def survival_frame_from_intervals(
     covariate_cols: list[str],
 ) -> SurvivalFrame:
     """Build a SurvivalFrame from explicit start/stop columns (no reconstruction)."""
-    events = d.column(event_col)
-    for i, e in enumerate(events):
-        if e not in (0.0, 1.0):
-            raise InvalidEventFlag(i + 1, e)
+    flags = _event_flags(d.column(event_col))
     x = np.column_stack([d.column(c) for c in covariate_cols]) if covariate_cols \
         else np.empty((d.n_rows, 0))
     return SurvivalFrame(
         subject_ids=d.column(id_col),
         start=d.column(start_col),
         stop=d.column(stop_col),
-        event=events.astype(bool),
+        event=flags,
         covariates=x,
         covariate_names=tuple(covariate_cols),
     )

@@ -1,8 +1,8 @@
-"""Kernels for the Cox partial likelihood.
+"""The Cox partial likelihood kernel.
 
-``loglik`` returns the log partial likelihood and ``score`` returns it
-together with its gradient and negated Hessian, both over counting-process
-risk sets:
+``score`` is the one risk-set kernel: it returns the log partial likelihood
+together with its gradient and negated Hessian over counting-process risk
+sets:
 
     ll   = sum over event records i of  eta_i - log S0(t_i)
     grad = sum over event records i of  x_i - S1(t_i) / S0(t_i)
@@ -13,7 +13,8 @@ and S0, S1, S2 are the exp(eta)-weighted sums of 1, x, and x x' over it.
 ``hess`` is the negated Hessian (positive semidefinite). exp arguments are
 shifted by the risk-set maximum of eta so large coefficients cannot overflow.
 An ``x`` with no columns (and an empty ``beta``) gives the empty model,
-whose log likelihood is ``-sum log |risk set|``.
+whose log likelihood is ``-sum log |risk set|``. ``loglik`` is ``score``'s
+first output and nothing in the package calls it.
 
 Event records sharing a stop time share one risk set, so each distinct event
 time is visited once.
@@ -26,20 +27,6 @@ import math
 import numpy as np
 
 from .data import distinct
-
-
-def loglik(start, stop, event, x, beta):
-    eta = x @ beta
-    ev_stop = stop[event]
-    ev_eta = eta[event]
-    ll = 0.0
-    for t in distinct(ev_stop):
-        at_t = ev_stop == t
-        risk = (start < t) & (t <= stop)
-        m = eta[risk].max()
-        s0 = np.exp(eta[risk] - m).sum()
-        ll += ev_eta[at_t].sum() - at_t.sum() * (math.log(s0) + m)
-    return ll
 
 
 def score(start, stop, event, x, beta):
@@ -65,3 +52,10 @@ def score(start, stop, event, x, beta):
         grad += ev_x[at_t].sum(axis=0) - d * xbar
         hess += (d / s0) * ((rel[:, None] * centered).T @ centered)
     return ll, grad, hess
+
+
+# Kept only by name, for perfbench's tracer, which wraps ``kernels.loglik``:
+# perfbench/tests/test_smoke.py::test_a_missing_wrapped_name_is_reported_absent
+# expects the tracer to find every wrapped name but the one it deletes.
+def loglik(start, stop, event, x, beta):
+    return score(start, stop, event, x, beta)[0]

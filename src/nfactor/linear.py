@@ -105,13 +105,12 @@ def fit_wls(
         mse = 0.0
         se = np.zeros(k)
         t = np.array([math.copysign(math.inf, c) if c != 0.0 else 0.0 for c in coef])
-        p = np.array([0.0 if c != 0.0 else 1.0 for c in coef])
     else:
         mse = rss / df
         # cov(beta) = mse * (X'X)^-1
         se = np.sqrt(np.diag(inverse_spd(gram)) * mse)
         t = coef / se
-        p = np.array([student_t_two_sided(v, df) for v in t])
+    p = np.array([student_t_two_sided(v, df) for v in t])
 
     return LinearFit(
         term_names=term_names,

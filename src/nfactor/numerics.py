@@ -79,7 +79,10 @@ def inverse_spd(a: np.ndarray) -> np.ndarray:
     lower = _cholesky_lower(a)
     n = lower.shape[0]
     eye = np.eye(n)
-    return np.column_stack([_solve_triangular(lower, eye[:, j]) for j in range(n)])
+    inverse = np.zeros((n, n))
+    for j in range(n):
+        inverse[:, j] = _solve_triangular(lower, eye[:, j])
+    return inverse
 
 
 def pivoted_rank_factor(x: np.ndarray) -> tuple[list[int], list[int]]:

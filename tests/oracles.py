@@ -9,7 +9,9 @@ Cox log likelihood, score and negated Hessian from scalar loops that rebuild
 the risk set of every event record separately (ties included) instead of
 vectorizing once per distinct event time. The loops and the least-squares
 oracle take a frequency weight; the package's fits do not, so these are the
-weighted reference where replicating the data would be too large.
+weighted reference where replicating the data would be too large. The
+survival-frame constructors are checked against loops that chain each
+subject's records one record at a time through a dict keyed by subject id.
 """
 
 import math
@@ -17,6 +19,8 @@ import math
 import numpy as np
 from scipy.integrate import quad
 from scipy.stats import t as student_t
+
+from nfactor.errors import InvalidEventFlag, NonIncreasingTime
 
 
 def chi2_sf_quadrature(x: float, df: int) -> float:
@@ -181,3 +185,47 @@ def _score_loops(start, stop, event, x, beta, w):
         for b in range(a):
             hess[b, a] = hess[a, b]
     return ll, grad, hess
+
+
+def _check_event_flags_loop(events):
+    for i, e in enumerate(events):
+        if e not in (0.0, 1.0):
+            raise InvalidEventFlag(i + 1, e)
+
+
+def stset_starts_loop(ids, times, events):
+    """Interval starts rebuilt from last-observation times, record by record.
+
+    Each record opens at its subject's previous time in file order (0 for
+    its first); the first record whose time does not exceed that raises
+    NonIncreasingTime. Event flags are checked first.
+    """
+    _check_event_flags_loop(events)
+    start = np.zeros(len(times))
+    last_time = {}
+    for i in range(len(times)):
+        sid = float(ids[i])
+        prev = last_time.get(sid, 0.0)
+        if times[i] <= prev:
+            raise NonIncreasingTime(sid)
+        start[i] = prev
+        last_time[sid] = float(times[i])
+    return start
+
+
+def check_intervals_loop(ids, start, stop, events):
+    """Validate explicit intervals: flags, then start < stop, then chaining.
+
+    Each stage names the first offending record in file order; a subject's
+    record must start where its previous record stopped.
+    """
+    _check_event_flags_loop(events)
+    for i in range(len(stop)):
+        if start[i] >= stop[i]:
+            raise NonIncreasingTime(float(ids[i]))
+    last_stop = {}
+    for i in range(len(stop)):
+        sid = float(ids[i])
+        if sid in last_stop and start[i] != last_stop[sid]:
+            raise NonIncreasingTime(sid)
+        last_stop[sid] = float(stop[i])

@@ -232,15 +232,17 @@ def record_calls(monkeypatch, module, name, calls):
 
 
 def test_cox_request_kernel_budget(capsys, monkeypatch):
-    # One weight-1 fit: a score pass at beta = 0 and one per accepted Newton
-    # step. Refitting at every searched weight took 15 calls, and 63 with a
-    # cold start and a separate line-search pass.
+    # One weight-1 fit: a score pass at beta = 0 and one per Newton step
+    # (full or halved); score is the only kernel the fit calls. Refitting at
+    # every searched weight took 15 calls, and 63 with a cold start and a
+    # separate line-search pass.
     calls = []
     record_calls(monkeypatch, kernels, "score", calls)
     record_calls(monkeypatch, kernels, "loglik", calls)
     code, doc, _ = run_json(capsys, COX_ARGS)
     assert code == 0 and doc["nf_integer"] == 5
-    assert len(calls) <= 5, Counter(name for name, _ in calls)
+    names = Counter(name for name, _ in calls)
+    assert set(names) == {"score"} and names["score"] <= 5, names
 
 
 @pytest.mark.parametrize("args, fitter", [(COX_ARGS, "fit_cox"), (LINEAR_ARGS, "fit_wls")])
@@ -260,7 +262,8 @@ SURGERY_ARGS = [*COX_ARGS[:-4], "--covariates", "surgery"]
 @pytest.mark.parametrize("max_weight, evaluations", [(None, 21), (10**12, 41), (2**53, 54)])
 def test_degenerate_cox_test_fits_once(capsys, monkeypatch, max_weight, evaluations):
     # surgery is all zero, so no covariate is kept and p = 1 at every
-    # weight: the search runs to the cap on the one weight-1 fit.
+    # weight: the search runs to the cap on the one weight-1 fit, whose
+    # Newton with no columns stops after its first score.
     calls = []
     record_calls(monkeypatch, cli, "fit_cox", calls)
     record_calls(monkeypatch, kernels, "score", calls)
@@ -270,7 +273,7 @@ def test_degenerate_cox_test_fits_once(capsys, monkeypatch, max_weight, evaluati
     assert code == 2 and doc["best_p"] == 1.0 and doc["fit"]["lr_df"] == 0
     assert len(doc["trace"]) == evaluations
     assert doc["trace"][-1] == [max_weight or DEFAULT_MAX_WEIGHT, 1.0]
-    assert [name for name, _ in calls] == ["fit_cox", "loglik"]
+    assert [name for name, _ in calls] == ["fit_cox", "score"]
 
 
 @pytest.mark.parametrize("cap", [0, 2**53 + 1, 10**308, 10**400])

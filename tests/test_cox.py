@@ -246,19 +246,20 @@ def test_warm_start_from_weight_1_is_converged(oracle_sweep, subset):
 
 def test_cold_fit_that_halves_a_step_converges(monkeypatch):
     # The outlying covariate makes the full Newton step overshoot once; the
-    # halved step is accepted and Newton goes on to the optimum.
+    # halved step is accepted and Newton goes on to the optimum. Each score
+    # call is the start, a full step or a halving: 1 + iterations + 1.
     frame = tiny_frame([[0.0], [1.0], [0.0], [1.0], [0.0], [10.0]],
                        [True, False, True, False, False, True], stops=[2, 3, 4, 5, 6, 1])
-    halvings = []
-    real_loglik = kernels.loglik
+    calls = []
+    real_score = kernels.score
 
-    def loglik(*args):
-        halvings.append(args)
-        return real_loglik(*args)
+    def score(*args):
+        calls.append(args)
+        return real_score(*args)
 
-    monkeypatch.setattr(kernels, "loglik", loglik)
+    monkeypatch.setattr(kernels, "score", score)
     fit = fit_cox(frame)
-    assert len(halvings) == 1 and fit.iterations > 1
+    assert fit.iterations > 1 and len(calls) == 1 + fit.iterations + 1
     grad, neg_hess = score_hessian(frame, fit.beta)
     assert grad @ np.linalg.solve(neg_hess, grad) <= cox.DECREMENT_PER_EVENT * frame.n_events
 
@@ -319,20 +320,16 @@ def test_not_converged_names_iterations_and_decrement(heart_dataset, monkeypatch
 
 
 def test_failed_line_search_raises_at_once(heart_frame, monkeypatch):
-    # no step length can restore a likelihood that is not finite; the full
-    # step is judged by score's ll and the halvings by loglik, so both lose
-    # it away from beta = 0
-    real_score, real_loglik = kernels.score, kernels.loglik
+    # no step length can restore a likelihood that is not finite; every
+    # step, full or halved, is judged by score's ll, which loses it away
+    # from beta = 0
+    real_score = kernels.score
 
     def score(start, stop, event, x, beta):
         ll, grad, neg_hess = real_score(start, stop, event, x, beta)
         return (-math.inf if beta.any() else ll), grad, neg_hess
 
-    def loglik(start, stop, event, x, beta):
-        return -math.inf if beta.any() else real_loglik(start, stop, event, x, beta)
-
     monkeypatch.setattr(kernels, "score", score)
-    monkeypatch.setattr(kernels, "loglik", loglik)
     with pytest.raises(NotConverged) as info:
         fit_cox(heart_frame)
     assert info.value.iterations == 1

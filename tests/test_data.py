@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -18,11 +20,13 @@ from nfactor.errors import (
     InvalidEventFlag,
     InvalidWeight,
     MissingColumn,
+    NfactorError,
     NonIncreasingTime,
     NonNumericCell,
 )
 
 from conftest import COVARIATES, HEART_CSV, LINEAR_CSV
+from oracles import check_intervals_loop, stset_starts_loop
 
 
 # ---- load_csv ---------------------------------------------------------------
@@ -167,6 +171,106 @@ def test_frame_rejects_gap_between_intervals():
             subject_ids=[1.0, 1.0], start=[0.0, 4.0], stop=[3.0, 9.0],
             event=[False, True], covariates=np.zeros((2, 0)), covariate_names=(),
         )
+
+
+def test_first_offending_subject_in_file_order_is_named():
+    # both subjects go wrong; subject 5 first in file order, subject 3 first by id
+    d = Dataset({"id": [5.0, 3.0, 5.0, 3.0], "t": [10.0, 4.0, 8.0, 2.0], "e": [0.0] * 4})
+    with pytest.raises(NonIncreasingTime) as err:
+        stset_reconstruct(d, "t", "e", "id", [])
+    assert err.value.subject_id == 5.0
+    with pytest.raises(NonIncreasingTime) as err:
+        SurvivalFrame(
+            subject_ids=[5.0, 3.0, 5.0, 3.0], start=[0.0, 0.0, 11.0, 5.0],
+            stop=[10.0, 4.0, 12.0, 6.0], event=[False] * 4,
+            covariates=np.zeros((4, 0)), covariate_names=(),
+        )
+    assert err.value.subject_id == 5.0
+
+
+def test_explicit_intervals_reject_bad_event_flag_by_row():
+    d = Dataset({"id": [1.0, 2.0, 3.0, 4.0], "start": [0.0] * 4, "stop": [1.0] * 4,
+                 "e": [1.0, 0.0, 2.0, 0.5]})
+    with pytest.raises(InvalidEventFlag) as err:
+        survival_frame_from_intervals(d, "start", "stop", "e", "id", [])
+    assert err.value.row == 3
+    assert str(err.value) == "event flag at data row 3 must be 0 or 1, got 2.0"
+
+
+@pytest.mark.parametrize("path", ["reconstruct", "empty interval", "gap"])
+def test_non_increasing_time_names_a_float_subject(path):
+    d = Dataset({"id": [1.0, 2.0, 2.0], "t": [4.0, 3.0, 3.0], "e": [0.0, 0.0, 1.0]})
+    with pytest.raises(NonIncreasingTime) as err:
+        if path == "reconstruct":
+            stset_reconstruct(d, "t", "e", "id", [])
+        else:
+            start = [0.0, 0.0, 3.0] if path == "empty interval" else [0.0, 0.0, 2.0]
+            SurvivalFrame(
+                subject_ids=d.column("id"), start=start, stop=[4.0, 3.0, 3.0 + (path == "gap")],
+                event=[False, False, True], covariates=np.zeros((3, 0)), covariate_names=(),
+            )
+    assert type(err.value.subject_id) is float and err.value.subject_id == 2.0
+
+
+def random_records(rng):
+    """Columns of a small frame for the constructor oracle test.
+
+    Subjects interleave (ids -0.0 and 0.0 name one subject); times mostly
+    rise per subject but can repeat or fall, and repeat across subjects;
+    explicit starts mostly chain but can gap; a few event flags are invalid.
+    """
+    n = int(rng.integers(0, 10))
+    ids = rng.choice([-0.0, 0.0, 1.0, 2.0, 7.0], n)
+    events = rng.choice([0.0, 1.0, -0.0, 2.0, 0.5], n, p=[0.5, 0.46, 0.02, 0.01, 0.01])
+    start, stop = np.empty(n), np.empty(n)
+    last = {}
+    for i in range(n):
+        previous = last.get(float(ids[i]), 0.0)
+        stop[i] = previous + rng.choice([1.0, 2.0, 0.5, 0.0, -1.0], p=[0.5, 0.3, 0.14, 0.03, 0.03])
+        start[i] = previous + rng.choice([0.0, 0.5, -0.5], p=[0.96, 0.02, 0.02])
+        last[float(ids[i])] = stop[i]
+    return ids, start, stop, events
+
+
+def outcome(build):
+    try:
+        return build()
+    except NfactorError as exc:
+        return exc
+
+
+def assert_same_outcome(frame, expected):
+    if isinstance(expected, Exception):
+        assert type(frame) is type(expected) and str(frame) == str(expected)
+        if isinstance(expected, NonIncreasingTime):
+            assert type(frame.subject_id) is float
+            assert repr(frame.subject_id) == repr(expected.subject_id)
+        else:
+            assert frame.row == expected.row
+        return type(expected).__name__
+    assert isinstance(frame, SurvivalFrame), frame
+    np.testing.assert_array_equal(frame.start, expected)
+    return "frame"
+
+
+def test_frame_constructors_match_loop_oracle():
+    rng = np.random.default_rng(8)
+    seen = Counter()
+    for _ in range(400):
+        ids, start, stop, events = random_records(rng)
+        d = Dataset({"id": ids, "start": start, "t": stop, "e": events})
+        seen["stset " + assert_same_outcome(
+            outcome(lambda: stset_reconstruct(d, "t", "e", "id", [])),
+            outcome(lambda: stset_starts_loop(ids, stop, events)),
+        )] += 1
+        seen["explicit " + assert_same_outcome(
+            outcome(lambda: survival_frame_from_intervals(d, "start", "t", "e", "id", [])),
+            outcome(lambda: check_intervals_loop(ids, start, stop, events) or start),
+        )] += 1
+    # every outcome is exercised on both paths
+    for path in ("stset", "explicit"):
+        for kind in ("frame", "NonIncreasingTime", "InvalidEventFlag"):
+            assert seen[f"{path} {kind}"] >= 20, seen
 
 
 # ---- replicate --------------------------------------------------------------

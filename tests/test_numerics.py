@@ -12,6 +12,7 @@ from nfactor import (
     student_t_two_sided,
 )
 from nfactor.errors import DomainError, NotPositiveDefinite
+from nfactor.numerics import inverse_spd
 
 from oracles import (
     chi2_sf_quadrature,
@@ -125,6 +126,19 @@ def test_solve_rejects_shape_mismatch():
         solve_spd(np.eye(2), [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         solve_spd(np.ones((2, 3)), [1.0, 2.0])
+
+
+def test_inverse_matches_elimination_oracle():
+    rng = np.random.default_rng(6)
+    a = random_spd(rng, 4)
+    expected = np.column_stack([gauss_solve(a, e) for e in np.eye(4)])
+    np.testing.assert_allclose(inverse_spd(a), expected, rtol=0, atol=1e-10)
+
+
+def test_empty_system():
+    # a model with no kept covariate solves and inverts a 0 x 0 Hessian
+    assert solve_spd(np.zeros((0, 0)), []).shape == (0,)
+    assert inverse_spd(np.zeros((0, 0))).shape == (0, 0)
 
 
 # ---- pivoted_rank_factor ----------------------------------------------------
