@@ -28,58 +28,10 @@ class CliError(NfactorError):
 
 
 @dataclass(frozen=True)
-class TestSpec:
-    """Declarative description of the test whose NF is to be computed."""
-
-    model: str
-    data_path: str
-    target_alpha: float = 0.05
-    max_weight: int = DEFAULT_MAX_WEIGHT
-    time_col: str | None = None
-    event_col: str | None = None
-    id_col: str | None = None
-    covariate_cols: tuple[str, ...] = ()
-    response_col: str | None = None
-    wald_coefficient: str = INTERCEPT
-    start_col: str | None = None
-    stop_col: str | None = None
-
-    @property
-    def explicit_intervals(self) -> bool:
-        return self.start_col is not None
-
-    def validate(self):
-        if not 0.0 < self.target_alpha < 1.0:
-            raise CliError("target significance must lie in (0,1)")
-        if not 1 <= self.max_weight <= MAX_WEIGHT:
-            raise CliError("--max-weight must be an integer from 1 to 2**53")
-        if self.model == COX_LR:
-            missing = [
-                flag
-                for flag, value in (
-                    ("--event", self.event_col),
-                    ("--id", self.id_col),
-                )
-                if value is None
-            ]
-            if not self.explicit_intervals and self.time_col is None:
-                missing.insert(0, "--time")
-            if missing:
-                raise CliError(f"model {COX_LR} requires {', '.join(missing)}")
-            if not self.covariate_cols:
-                raise CliError(f"model {COX_LR} requires --covariates")
-        elif self.model == LINEAR_WALD:
-            if self.response_col is None:
-                raise CliError(f"model {LINEAR_WALD} requires --response")
-        else:
-            raise CliError(f"unknown model {self.model!r}")
-
-
-@dataclass(frozen=True)
 class Report:
-    """Everything a run produces: the spec echo, the w=1 fit, the NF outcome."""
+    """Everything a run produces: the parsed command line, the w=1 fit, the NF outcome."""
 
-    spec: TestSpec
+    args: argparse.Namespace
     fit: CoxFit | LinearFit
     nf: NfResult | None
     warnings: tuple[str, ...]
@@ -122,72 +74,72 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _spec_from_args(args) -> TestSpec:
-    start_col = stop_col = None
+def _parse(argv) -> argparse.Namespace:
+    """Parse a command line and check that its options fit together.
+
+    ``covariates`` becomes a list of names and ``explicit_intervals`` a
+    ``(start, stop)`` pair or None.
+    """
+    args = _build_parser().parse_args(argv)
     if args.explicit_intervals is not None:
         parts = [s.strip() for s in args.explicit_intervals.split(",")]
         if len(parts) != 2 or not all(parts):
             raise CliError("--explicit-intervals expects two column names: START,STOP")
-        start_col, stop_col = parts
-    covariates = tuple(c.strip() for c in args.covariates.split(",") if c.strip())
-    spec = TestSpec(
-        model=args.model,
-        data_path=args.data,
-        target_alpha=args.alpha,
-        max_weight=args.max_weight,
-        time_col=args.time,
-        event_col=args.event,
-        id_col=args.id_col,
-        covariate_cols=covariates,
-        response_col=args.response,
-        wald_coefficient=args.wald_coefficient,
-        start_col=start_col,
-        stop_col=stop_col,
-    )
-    spec.validate()
-    return spec
+        args.explicit_intervals = tuple(parts)
+    args.covariates = [c.strip() for c in args.covariates.split(",") if c.strip()]
+    if not 0.0 < args.alpha < 1.0:
+        raise CliError("target significance must lie in (0,1)")
+    if not 1 <= args.max_weight <= MAX_WEIGHT:
+        raise CliError("--max-weight must be an integer from 1 to 2**53")
+    if args.model == COX_LR:
+        missing = [flag for flag, value in (("--event", args.event), ("--id", args.id_col))
+                   if value is None]
+        if args.explicit_intervals is None and args.time is None:
+            missing.insert(0, "--time")
+        if missing:
+            raise CliError(f"model {COX_LR} requires {', '.join(missing)}")
+        if not args.covariates:
+            raise CliError(f"model {COX_LR} requires --covariates")
+    elif args.response is None:
+        raise CliError(f"model {LINEAR_WALD} requires --response")
+    return args
 
 
-def _run_spec(spec: TestSpec) -> Report:
+def _run_spec(args: argparse.Namespace) -> Report:
     caught: list[warnings.WarningMessage]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        if spec.model == COX_LR:
-            required = [spec.event_col, spec.id_col, *spec.covariate_cols]
-            required += [spec.start_col, spec.stop_col] if spec.explicit_intervals \
-                else [spec.time_col]
-            data = load_csv(spec.data_path, required)
-            if spec.explicit_intervals:
+        if args.model == COX_LR:
+            intervals = args.explicit_intervals or (args.time,)
+            data = load_csv(args.data, [args.event, args.id_col, *args.covariates, *intervals])
+            if args.explicit_intervals:
                 frame = survival_frame_from_intervals(
-                    data, spec.start_col, spec.stop_col, spec.event_col,
-                    spec.id_col, list(spec.covariate_cols),
+                    data, *intervals, args.event, args.id_col, args.covariates,
                 )
             else:
                 frame = stset_reconstruct(
-                    data, spec.time_col, spec.event_col, spec.id_col,
-                    list(spec.covariate_cols),
+                    data, args.time, args.event, args.id_col, args.covariates,
                 )
             fit = fit_cox(frame)
             p_of_weight = fit.p_lr_at
         else:
-            required = [spec.response_col, *spec.covariate_cols]
-            data = load_csv(spec.data_path, required)
-            fit = fit_wls(data, spec.response_col, spec.covariate_cols)
-            if spec.wald_coefficient in fit.omitted:
+            data = load_csv(args.data, [args.response, *args.covariates])
+            fit = fit_wls(data, args.response, args.covariates)
+            if args.wald_coefficient in fit.omitted:
                 raise CliError(
-                    f"coefficient {spec.wald_coefficient!r} was omitted as collinear"
+                    f"coefficient {args.wald_coefficient!r} was omitted as collinear"
                 )
-            if spec.wald_coefficient not in fit.term_names:
-                raise CliError(f"no coefficient named {spec.wald_coefficient!r}")
+            if args.wald_coefficient not in fit.term_names:
+                raise CliError(f"no coefficient named {args.wald_coefficient!r}")
 
             def p_of_weight(w: int) -> float:
-                return fit.p_value_at(spec.wald_coefficient, w)
+                return fit.p_value_at(args.wald_coefficient, w)
 
         nf = None
         best_p = None
         trace: tuple[tuple[int, float], ...] = ()
         try:
-            nf = compute_nf(p_of_weight, data.n_rows, spec.target_alpha, spec.max_weight)
+            nf = compute_nf(p_of_weight, data.n_rows, args.alpha, args.max_weight)
             trace = nf.trace
         except UnreachableSignificance as exc:
             best_p = exc.best_p
@@ -199,7 +151,7 @@ def _run_spec(spec: TestSpec) -> Report:
             labels.add("ties")
         elif issubclass(item.category, DegenerateTestWarning):
             labels.add("degenerate")
-    return Report(spec=spec, fit=fit, nf=nf, warnings=tuple(sorted(labels)),
+    return Report(args=args, fit=fit, nf=nf, warnings=tuple(sorted(labels)),
                   best_p=best_p, trace=trace)
 
 
@@ -241,26 +193,25 @@ def _to_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _spec_json(spec: TestSpec) -> dict:
+def _spec_json(args: argparse.Namespace) -> dict:
     columns = {}
-    if spec.model == COX_LR:
-        if spec.explicit_intervals:
-            columns["start"] = spec.start_col
-            columns["stop"] = spec.stop_col
+    if args.model == COX_LR:
+        if args.explicit_intervals:
+            columns["start"], columns["stop"] = args.explicit_intervals
         else:
-            columns["time"] = spec.time_col
-        columns["event"] = spec.event_col
-        columns["id"] = spec.id_col
-        columns["covariates"] = list(spec.covariate_cols)
+            columns["time"] = args.time
+        columns["event"] = args.event
+        columns["id"] = args.id_col
+        columns["covariates"] = args.covariates
     else:
-        columns["response"] = spec.response_col
-        columns["covariates"] = list(spec.covariate_cols)
-        columns["wald_coefficient"] = spec.wald_coefficient
+        columns["response"] = args.response
+        columns["covariates"] = args.covariates
+        columns["wald_coefficient"] = args.wald_coefficient
     return {
-        "model": spec.model,
-        "data": spec.data_path,
-        "target_alpha": spec.target_alpha,
-        "max_weight": spec.max_weight,
+        "model": args.model,
+        "data": args.data,
+        "target_alpha": args.alpha,
+        "max_weight": args.max_weight,
         "columns": columns,
     }
 
@@ -311,9 +262,9 @@ def _fit_json(fit) -> dict:
 def report_json_obj(report: Report) -> dict:
     nf = report.nf
     doc = {
-        "spec": _spec_json(report.spec),
+        "spec": _spec_json(report.args),
         "fit": _fit_json(report.fit),
-        "target_alpha": report.spec.target_alpha,
+        "target_alpha": report.args.alpha,
         "p_at_1": nf.p_at_1 if nf else (report.trace[0][1] if report.trace else None),
         "w0": nf.w0 if nf else None,
         "p0": nf.p0 if nf else None,
@@ -328,7 +279,7 @@ def report_json_obj(report: Report) -> dict:
     }
     if nf is None:
         doc["best_p"] = report.best_p
-        doc["max_weight"] = report.spec.max_weight
+        doc["max_weight"] = report.args.max_weight
     return doc
 
 
@@ -341,11 +292,11 @@ def _fmt(value, decimals=4) -> str:
 
 
 def _text_lines(report: Report) -> list[str]:
-    spec, fit, nf = report.spec, report.fit, report.nf
+    args, fit, nf = report.args, report.fit, report.nf
     lines = [
         "non-significance factor report",
-        f"model: {spec.model}   data: {spec.data_path}   "
-        f"target alpha: {_fmt(spec.target_alpha)}",
+        f"model: {args.model}   data: {args.data}   "
+        f"target alpha: {_fmt(args.alpha)}",
         "",
     ]
     if isinstance(fit, CoxFit):
@@ -382,7 +333,7 @@ def _text_lines(report: Report) -> list[str]:
             )
         for name in fit.omitted:
             lines.append(f"  {name:<12} {'(omitted)':>10}")
-        lines.append(f"  tested coefficient: {spec.wald_coefficient}")
+        lines.append(f"  tested coefficient: {args.wald_coefficient}")
     lines.append("")
 
     if nf is not None:
@@ -402,7 +353,7 @@ def _text_lines(report: Report) -> list[str]:
         )
     else:
         lines.append(
-            f"target not reached up to weight {spec.max_weight}: "
+            f"target not reached up to weight {args.max_weight}: "
             f"best p = {_fmt(report.best_p)}"
         )
     trace = "; ".join(f"w={w} p={_fmt(p)}" for w, p in report.trace)
@@ -425,9 +376,8 @@ def emit_report(report: Report, format: str = "text") -> str:
 def run(argv) -> int:
     """Execute a command line; returns the process exit code."""
     try:
-        args = _build_parser().parse_args(argv)
-        spec = _spec_from_args(args)
-        report = _run_spec(spec)
+        args = _parse(argv)
+        report = _run_spec(args)
     except NfactorError as exc:
         print(f"nfactor: error: {exc}", file=sys.stderr)
         return 1

@@ -159,10 +159,7 @@ def fit_cox(frame: SurvivalFrame) -> CoxFit:
     n_subjects = float(frame.n_subjects)
     n_failures = float(frame.n_events)
 
-    if frame.covariates.shape[1] > 0:
-        kept, dropped = pivoted_rank_factor(frame.covariates[frame.event])
-    else:
-        kept, dropped = [], []
+    kept, dropped = pivoted_rank_factor(frame.covariates[frame.event])
     kept_names = tuple(frame.covariate_names[j] for j in kept)
     omitted = tuple(frame.covariate_names[j] for j in dropped)
 

@@ -150,10 +150,6 @@ class SurvivalFrame:
         return int(self.event.sum())
 
     @property
-    def total_time_at_risk(self) -> float:
-        return float((self.stop - self.start).sum())
-
-    @property
     def has_tied_event_times(self) -> bool:
         times = self.stop[self.event]
         return len(distinct(times)) < len(times)
@@ -189,10 +185,11 @@ def load_csv(path, required_columns=()) -> Dataset:
     """Load a comma-separated file with a header row into a Dataset.
 
     Every cell is parsed as a float; blank or non-numeric cells (including
-    nan/inf spellings) and repeated header names are rejected. Row order is
-    preserved.
+    nan/inf spellings) and repeated header names are rejected. Blank lines
+    are skipped, but still count in the data row numbers that errors name.
+    A leading UTF-8 byte-order mark is ignored. Row order is preserved.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
@@ -206,6 +203,8 @@ def load_csv(path, required_columns=()) -> Dataset:
                 raise MissingColumn(name)
         raw: list[list[float]] = [[] for _ in header]
         for rownum, row in enumerate(reader, start=1):
+            if not row:
+                continue
             if len(row) != len(header):
                 raise NonNumericCell(rownum, header[min(len(row), len(header) - 1)])
             for j, cell in enumerate(row):
@@ -217,6 +216,28 @@ def load_csv(path, required_columns=()) -> Dataset:
                     raise NonNumericCell(rownum, header[j], cell)
                 raw[j].append(value)
     return Dataset({name: np.array(col) for name, col in zip(header, raw)})
+
+
+def _frame(
+    d: Dataset,
+    start: np.ndarray,
+    stop_col: str,
+    event_col: str,
+    id_col: str,
+    covariate_cols: list[str],
+) -> SurvivalFrame:
+    """The SurvivalFrame of ``d``'s rows, with interval starts ``start``."""
+    flags = _event_flags(d.column(event_col))
+    x = np.column_stack([d.column(c) for c in covariate_cols]) if covariate_cols \
+        else np.empty((d.n_rows, 0))
+    return SurvivalFrame(
+        subject_ids=d.column(id_col),
+        start=start,
+        stop=d.column(stop_col),
+        event=flags,
+        covariates=x,
+        covariate_names=tuple(covariate_cols),
+    )
 
 
 def stset_reconstruct(
@@ -234,22 +255,8 @@ def stset_reconstruct(
     strictly increasing within a subject; SurvivalFrame names the subject of
     the first row where they are not.
     """
-    times = d.column(time_col)
-    events = d.column(event_col)
-    ids = d.column(id_col)
-    x = np.column_stack([d.column(c) for c in covariate_cols]) if covariate_cols \
-        else np.empty((d.n_rows, 0))
-
-    flags = _event_flags(events)
-    start, _ = _previous_in_subject(ids, times)
-    return SurvivalFrame(
-        subject_ids=ids,
-        start=start,
-        stop=times,
-        event=flags,
-        covariates=x,
-        covariate_names=tuple(covariate_cols),
-    )
+    start, _ = _previous_in_subject(d.column(id_col), d.column(time_col))
+    return _frame(d, start, time_col, event_col, id_col, covariate_cols)
 
 
 def survival_frame_from_intervals(
@@ -261,17 +268,7 @@ def survival_frame_from_intervals(
     covariate_cols: list[str],
 ) -> SurvivalFrame:
     """Build a SurvivalFrame from explicit start/stop columns (no reconstruction)."""
-    flags = _event_flags(d.column(event_col))
-    x = np.column_stack([d.column(c) for c in covariate_cols]) if covariate_cols \
-        else np.empty((d.n_rows, 0))
-    return SurvivalFrame(
-        subject_ids=d.column(id_col),
-        start=d.column(start_col),
-        stop=d.column(stop_col),
-        event=flags,
-        covariates=x,
-        covariate_names=tuple(covariate_cols),
-    )
+    return _frame(d, d.column(start_col), stop_col, event_col, id_col, covariate_cols)
 
 
 def replicate(d: Dataset, w: int) -> Dataset:

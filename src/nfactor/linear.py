@@ -69,9 +69,11 @@ def fit_wls(
 
     An intercept column of ones is always included (first). A response with
     zero residual variance yields zero standard errors and degenerate
-    p-values (0 for a nonzero coefficient, 1 for a zero one) together with a
-    DegenerateTestWarning. The fit at frequency weight w is the fit of
-    ``replicate(d, w)``; ``LinearFit.p_value_at`` gives its p-values.
+    p-values (0 for a nonzero coefficient, 1 for a zero one, where a
+    coefficient whose term adds only round-off to the fit counts as zero)
+    together with a DegenerateTestWarning. The fit at frequency weight w is
+    the fit of ``replicate(d, w)``; ``LinearFit.p_value_at`` gives its
+    p-values.
     """
     y = d.column(response)
     n = d.n_rows
@@ -95,7 +97,8 @@ def fit_wls(
     df = float(n - k)
 
     # a residual sum of squares at round-off level is a zero-variance fit
-    if rss <= (64 * np.finfo(float).eps) ** 2 * float(y @ y):
+    roundoff = 64 * np.finfo(float).eps
+    if rss <= roundoff ** 2 * float(y @ y):
         warnings.warn(
             "response has zero residual variance; the Wald test is degenerate",
             DegenerateTestWarning,
@@ -104,7 +107,9 @@ def fit_wls(
         rss = 0.0
         mse = 0.0
         se = np.zeros(k)
-        t = np.array([math.copysign(math.inf, c) if c != 0.0 else 0.0 for c in coef])
+        # so is a coefficient whose term adds only round-off to the fitted y
+        zero = np.abs(coef) * np.linalg.norm(x, axis=0) <= roundoff * math.sqrt(y @ y)
+        t = np.array([0.0 if z else math.copysign(math.inf, c) for c, z in zip(coef, zero)])
     else:
         mse = rss / df
         # cov(beta) = mse * (X'X)^-1

@@ -91,11 +91,12 @@ def pivoted_rank_factor(x: np.ndarray) -> tuple[list[int], list[int]]:
     Columns are visited in order; a column is omitted when its squared
     residual against the span of previously kept columns is at most
     ``COLLINEARITY_RTOL`` times its original squared norm. Earlier columns
-    therefore take precedence over later duplicates.
+    therefore take precedence over later duplicates. A matrix with no
+    columns gives ``([], [])``.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] < 1:
-        raise ValueError("expected a matrix with at least one column")
+    if x.ndim != 2:
+        raise ValueError("expected a matrix")
     gram = x.T @ x
     p = gram.shape[0]
     kept: list[int] = []
@@ -163,12 +164,8 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
     return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
-def gamma_q(a: float, x: float) -> float:
+def _gamma_q(a: float, x: float) -> float:
     """Regularized upper incomplete gamma function Q(a, x) for a > 0, x >= 0."""
-    if a <= 0:
-        raise DomainError(f"shape parameter must be positive, got {a}")
-    if x < 0:
-        raise DomainError(f"argument must be nonnegative, got {x}")
     if x == 0.0:
         return 1.0
     if x < a + 1.0:
@@ -184,7 +181,7 @@ def chi2_sf(x: float, df: int) -> float:
         raise DomainError(f"chi-square statistic must be nonnegative, got {x}")
     if x == math.inf:
         return 0.0
-    return gamma_q(df / 2.0, x / 2.0)
+    return _gamma_q(df / 2.0, x / 2.0)
 
 
 # ---- regularized incomplete beta -------------------------------------------
@@ -281,7 +278,7 @@ def _beta_inc_large_a(a: float, b: float, x: float, y: float) -> float:
     # h = u^b e^-u / Gamma(b); k_n = h * J_n of the reference.
     h = math.exp(b * math.log(u) - u - math.lgamma(b))
     scale = math.exp(_log_gamma_ratio(a, b) - b * math.log(nu))
-    k = gamma_q(b, u)
+    k = _gamma_q(b, u)
     total = k
     p = [1.0]
     half_log_x_sq = (log_x / 2.0) ** 2

@@ -100,6 +100,21 @@ def test_explicit_intervals_equivalent(capsys, heart_dataset, heart_frame, tmp_p
     assert doc["fit"]["loglik_full"] == ref_doc["fit"]["loglik_full"]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_byte_order_mark_gives_the_same_report(capsys, tmp_path, fmt):
+    # spreadsheets export UTF-8 CSVs with a leading byte-order mark
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + LINEAR_CSV.read_bytes())
+    reports = []
+    for path in (LINEAR_CSV, bom):
+        args = [*LINEAR_ARGS, "--format", fmt]
+        args[args.index("--data") + 1] = str(path)
+        assert run(args) == 0
+        reports.append(capsys.readouterr().out.replace(json.dumps(str(path))[1:-1], "DATA"))
+    assert reports[0] == reports[1]
+    assert "DATA" in reports[0]
+
+
 def test_ties_warning_is_reported(capsys, tmp_path):
     path = tmp_path / "tied.csv"
     path.write_text(

@@ -13,7 +13,6 @@ from nfactor import (
     survival_frame_from_intervals,
 )
 from nfactor.data import MAX_WEIGHT, check_weight
-from nfactor.datasets import heart_transplant_30, wald_example
 from nfactor.errors import (
     DuplicateColumn,
     EmptyFile,
@@ -38,11 +37,34 @@ def test_load_heart_csv(heart_dataset):
     assert heart_dataset.column("t1")[0] == 50.0
 
 
-def test_shipped_csvs_match_builtin_datasets(heart_dataset, wald_dataset):
-    builtin = heart_transplant_30()
-    for name in heart_dataset.column_names:
-        np.testing.assert_array_equal(heart_dataset.column(name), builtin.column(name))
-    np.testing.assert_array_equal(wald_dataset.column("y"), wald_example().column("y"))
+def test_linear30_has_the_reference_moments(wald_dataset):
+    # An intercept-only fit depends on y only through n, the mean and the
+    # centered sum of squares; these pin the reference regression tables.
+    y = wald_dataset.column("y")
+    assert wald_dataset.n_rows == 30
+    assert y.mean() == pytest.approx(0.0929164, rel=1e-12, abs=0)
+    assert ((y - y.mean()) ** 2).sum() == pytest.approx(34.1462048, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("where", ["trailing", "interior"])
+def test_blank_lines_are_skipped(tmp_path, wald_dataset, where):
+    text = LINEAR_CSV.read_text()
+    lines = text.splitlines(keepends=True)
+    if where == "trailing":
+        text += "\n"
+    else:
+        text = "".join(lines[:11] + ["\n"] + lines[11:])
+    path = tmp_path / "blank.csv"
+    path.write_text(text)
+    np.testing.assert_array_equal(load_csv(path, ["y"]).column("y"), wald_dataset.column("y"))
+
+
+def test_row_numbers_count_blank_lines(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("a,b\n1,2\n\n3,x\n")
+    with pytest.raises(NonNumericCell) as err:
+        load_csv(path, ["a", "b"])
+    assert err.value.row == 3
 
 
 def test_header_only_file_is_empty_dataset(tmp_path):
@@ -126,7 +148,7 @@ def test_reconstruct_single_row_subject(heart_frame):
 
 
 def test_reconstruct_totals(heart_frame):
-    assert heart_frame.total_time_at_risk == 3071.0
+    assert (heart_frame.stop - heart_frame.start).sum() == 3071.0
     assert heart_frame.n_subjects == 20
     assert heart_frame.n_events == 20
     assert not heart_frame.has_tied_event_times
@@ -323,7 +345,7 @@ def test_replicate_frame_counts(heart_frame):
     assert rep.n_records == 120
     assert rep.n_subjects == 80
     assert rep.n_events == 80
-    assert rep.total_time_at_risk == 4 * 3071.0
+    assert (rep.stop - rep.start).sum() == 4 * 3071.0
     assert rep.has_tied_event_times
 
 

@@ -226,6 +226,24 @@ def test_constant_zero_response_is_degenerate_with_p_one():
     assert fit.p_values[0] == 1.0
 
 
+def test_round_off_coefficient_of_an_exact_fit_is_zero(wald_dataset):
+    # y on itself: the intercept comes out as round-off, about 1e-17, which
+    # in exact arithmetic is 0 and must not read as infinitely significant
+    with pytest.warns(DegenerateTestWarning):
+        fit = fit_wls(wald_dataset, "y", ["y"])
+    assert fit.term_names == (INTERCEPT, "y")
+    assert fit.t_stats.tolist() == [0.0, math.inf]
+    assert fit.p_values.tolist() == [1.0, 0.0]
+
+
+def test_exact_constant_fit_keeps_an_infinite_t():
+    # the intercept's term contributes |1| * sqrt(3), far above round-off
+    with pytest.warns(DegenerateTestWarning):
+        fit = fit_wls(Dataset({"y": [1.0, 1.0, 1.0]}), "y", ())
+    assert fit.t_stats[0] == math.inf
+    assert fit.p_values[0] == 0.0
+
+
 def test_insufficient_observations():
     with pytest.raises(InsufficientObservations):
         fit_wls(Dataset({"y": [1.0]}), "y", ())

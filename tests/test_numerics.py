@@ -188,9 +188,8 @@ def test_all_zero_input_omits_everything():
     assert omitted == [0, 1]
 
 
-def test_rank_factor_requires_a_column():
-    with pytest.raises(ValueError):
-        pivoted_rank_factor(np.zeros((4, 0)))
+def test_no_columns_keep_and_omit_nothing():
+    assert pivoted_rank_factor(np.zeros((4, 0))) == ([], [])
 
 
 # ---- chi2_sf ----------------------------------------------------------------
