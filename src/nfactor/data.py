@@ -16,12 +16,14 @@ import numpy as np
 
 from .errors import (
     DuplicateColumn,
+    DuplicateTerm,
     EmptyFile,
     InvalidEventFlag,
     InvalidWeight,
     MissingColumn,
     NonIncreasingTime,
     NonNumericCell,
+    UnreadableFile,
 )
 
 
@@ -47,6 +49,13 @@ def check_weight(weight) -> float:
     if not isinstance(weight, (int, np.integer)) or not 1 <= weight <= MAX_WEIGHT:
         raise InvalidWeight(weight)
     return float(weight)
+
+
+def check_distinct_terms(names) -> None:
+    """Raise DuplicateTerm at the first model term named twice."""
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise DuplicateTerm(name)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -87,10 +96,6 @@ class Dataset:
         except KeyError:
             raise MissingColumn(name) from None
 
-    @property
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(self.columns)
-
 
 @dataclass(frozen=True)
 class SurvivalFrame:
@@ -98,7 +103,8 @@ class SurvivalFrame:
 
     One record per row: subject id, half-open at-risk interval
     ``(start, stop]``, event flag for that interval, and a covariate vector.
-    Arrays are read-only after construction.
+    Arrays are read-only after construction. A covariate named twice raises
+    DuplicateTerm.
     """
 
     subject_ids: np.ndarray
@@ -128,6 +134,7 @@ class SurvivalFrame:
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "event", event)
         object.__setattr__(self, "covariate_names", tuple(self.covariate_names))
+        check_distinct_terms(self.covariate_names)
         # start < stop on every record; per subject the intervals chain.
         # Each check names the subject of its first offending record.
         bad = np.flatnonzero(start >= stop)
@@ -188,7 +195,17 @@ def load_csv(path, required_columns=()) -> Dataset:
     nan/inf spellings) and repeated header names are rejected. Blank lines
     are skipped, but still count in the data row numbers that errors name.
     A leading UTF-8 byte-order mark is ignored. Row order is preserved.
+    A file that cannot be opened or read as UTF-8 raises UnreadableFile.
     """
+    try:
+        return _read_csv(path, required_columns)
+    except OSError as exc:
+        raise UnreadableFile(path, exc.strerror or exc) from exc
+    except UnicodeDecodeError as exc:
+        raise UnreadableFile(path, f"not UTF-8 text ({exc})") from exc
+
+
+def _read_csv(path, required_columns) -> Dataset:
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:

@@ -8,6 +8,15 @@ class NfactorError(Exception):
 # ---- data loading / reconstruction ----------------------------------------
 
 
+class UnreadableFile(NfactorError):
+    """The input file cannot be opened or is not UTF-8 text."""
+
+    def __init__(self, path, reason):
+        super().__init__(f"cannot read {path}: {reason}")
+        self.path = path
+        self.reason = reason
+
+
 class EmptyFile(NfactorError):
     """The input file has no header row."""
 
@@ -21,6 +30,12 @@ class MissingColumn(NfactorError):
 class DuplicateColumn(NfactorError):
     def __init__(self, name):
         super().__init__(f"column {name!r} appears more than once in the header")
+        self.name = name
+
+
+class DuplicateTerm(NfactorError):
+    def __init__(self, name):
+        super().__init__(f"model term {name!r} appears more than once")
         self.name = name
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, check_weight
+from .data import Dataset, check_distinct_terms, check_weight
 from .errors import DegenerateTestWarning, InsufficientObservations
 from .numerics import inverse_spd, pivoted_rank_factor, solve_spd, student_t_two_sided
 
@@ -67,7 +67,8 @@ def fit_wls(
 ) -> LinearFit:
     """Fit ``response ~ intercept + covariates`` by ordinary least squares.
 
-    An intercept column of ones is always included (first). A response with
+    An intercept column of ones is always included (first); a covariate
+    named twice, or named ``intercept``, raises DuplicateTerm. A response with
     zero residual variance yields zero standard errors and degenerate
     p-values (0 for a nonzero coefficient, 1 for a zero one, where a
     coefficient whose term adds only round-off to the fit counts as zero)
@@ -81,6 +82,7 @@ def fit_wls(
         raise InsufficientObservations(0, 1)
 
     names = (INTERCEPT, *covariates)
+    check_distinct_terms(names)
     design = np.column_stack([np.ones(n)] + [d.column(c) for c in covariates])
     kept, dropped = pivoted_rank_factor(design)
     term_names = tuple(names[j] for j in kept)

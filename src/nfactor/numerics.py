@@ -1,12 +1,13 @@
 """Dense symmetric linear algebra and distribution tail probabilities.
 
-The solvers are plain Cholesky routines sized for the small Hessians and
-Gram matrices produced by the model fits. The tail functions follow the
-classic series / continued-fraction evaluations of the regularized
-incomplete gamma and beta functions and are accurate to well below 1e-12
-absolute over the ranges the tests exercise. The Student t tail, whose
-degrees of freedom grow with the frequency weight, switches to an
-asymptotic expansion for large ``df`` and keeps about 1e-14 relative
+This module keeps only what numpy lacks: the Cholesky pivot check that
+names the failing pivot, the per-column collinearity rule, and the tails.
+The triangular solves and inverses run on ``numpy.linalg``. The tails
+follow the classic series / continued-fraction evaluations of the
+regularized incomplete gamma and beta functions and are accurate to well
+below 1e-12 absolute over the ranges the tests exercise. The Student t
+tail, whose degrees of freedom grow with the frequency weight, switches to
+an asymptotic expansion for large ``df`` and keeps about 1e-14 relative
 accuracy up to ``df`` of 10^10.
 """
 
@@ -49,18 +50,6 @@ def _cholesky_lower(a: np.ndarray) -> np.ndarray:
     return lower
 
 
-def _solve_triangular(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L L' x = b given the lower Cholesky factor."""
-    n = lower.shape[0]
-    y = np.zeros(n)
-    for i in range(n):
-        y[i] = (b[i] - lower[i, :i] @ y[:i]) / lower[i, i]
-    x = np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - lower[i + 1 :, i] @ x[i + 1 :]) / lower[i, i]
-    return x
-
-
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``a @ x = b`` for symmetric positive definite ``a``.
 
@@ -71,18 +60,13 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     lower = _cholesky_lower(a)
     if lower.shape[0] != len(b):
         raise ValueError("matrix and right-hand side dimensions differ")
-    return _solve_triangular(lower, b)
+    return np.linalg.solve(lower.T, np.linalg.solve(lower, b))
 
 
 def inverse_spd(a: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix via its Cholesky factor."""
-    lower = _cholesky_lower(a)
-    n = lower.shape[0]
-    eye = np.eye(n)
-    inverse = np.zeros((n, n))
-    for j in range(n):
-        inverse[:, j] = _solve_triangular(lower, eye[:, j])
-    return inverse
+    inverse_lower = np.linalg.inv(_cholesky_lower(a))
+    return inverse_lower.T @ inverse_lower
 
 
 def pivoted_rank_factor(x: np.ndarray) -> tuple[list[int], list[int]]:
@@ -101,23 +85,18 @@ def pivoted_rank_factor(x: np.ndarray) -> tuple[list[int], list[int]]:
     p = gram.shape[0]
     kept: list[int] = []
     omitted: list[int] = []
-    # Rows of the Cholesky factor restricted to kept columns.
-    factor = np.zeros((0, 0))
+    # Cholesky factor of the kept columns' Gram matrix, in its top-left corner.
+    factor = np.zeros((p, p))
     for j in range(p):
         k = len(kept)
-        coeffs = np.zeros(k)
-        for i in range(k):
-            coeffs[i] = (gram[kept[i], j] - factor[i, :i] @ coeffs[:i]) / factor[i, i]
+        coeffs = np.linalg.solve(factor[:k, :k], gram[kept, j])
         residual = gram[j, j] - coeffs @ coeffs
         if residual <= COLLINEARITY_RTOL * gram[j, j]:
             omitted.append(j)
             continue
         kept.append(j)
-        grown = np.zeros((k + 1, k + 1))
-        grown[:k, :k] = factor
-        grown[k, :k] = coeffs
-        grown[k, k] = math.sqrt(residual)
-        factor = grown
+        factor[k, :k] = coeffs
+        factor[k, k] = math.sqrt(residual)
     return kept, omitted
 
 

@@ -47,3 +47,15 @@ def replicated_heart_fit(heart_frame):
 @pytest.fixture(scope="session")
 def wald_dataset():
     return load_csv(LINEAR_CSV, ["y"])
+
+
+@pytest.fixture(params=["missing", "directory", "latin-1 byte"])
+def unreadable_csv(request, tmp_path):
+    """(path, reason) for a --data path that cannot be read as UTF-8 text."""
+    if request.param == "missing":
+        return tmp_path / "missing.csv", "No such file or directory"
+    if request.param == "directory":
+        return tmp_path, "Is a directory"
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"y\n1.5\ncaf\xe9\n")
+    return path, "not UTF-8 text"

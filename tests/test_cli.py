@@ -78,8 +78,8 @@ def test_text_report(capsys):
 
 def test_explicit_intervals_equivalent(capsys, heart_dataset, heart_frame, tmp_path):
     path = tmp_path / "explicit.csv"
-    names = [*heart_dataset.column_names, "tstart", "tstop"]
-    columns = [heart_dataset.column(c) for c in heart_dataset.column_names]
+    names = [*heart_dataset.columns, "tstart", "tstop"]
+    columns = [heart_dataset.column(c) for c in heart_dataset.columns]
     columns += [heart_frame.start, heart_frame.stop]
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n")
@@ -181,6 +181,29 @@ def test_missing_column_in_data(capsys):
                 "--response", "nope"])
     assert code == 1
     assert "nope" in capsys.readouterr().err
+
+
+def test_unreadable_data_is_one_error_line(capsys, unreadable_csv):
+    path, reason = unreadable_csv
+    code = run(["--model", "linear-wald", "--data", str(path), "--response", "y"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"nfactor: error: cannot read {path}: {reason}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_a_term_named_twice_is_one_error_line(capsys, tmp_path):
+    path = tmp_path / "intercept_column.csv"
+    path.write_text("y,intercept\n" + "".join(f"{i % 3},{i}\n" for i in range(20)))
+    for args, name in [
+        ([*COX_ARGS, "--covariates", "age,age"], "age"),
+        (["--model", "linear-wald", "--data", str(path), "--response", "y",
+          "--covariates", "intercept", "--wald-coefficient", "intercept"], "intercept"),
+    ]:
+        assert run(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"nfactor: error: model term {name!r} appears more than once\n"
+        assert captured.out == ""
 
 
 def test_unknown_wald_coefficient(capsys):
@@ -310,14 +333,14 @@ def test_zero_wald_coefficient_keeps_p_one_up_to_2_53(capsys, tmp_path):
 
 def test_requests_do_not_import_numpy_ma():
     # np.unique imports numpy.ma under numpy 2.x, which costs every CLI
-    # process start-up time and memory.
+    # process start-up time and memory. scipy is a test-only dependency.
     script = (
         "import sys\n"
         "from nfactor.cli import run\n"
         f"codes = [run({COX_ARGS!r}), run({LINEAR_ARGS!r})]\n"
-        "print(codes, 'numpy.ma' in sys.modules)\n"
+        "print(codes, 'numpy.ma' in sys.modules, 'scipy' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(nfactor.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.splitlines()[-1] == "[0, 0] False"
+    assert out.splitlines()[-1] == "[0, 0] False False"

@@ -15,6 +15,7 @@ from nfactor import (
 from nfactor.data import MAX_WEIGHT, check_weight
 from nfactor.errors import (
     DuplicateColumn,
+    DuplicateTerm,
     EmptyFile,
     InvalidEventFlag,
     InvalidWeight,
@@ -22,6 +23,7 @@ from nfactor.errors import (
     NfactorError,
     NonIncreasingTime,
     NonNumericCell,
+    UnreadableFile,
 )
 
 from conftest import COVARIATES, HEART_CSV, LINEAR_CSV
@@ -33,7 +35,7 @@ from oracles import check_intervals_loop, stset_starts_loop
 
 def test_load_heart_csv(heart_dataset):
     assert heart_dataset.n_rows == 30
-    assert heart_dataset.column_names == ("id", "year", "age", "died", "surgery", "posttran", "t1")
+    assert tuple(heart_dataset.columns) == ("id", "year", "age", "died", "surgery", "posttran", "t1")
     assert heart_dataset.column("t1")[0] == 50.0
 
 
@@ -96,6 +98,14 @@ def test_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(EmptyFile):
         load_csv(path)
+
+
+def test_unreadable_file(unreadable_csv):
+    path, reason = unreadable_csv
+    with pytest.raises(UnreadableFile) as err:
+        load_csv(path, ["y"])
+    assert err.value.path == path
+    assert str(err.value).startswith(f"cannot read {path}: {reason}")
 
 
 @pytest.mark.parametrize("cell", ["abc", "", "nan", "inf", "-inf"])
@@ -302,9 +312,15 @@ def test_replicate_multiplies_rows(heart_dataset):
     assert replicate(heart_dataset, 4).n_rows == 120
 
 
+def test_covariate_named_twice_is_rejected(heart_dataset):
+    with pytest.raises(DuplicateTerm) as err:
+        stset_reconstruct(heart_dataset, "t1", "died", "id", ["age", "posttran", "age"])
+    assert err.value.name == "age"
+
+
 def test_replicate_identity(heart_dataset):
     again = replicate(heart_dataset, 1)
-    for name in heart_dataset.column_names:
+    for name in heart_dataset.columns:
         np.testing.assert_array_equal(again.column(name), heart_dataset.column(name))
 
 

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from nfactor import INTERCEPT, Dataset, fit_wls, replicate, student_t_two_sided
-from nfactor.errors import DegenerateTestWarning, InsufficientObservations, InvalidWeight
+from nfactor.errors import (
+    DegenerateTestWarning,
+    DuplicateTerm,
+    InsufficientObservations,
+    InvalidWeight,
+)
 from nfactor.search import DEFAULT_MAX_WEIGHT
 
 from oracles import gauss_solve, wls_wald_p_values
@@ -249,3 +254,12 @@ def test_insufficient_observations():
         fit_wls(Dataset({"y": [1.0]}), "y", ())
     with pytest.raises(InsufficientObservations):
         fit_wls(Dataset({"y": np.empty(0)}), "y", ())
+
+
+@pytest.mark.parametrize("covariates,name", [(["x", "x"], "x"), ([INTERCEPT], INTERCEPT)])
+def test_a_term_named_twice_is_rejected(covariates, name):
+    rng = np.random.default_rng(31)
+    d = Dataset({c: rng.standard_normal(20) for c in ("y", "x", INTERCEPT)})
+    with pytest.raises(DuplicateTerm) as err:
+        fit_wls(d, "y", covariates)
+    assert err.value.name == name

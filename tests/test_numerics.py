@@ -12,7 +12,7 @@ from nfactor import (
     student_t_two_sided,
 )
 from nfactor.errors import DomainError, NotPositiveDefinite
-from nfactor.numerics import inverse_spd
+from nfactor.numerics import COLLINEARITY_RTOL, inverse_spd
 
 from oracles import (
     chi2_sf_quadrature,
@@ -112,13 +112,27 @@ def test_solve_reads_lower_triangle_only():
 
 
 def test_solve_rejects_indefinite():
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(NotPositiveDefinite) as info:
         solve_spd(np.array([[1.0, 2.0], [2.0, 1.0]]), [1.0, 1.0])
+    assert (info.value.pivot_index, info.value.pivot) == (1, -3.0)
 
 
 def test_solve_rejects_zero_matrix():
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(NotPositiveDefinite) as info:
         solve_spd(np.zeros((2, 2)), [1.0, 1.0])
+    assert (info.value.pivot_index, info.value.pivot) == (0, 0.0)
+
+
+def test_tiny_third_pivot_is_named():
+    # L L' with a third pivot of 1e-13 times the largest diagonal entry (4)
+    lower = np.array([[2.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.5, 0.25, math.sqrt(4e-13)]])
+    a = lower @ lower.T
+    for call in (lambda: solve_spd(a, np.ones(3)), lambda: inverse_spd(a)):
+        with pytest.raises(NotPositiveDefinite) as info:
+            call()
+        assert info.value.pivot_index == 2
+        # a[2, 2] carries the pivot only to the ulp of 0.3125, ~1e-4 of it
+        assert info.value.pivot == pytest.approx(4e-13, rel=1e-3)
 
 
 def test_solve_rejects_shape_mismatch():
@@ -190,6 +204,90 @@ def test_all_zero_input_omits_everything():
 
 def test_no_columns_keep_and_omit_nothing():
     assert pivoted_rank_factor(np.zeros((4, 0))) == ([], [])
+
+
+# ---- hostile designs: rank rule and solves against the elimination oracles ----
+
+
+def _near_collinear(residual_share):
+    """Three unit columns; the third's squared residual against the first two
+    is ``residual_share`` of its squared norm."""
+    q, _ = np.linalg.qr(np.random.default_rng(21).standard_normal((40, 3)))
+    angle = math.asin(math.sqrt(residual_share))
+    third = math.cos(angle) * (q[:, 0] + q[:, 1]) / math.sqrt(2.0) + math.sin(angle) * q[:, 2]
+    return np.column_stack([q[:, 0], q[:, 1], third])
+
+
+def _raw_scale(n=60):
+    """Intercept, calendar year near 1970, age in days and a unit-scale column."""
+    rng = np.random.default_rng(22)
+    year = rng.integers(1965, 1976, n).astype(float)
+    age_days = rng.uniform(20 * 365.25, 70 * 365.25, n).round()
+    return np.column_stack([np.ones(n), year, age_days, rng.standard_normal(n)])
+
+
+def _hostile_designs():
+    rng = np.random.default_rng(23)
+    a, b = rng.standard_normal((2, 30))
+    raw = _raw_scale()
+    birth_year = raw[:, 1] - raw[:, 2] / 365.25
+    return {
+        "residual 4x above rtol": (_near_collinear(4 * COLLINEARITY_RTOL), [0, 1, 2]),
+        "residual 4x below rtol": (_near_collinear(COLLINEARITY_RTOL / 4), [0, 1]),
+        "raw scale": (raw, [0, 1, 2, 3]),
+        "raw scale, birth year from year and age": (
+            np.column_stack([raw, birth_year]), [0, 1, 2, 3]),
+        "duplicated": (np.column_stack([a, b, a]), [0, 1]),
+        "duplicated on raw scale": (np.column_stack([raw, raw[:, 2]]), [0, 1, 2, 3]),
+        "constant after intercept": (np.column_stack([np.ones(30), a, np.full(30, 5.0)]), [0, 1]),
+        "constant alone": (np.column_stack([np.full(30, 5.0), a]), [0, 1]),
+        "all-zero": (np.column_stack([a, np.zeros(30), b]), [0, 2]),
+    }
+
+
+HOSTILE = _hostile_designs()
+
+
+def _unit_columns(x):
+    norms = np.linalg.norm(x, axis=0)
+    return x / np.where(norms > 0, norms, 1.0)
+
+
+def _relative_residual(a, x, b):
+    # normwise backward error of x as a solution of a x = b
+    return np.linalg.norm(a @ x - b) / (np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(b))
+
+
+# A backward stable solve of a k x k system (k <= 4) leaves a relative
+# residual of a few ulps; 64 ulps leaves room for the order of summation.
+RESIDUAL_BOUND = 64 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("case", HOSTILE)
+def test_rank_rule_on_hostile_designs(case):
+    x, expected_kept = HOSTILE[case]
+    kept, omitted = pivoted_rank_factor(x)
+    assert kept == expected_kept
+    assert omitted == [j for j in range(x.shape[1]) if j not in expected_kept]
+    # the per-column rule does not see column scale; the oracle's global
+    # threshold does, so it sees unit columns
+    assert matrix_rank_by_elimination(_unit_columns(x)) == len(kept)
+    assert matrix_rank_by_elimination(_unit_columns(x[:, kept])) == len(kept)
+
+
+@pytest.mark.parametrize("case", HOSTILE)
+def test_solves_on_hostile_designs(case):
+    x, expected_kept = HOSTILE[case]
+    gram = x[:, expected_kept].T @ x[:, expected_kept]
+    b = gram @ np.random.default_rng(24).standard_normal(len(expected_kept))
+    oracle = gauss_solve(gram, b)
+    assert _relative_residual(gram, oracle, b) <= RESIDUAL_BOUND
+    assert _relative_residual(gram, solve_spd(gram, b), b) <= RESIDUAL_BOUND
+    inverse = inverse_spd(gram)
+    oracle_inverse = np.column_stack([gauss_solve(gram, e) for e in np.eye(len(b))])
+    for inv in (inverse, oracle_inverse):
+        assert (np.linalg.norm(gram @ inv - np.eye(len(b)))
+                / (np.linalg.norm(gram) * np.linalg.norm(inv))) <= RESIDUAL_BOUND
 
 
 # ---- chi2_sf ----------------------------------------------------------------
