@@ -1,5 +1,8 @@
 """Command-line front end.
 
+A request runs to one report document, the dict that ``--format json``
+prints; the text format is rendered from the same document.
+
 Exit codes: 0 on success, 1 on input or model errors (diagnostic on stderr),
 2 when no weight up to the cap reaches the target significance (the report
 is still written, with the best p-value found).
@@ -8,16 +11,16 @@ is still written, with the best p-value found).
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 
 from .cox import CoxFit, fit_cox
 from .data import MAX_WEIGHT, load_csv, stset_reconstruct, survival_frame_from_intervals
 from .errors import DegenerateTestWarning, NfactorError, TiesWarning, UnreachableSignificance
 from .linear import INTERCEPT, LinearFit, fit_wls
-from .search import DEFAULT_MAX_WEIGHT, NfResult, compute_nf
+from .search import DEFAULT_MAX_WEIGHT, compute_nf
 
 COX_LR = "cox-lr"
 LINEAR_WALD = "linear-wald"
@@ -25,19 +28,6 @@ LINEAR_WALD = "linear-wald"
 
 class CliError(NfactorError):
     """Invalid command line or option combination."""
-
-
-@dataclass(frozen=True)
-class Report:
-    """Everything a run produces: the parsed command line, the w=1 fit, the NF outcome."""
-
-    args: argparse.Namespace
-    fit: CoxFit | LinearFit
-    nf: NfResult | None
-    warnings: tuple[str, ...]
-    # populated only when the target was unreachable under the weight cap
-    best_p: float | None = None
-    trace: tuple[tuple[int, float], ...] = ()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,7 +95,13 @@ def _parse(argv) -> argparse.Namespace:
     return args
 
 
-def _run_spec(args: argparse.Namespace) -> Report:
+# NfResult fields a report carries, in report order; all null when unreachable
+# except p_at_1, which the trace still holds.
+_NF_KEYS = ("p_at_1", "w0", "p0", "w1", "p1", "w_int", "n_int", "nf_integer", "exact_hit")
+
+
+def _run_spec(args: argparse.Namespace) -> dict:
+    """Run a parsed request and return its report document (see ``emit_report``)."""
     caught: list[warnings.WarningMessage]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -135,15 +131,13 @@ def _run_spec(args: argparse.Namespace) -> Report:
             def p_of_weight(w: int) -> float:
                 return fit.p_value_at(args.wald_coefficient, w)
 
-        nf = None
-        best_p = None
-        trace: tuple[tuple[int, float], ...] = ()
+        unreachable = {}
         try:
             nf = compute_nf(p_of_weight, data.n_rows, args.alpha, args.max_weight)
-            trace = nf.trace
+            outcome, trace = {key: getattr(nf, key) for key in _NF_KEYS}, nf.trace
         except UnreachableSignificance as exc:
-            best_p = exc.best_p
-            trace = exc.trace
+            outcome, trace = dict.fromkeys(_NF_KEYS) | {"p_at_1": exc.trace[0][1]}, exc.trace
+            unreachable = {"best_p": exc.best_p, "max_weight": args.max_weight}
 
     labels = set()
     for item in caught:
@@ -151,46 +145,18 @@ def _run_spec(args: argparse.Namespace) -> Report:
             labels.add("ties")
         elif issubclass(item.category, DegenerateTestWarning):
             labels.add("degenerate")
-    return Report(args=args, fit=fit, nf=nf, warnings=tuple(sorted(labels)),
-                  best_p=best_p, trace=trace)
+    return {
+        "spec": _spec_json(args),
+        "fit": _fit_json(fit),
+        "target_alpha": args.alpha,
+        **outcome,
+        "trace": [[w, p] for w, p in trace],
+        "warnings": sorted(labels),
+        **unreachable,
+    }
 
 
 # ---- report emission --------------------------------------------------------
-
-
-def _json_float(value) -> str:
-    # 17 significant digits round-trips any double exactly.
-    if value is None or not math.isfinite(value):
-        return "null"
-    text = format(float(value), ".17g")
-    if not any(c in text for c in ".eE"):
-        text += ".0"
-    return text
-
-
-# JSON strings may not hold raw control characters; all other text stays raw.
-_JSON_ESCAPES = {c: f"\\u{c:04x}" for c in range(0x20)} | {ord("\\"): "\\\\", ord('"'): '\\"'}
-
-
-def _to_json(obj) -> str:
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        return f'"{obj.translate(_JSON_ESCAPES)}"'
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _json_float(obj)
-    if isinstance(obj, dict):
-        items = ", ".join(f"{_to_json(str(k))}: {_to_json(v)}" for k, v in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_to_json(v) for v in obj) + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _spec_json(args: argparse.Namespace) -> dict:
@@ -216,7 +182,7 @@ def _spec_json(args: argparse.Namespace) -> dict:
     }
 
 
-def _fit_json(fit) -> dict:
+def _fit_json(fit: CoxFit | LinearFit) -> dict:
     if isinstance(fit, CoxFit):
         return {
             "n_subjects": fit.n_subjects,
@@ -259,117 +225,102 @@ def _fit_json(fit) -> dict:
     }
 
 
-def report_json_obj(report: Report) -> dict:
-    nf = report.nf
-    doc = {
-        "spec": _spec_json(report.args),
-        "fit": _fit_json(report.fit),
-        "target_alpha": report.args.alpha,
-        "p_at_1": nf.p_at_1 if nf else (report.trace[0][1] if report.trace else None),
-        "w0": nf.w0 if nf else None,
-        "p0": nf.p0 if nf else None,
-        "w1": nf.w1 if nf else None,
-        "p1": nf.p1 if nf else None,
-        "w_int": nf.w_int if nf else None,
-        "n_int": nf.n_int if nf else None,
-        "nf_integer": nf.nf_integer if nf else None,
-        "exact_hit": nf.exact_hit if nf else None,
-        "trace": [[w, p] for w, p in report.trace],
-        "warnings": list(report.warnings),
-    }
-    if nf is None:
-        doc["best_p"] = report.best_p
-        doc["max_weight"] = report.args.max_weight
-    return doc
-
-
 def _fmt(value, decimals=4) -> str:
-    if value is None:
-        return "."
-    if isinstance(value, float) and not math.isfinite(value):
-        return str(value)
+    # fixed-point formatting spells non-finite values inf, -inf and nan
     return f"{value:.{decimals}f}"
 
 
-def _text_lines(report: Report) -> list[str]:
-    args, fit, nf = report.args, report.fit, report.nf
+def _text_lines(doc: dict) -> list[str]:
+    spec, fit = doc["spec"], doc["fit"]
     lines = [
         "non-significance factor report",
-        f"model: {args.model}   data: {args.data}   "
-        f"target alpha: {_fmt(args.alpha)}",
+        f"model: {spec['model']}   data: {spec['data']}   "
+        f"target alpha: {_fmt(doc['target_alpha'])}",
         "",
     ]
-    if isinstance(fit, CoxFit):
+    if spec["model"] == COX_LR:
         lines.append(
-            f"cox fit at weight 1: {_fmt(fit.n_subjects, 0)} subjects, "
-            f"{_fmt(fit.n_failures, 0)} failures"
+            f"cox fit at weight 1: {_fmt(fit['n_subjects'], 0)} subjects, "
+            f"{_fmt(fit['n_failures'], 0)} failures"
         )
-        lines.append(f"  {'covariate':<12} {'haz. ratio':>10} {'std. err.':>10} "
-                     f"{'z':>7} {'P>|z|':>7}")
-        for i, name in enumerate(fit.covariate_names):
-            hr = fit.hazard_ratios[i]
-            lines.append(
-                f"  {name:<12} {_fmt(hr):>10} {_fmt(hr * fit.se_beta[i]):>10} "
-                f"{_fmt(fit.z_stats[i], 2):>7} {_fmt(fit.p_wald[i], 3):>7}"
-            )
-        for name in fit.omitted:
-            lines.append(f"  {name:<12} {'(omitted)':>10}")
-        lines.append(
-            f"  log likelihood {_fmt(fit.loglik_full)} (null {_fmt(fit.loglik_null)})   "
-            f"LR chi2({fit.lr_df}) = {_fmt(fit.lr_stat)}   p = {_fmt(fit.p_lr)}"
+        header = ("covariate", "haz. ratio", "z", "P>|z|")
+        rows = [(c["name"], c["hazard_ratio"], c["hazard_ratio"] * c["se_beta"], c["z"], c["p"])
+                for c in fit["coefficients"]]
+        footer = (
+            f"  log likelihood {_fmt(fit['loglik_full'])} (null {_fmt(fit['loglik_null'])})   "
+            f"LR chi2({fit['lr_df']}) = {_fmt(fit['lr_stat'])}   p = {_fmt(fit['p_lr'])}"
         )
     else:
         lines.append(
-            f"regression fit at weight 1: weighted n = {_fmt(fit.weighted_n, 0)}, "
-            f"df = {_fmt(fit.df_residual, 0)}, root mse = {_fmt(fit.root_mse)}"
+            f"regression fit at weight 1: weighted n = {_fmt(fit['weighted_n'], 0)}, "
+            f"df = {_fmt(fit['df_residual'], 0)}, root mse = {_fmt(fit['root_mse'])}"
         )
-        lines.append(f"  {'term':<12} {'coef.':>10} {'std. err.':>10} "
-                     f"{'t':>7} {'P>|t|':>7}")
-        for i, name in enumerate(fit.term_names):
-            lines.append(
-                f"  {name:<12} {_fmt(fit.coefficients[i]):>10} "
-                f"{_fmt(fit.standard_errors[i]):>10} "
-                f"{_fmt(fit.t_stats[i], 2):>7} {_fmt(fit.p_values[i], 3):>7}"
-            )
-        for name in fit.omitted:
-            lines.append(f"  {name:<12} {'(omitted)':>10}")
-        lines.append(f"  tested coefficient: {args.wald_coefficient}")
-    lines.append("")
+        header = ("term", "coef.", "t", "P>|t|")
+        rows = [(c["name"], c["coef"], c["se"], c["t"], c["p"]) for c in fit["coefficients"]]
+        footer = f"  tested coefficient: {spec['columns']['wald_coefficient']}"
+    term, estimate, stat, p = header
+    lines.append(f"  {term:<12} {estimate:>10} {'std. err.':>10} {stat:>7} {p:>7}")
+    for term, estimate, se, stat, p in rows:
+        lines.append(
+            f"  {term:<12} {_fmt(estimate):>10} {_fmt(se):>10} "
+            f"{_fmt(stat, 2):>7} {_fmt(p, 3):>7}"
+        )
+    lines += [f"  {term:<12} {'(omitted)':>10}" for term in fit["omitted"]]
+    lines += [footer, ""]
 
-    if nf is not None:
-        if nf.w0 is None:
+    if "best_p" in doc:
+        lines.append(
+            f"target not reached up to weight {doc['max_weight']}: "
+            f"best p = {_fmt(doc['best_p'])}"
+        )
+    else:
+        if doc["w0"] is None:
             lines.append(
-                f"already significant at weight 1: p = {_fmt(nf.p_at_1)} "
-                f"<= {_fmt(nf.target_alpha)}"
+                f"already significant at weight 1: p = {_fmt(doc['p_at_1'])} "
+                f"<= {_fmt(doc['target_alpha'])}"
             )
         else:
             lines.append(
-                f"bracket: w0 = {nf.w0} (p = {_fmt(nf.p0)})   "
-                f"w1 = {nf.w1} (p = {_fmt(nf.p1)})"
+                f"bracket: w0 = {doc['w0']} (p = {_fmt(doc['p0'])})   "
+                f"w1 = {doc['w1']} (p = {_fmt(doc['p1'])})"
             )
         lines.append(
-            f"nf_integer = {nf.nf_integer}   w_int = {_fmt(nf.w_int)}   "
-            f"n_int = {_fmt(nf.n_int)}"
+            f"nf_integer = {doc['nf_integer']}   w_int = {_fmt(doc['w_int'])}   "
+            f"n_int = {_fmt(doc['n_int'])}"
         )
-    else:
-        lines.append(
-            f"target not reached up to weight {args.max_weight}: "
-            f"best p = {_fmt(report.best_p)}"
-        )
-    trace = "; ".join(f"w={w} p={_fmt(p)}" for w, p in report.trace)
+    trace = "; ".join(f"w={w} p={_fmt(p)}" for w, p in doc["trace"])
     lines.append(f"trace: {trace}")
-    if report.warnings:
-        lines.append("warnings: " + ", ".join(report.warnings))
+    if doc["warnings"]:
+        lines.append("warnings: " + ", ".join(doc["warnings"]))
     lines.append("")
     return lines
 
 
-def emit_report(report: Report, format: str = "text") -> str:
-    """Render a report as display text or as deterministic single-line JSON."""
+def _finite_or_null(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_finite_or_null(value) for value in obj]
+    return obj
+
+
+def emit_report(document: dict, format: str = "text") -> str:
+    """Render a report document as display text or as single-line JSON.
+
+    The document is what ``--format json`` prints: ``spec`` (the request),
+    ``fit`` (the weight-1 fit), ``target_alpha``, the NF outcome (``p_at_1``,
+    ``w0``, ``p0``, ``w1``, ``p1``, ``w_int``, ``n_int``, ``nf_integer``,
+    ``exact_hit``), ``trace`` and ``warnings``, plus ``best_p`` and
+    ``max_weight`` when the target is unreachable. JSON spells each float in
+    its shortest round-trip form and writes non-finite values as null; text
+    rounds for display and prints them as ``inf`` or ``nan``.
+    """
     if format == "json":
-        return _to_json(report_json_obj(report)) + "\n"
+        return json.dumps(_finite_or_null(document), ensure_ascii=False, allow_nan=False) + "\n"
     if format == "text":
-        return "\n".join(_text_lines(report))
+        return "\n".join(_text_lines(document))
     raise ValueError(f"unknown report format {format!r}")
 
 
@@ -377,12 +328,12 @@ def run(argv) -> int:
     """Execute a command line; returns the process exit code."""
     try:
         args = _parse(argv)
-        report = _run_spec(args)
+        document = _run_spec(args)
     except NfactorError as exc:
         print(f"nfactor: error: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(emit_report(report, args.format))
-    return 0 if report.nf is not None else 2
+    sys.stdout.write(emit_report(document, args.format))
+    return 2 if "best_p" in document else 0
 
 
 def main():  # pragma: no cover - thin wrapper

@@ -10,9 +10,11 @@ import pytest
 import nfactor
 from nfactor import cli, kernels
 from nfactor.cli import emit_report, run
+from nfactor.errors import UnreachableSignificance
 from nfactor.search import DEFAULT_MAX_WEIGHT
 
 from conftest import HEART_CSV, LINEAR_CSV
+from test_golden_reports import TESTS_DIR, bundled_requests
 
 COX_ARGS = [
     "--model", "cox-lr",
@@ -74,6 +76,134 @@ def test_text_report(capsys):
     assert "w_int = 4.7512" in out
     assert "n_int = 142.5353" in out
     assert "warnings" not in out  # nothing to report on the clean run
+
+
+# Report branches the bundled goldens never reach: (CSV, arguments, text report).
+# Each request reads case.csv from the working directory.
+BRANCH_CASES = {
+    "significant_at_1": (
+        "y\n2.1\n1.9\n2.4\n1.8\n2.2\n2.0\n",
+        ["--model", "linear-wald", "--response", "y"],
+        "non-significance factor report\n"
+        "model: linear-wald   data: case.csv   target alpha: 0.0500\n"
+        "\n"
+        "regression fit at weight 1: weighted n = 6, df = 5, root mse = 0.2160\n"
+        "  term              coef.  std. err.       t   P>|t|\n"
+        "  intercept        2.0667     0.0882   23.43   0.000\n"
+        "  tested coefficient: intercept\n"
+        "\n"
+        "already significant at weight 1: p = 0.0000 <= 0.0500\n"
+        "nf_integer = 1   w_int = 1.0000   n_int = 6.0000\n"
+        "trace: w=1 p=0.0000\n",
+    ),
+    "zero_residual": (
+        "y,x\n1,0\n3,1\n5,2\n7,3\n",
+        ["--model", "linear-wald", "--response", "y", "--covariates", "x",
+         "--wald-coefficient", "x"],
+        "non-significance factor report\n"
+        "model: linear-wald   data: case.csv   target alpha: 0.0500\n"
+        "\n"
+        "regression fit at weight 1: weighted n = 4, df = 2, root mse = 0.0000\n"
+        "  term              coef.  std. err.       t   P>|t|\n"
+        "  intercept        1.0000     0.0000     inf   0.000\n"
+        "  x                2.0000     0.0000     inf   0.000\n"
+        "  tested coefficient: x\n"
+        "\n"
+        "already significant at weight 1: p = 0.0000 <= 0.0500\n"
+        "nf_integer = 1   w_int = 1.0000   n_int = 4.0000\n"
+        "trace: w=1 p=0.0000\n"
+        "warnings: degenerate\n",
+    ),
+    "omitted_term": (
+        "y,x,x2\n0.3,1,2\n1.1,2,4\n0.4,3,6\n1.9,4,8\n0.8,5,10\n1.2,6,12\n",
+        ["--model", "linear-wald", "--response", "y", "--covariates", "x,x2",
+         "--wald-coefficient", "x"],
+        "non-significance factor report\n"
+        "model: linear-wald   data: case.csv   target alpha: 0.0500\n"
+        "\n"
+        "regression fit at weight 1: weighted n = 6, df = 4, root mse = 0.5838\n"
+        "  term              coef.  std. err.       t   P>|t|\n"
+        "  intercept        0.4400     0.5435    0.81   0.464\n"
+        "  x                0.1457     0.1396    1.04   0.355\n"
+        "  x2            (omitted)\n"
+        "  tested coefficient: x\n"
+        "\n"
+        "bracket: w0 = 3 (p = 0.0531)   w1 = 4 (p = 0.0228)\n"
+        "nf_integer = 4   w_int = 3.1030   n_int = 18.6181\n"
+        "trace: w=1 p=0.3554; w=2 p=0.1298; w=4 p=0.0228; w=3 p=0.0531\n",
+    ),
+    "ties": (
+        "id,t,e,x\n1,5,1,0.2\n2,5,1,1.4\n3,8,1,0.9\n4,9,0,0.1\n",
+        ["--model", "cox-lr", "--time", "t", "--event", "e", "--id", "id",
+         "--covariates", "x", "--alpha", "0.4"],
+        "non-significance factor report\n"
+        "model: cox-lr   data: case.csv   target alpha: 0.4000\n"
+        "\n"
+        "cox fit at weight 1: 4 subjects, 3 failures\n"
+        "  covariate    haz. ratio  std. err.       z   P>|z|\n"
+        "  x                2.6484     3.2486    0.79   0.427\n"
+        "  log likelihood -3.1298 (null -3.4657)   LR chi2(1) = 0.6719   p = 0.4124\n"
+        "\n"
+        "bracket: w0 = 1 (p = 0.4124)   w1 = 2 (p = 0.2463)\n"
+        "nf_integer = 2   w_int = 1.0745   n_int = 4.2981\n"
+        "trace: w=1 p=0.4124; w=2 p=0.2463\n"
+        "warnings: ties\n",
+    ),
+    "explicit_intervals": (
+        "id,start,stop,e,x\n1,0,4,1,0.2\n2,0,6,0,1.4\n3,0,3,1,0.9\n4,0,9,0,0.1\n"
+        "5,0,7,1,1.1\n6,0,5,0,0.6\n",
+        ["--model", "cox-lr", "--explicit-intervals", "start,stop", "--event", "e",
+         "--id", "id", "--covariates", "x"],
+        "non-significance factor report\n"
+        "model: cox-lr   data: case.csv   target alpha: 0.0500\n"
+        "\n"
+        "cox fit at weight 1: 6 subjects, 3 failures\n"
+        "  covariate    haz. ratio  std. err.       z   P>|z|\n"
+        "  x                1.3253     1.5637    0.24   0.811\n"
+        "  log likelihood -4.0657 (null -4.0943)   LR chi2(1) = 0.0572   p = 0.8109\n"
+        "\n"
+        "bracket: w0 = 67 (p = 0.0502)   w1 = 68 (p = 0.0485)\n"
+        "nf_integer = 68   w_int = 67.1312   n_int = 402.7872\n"
+        "trace: w=1 p=0.8109; w=2 p=0.7351; w=4 p=0.6323; w=8 p=0.4987; "
+        "w=16 p=0.3386; w=32 p=0.1760; w=64 p=0.0557; w=128 p=0.0068; w=96 p=0.0191; "
+        "w=80 p=0.0324; w=72 p=0.0424; w=68 p=0.0485; w=66 p=0.0520; w=67 p=0.0502\n",
+    ),
+}
+
+
+def run_branch_case(capsys, monkeypatch, tmp_path, name, fmt):
+    csv, args, _ = BRANCH_CASES[name]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "case.csv").write_text(csv)
+    code = run([*args, "--data", "case.csv", "--format", fmt])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", BRANCH_CASES)
+def test_text_report_branches(capsys, monkeypatch, tmp_path, name):
+    code, out = run_branch_case(capsys, monkeypatch, tmp_path, name, "text")
+    assert code == 0
+    assert out == BRANCH_CASES[name][2]
+
+
+def test_explicit_intervals_spec(capsys, monkeypatch, tmp_path):
+    code, out = run_branch_case(capsys, monkeypatch, tmp_path, "explicit_intervals", "json")
+    assert code == 0
+    assert json.loads(out)["spec"]["columns"] == {
+        "start": "start", "stop": "stop", "event": "e", "id": "id", "covariates": ["x"],
+    }
+
+
+def test_json_has_no_non_finite_tokens(capsys, monkeypatch, tmp_path):
+    # the zero-residual fit's t is inf; strict JSON has no token for it
+    def no_constants(token):
+        raise AssertionError(f"non-standard JSON token {token}")
+
+    code, out = run_branch_case(capsys, monkeypatch, tmp_path, "zero_residual", "json")
+    assert code == 0
+    doc = json.loads(out, parse_constant=no_constants)
+    assert [c["t"] for c in doc["fit"]["coefficients"]] == [None, None]
+    assert doc["warnings"] == ["degenerate"]
 
 
 def test_explicit_intervals_equivalent(capsys, heart_dataset, heart_frame, tmp_path):
@@ -228,13 +358,65 @@ def test_json_output_is_deterministic(capsys):
     assert first == second
 
 
-def test_json_round_trip_is_fixed_point(capsys):
-    from nfactor.cli import _to_json
+def record_outcomes(monkeypatch, module, name, outcomes):
+    original = getattr(module, name)
 
-    _, doc, text = run_json(capsys, COX_ARGS)
-    again = json.loads(_to_json(doc) + "\n")
-    assert again == doc
-    assert _to_json(again) + "\n" == text
+    def recorded(*args, **kwargs):
+        try:
+            outcomes.append(original(*args, **kwargs))
+        except UnreachableSignificance as exc:
+            outcomes.append(exc)
+            raise
+        return outcomes[-1]
+
+    monkeypatch.setattr(module, name, recorded)
+
+
+def bits(value):
+    return None if value is None else float(value).hex()
+
+
+# (report key, fit attribute) for each float a fit reports; coefficient
+# attributes are arrays indexed like the report's coefficient list.
+COX_FLOATS = (("loglik_null", "loglik_null"), ("loglik_full", "loglik_full"),
+              ("lr_stat", "lr_stat"), ("p_lr", "p_lr"))
+COX_COEFFICIENT_FLOATS = (("beta", "beta"), ("hazard_ratio", "hazard_ratios"),
+                          ("se_beta", "se_beta"), ("z", "z_stats"), ("p", "p_wald"))
+LINEAR_FLOATS = (("weighted_n", "weighted_n"), ("df_residual", "df_residual"),
+                 ("residual_ss", "residual_ss"), ("root_mse", "root_mse"))
+LINEAR_COEFFICIENT_FLOATS = (("coef", "coefficients"), ("se", "standard_errors"),
+                             ("t", "t_stats"), ("p", "p_values"))
+
+
+@pytest.mark.parametrize("argv", [a for a in bundled_requests() if a[-1] == "json"],
+                         ids=lambda a: a[a.index("--covariates") + 1] if "--covariates" in a
+                         else "linear")
+def test_json_report_is_exact_and_a_fixed_point(capsys, monkeypatch, argv):
+    # every float the JSON report prints parses back to the double the fit or
+    # the search computed, and re-encoding the parsed report reproduces it
+    monkeypatch.chdir(TESTS_DIR)
+    outcomes = []
+    for name in ("fit_cox", "fit_wls", "compute_nf"):
+        record_outcomes(monkeypatch, cli, name, outcomes)
+    code = run(argv)
+    text = capsys.readouterr().out
+    doc = json.loads(text)
+    fit, nf = outcomes
+    scalars, coefficients = ((COX_FLOATS, COX_COEFFICIENT_FLOATS) if "--time" in argv
+                             else (LINEAR_FLOATS, LINEAR_COEFFICIENT_FLOATS))
+    for key, attr in scalars:
+        assert bits(doc["fit"][key]) == bits(getattr(fit, attr)), key
+    for i, reported in enumerate(doc["fit"]["coefficients"]):
+        for key, attr in coefficients:
+            assert bits(reported[key]) == bits(getattr(fit, attr)[i]), (reported["name"], key)
+    if isinstance(nf, UnreachableSignificance):
+        assert code == 2 and bits(doc["best_p"]) == bits(nf.best_p)
+    else:
+        assert code == 0
+        for key in ("p_at_1", "p0", "p1", "w_int", "n_int"):
+            assert bits(doc[key]) == bits(getattr(nf, key)), key
+    assert [[w, bits(p)] for w, p in doc["trace"]] == [[w, bits(p)] for w, p in nf.trace]
+    assert emit_report(json.loads(text), "json") == text
 
 
 def test_json_escapes_control_characters_in_data_path(capsys, tmp_path):
