@@ -11,6 +11,7 @@ is still written, with the best p-value found).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -35,7 +36,10 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # Built on the first request and reused: parse_args returns a fresh
+    # Namespace each time, and _parse changes only that namespace.
     parser = _Parser(
         prog="nfactor",
         description=(
@@ -325,7 +329,11 @@ def emit_report(document: dict, format: str = "text") -> str:
 
 
 def run(argv) -> int:
-    """Execute a command line; returns the process exit code."""
+    """Execute a command line; returns the process exit code.
+
+    The argument parser is built on the first call and reused by every later
+    one in the process.
+    """
     try:
         args = _parse(argv)
         document = _run_spec(args)

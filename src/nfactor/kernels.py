@@ -17,7 +17,12 @@ whose log likelihood is ``-sum log |risk set|``. ``loglik`` is ``score``'s
 first output and nothing in the package calls it.
 
 Event records sharing a stop time share one risk set, so each distinct event
-time is visited once.
+time is visited once. The E event records are sorted by stop time once per
+call; the sort is stable, so each group of tied events is a contiguous slice
+in file order and its sums add the same terms in the same order as a mask
+over the event records would. At each of the T distinct event times the risk
+set is a scan of all n records, so a call costs O(E log E + T n), which is
+still quadratic on continuous event times.
 """
 
 from __future__ import annotations
@@ -26,8 +31,6 @@ import math
 
 import numpy as np
 
-from .data import distinct
-
 
 def score(start, stop, event, x, beta):
     p = x.shape[1]
@@ -35,21 +38,28 @@ def score(start, stop, event, x, beta):
     ll = 0.0
     grad = np.zeros(p)
     hess = np.zeros((p, p))
-    ev_stop = stop[event]
-    ev_eta = eta[event]
-    ev_x = x[event]
-    for t in distinct(ev_stop):
-        at_t = ev_stop == t
-        d = int(at_t.sum())
+    events = np.flatnonzero(event)
+    # stable: tied events keep file order, so each group sums as a mask would
+    events = events[np.argsort(stop[events], kind="stable")]
+    ev_stop = stop[events]
+    ev_eta = eta[events]
+    ev_x = x[events]
+    new_time = np.ones(len(events), dtype=bool)
+    new_time[1:] = ev_stop[1:] != ev_stop[:-1]
+    bounds = [*np.flatnonzero(new_time).tolist(), len(events)]
+    for a, b in zip(bounds, bounds[1:]):
+        t = ev_stop[a]
+        d = b - a
         risk = (start < t) & (t <= stop)
-        m = eta[risk].max()
-        rel = np.exp(eta[risk] - m)
+        eta_r = eta[risk]
+        m = eta_r.max()
+        rel = np.exp(eta_r - m)
         s0 = rel.sum()
         xr = x[risk]
         xbar = (rel @ xr) / s0
         centered = xr - xbar
-        ll += ev_eta[at_t].sum() - d * (math.log(s0) + m)
-        grad += ev_x[at_t].sum(axis=0) - d * xbar
+        ll += ev_eta[a:b].sum() - d * (math.log(s0) + m)
+        grad += ev_x[a:b].sum(axis=0) - d * xbar
         hess += (d / s0) * ((rel[:, None] * centered).T @ centered)
     return ll, grad, hess
 

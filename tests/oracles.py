@@ -12,6 +12,9 @@ oracle take a frequency weight; the package's fits do not, so these are the
 weighted reference where replicating the data would be too large. The
 survival-frame constructors are checked against loops that chain each
 subject's records one record at a time through a dict keyed by subject id.
+``score_per_event_time`` is the earlier Cox kernel, kept verbatim: it finds
+each distinct event time's records with a mask over all event records, and
+the package's kernel must equal it bit for bit.
 """
 
 import math
@@ -20,6 +23,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.stats import t as student_t
 
+from nfactor.data import distinct
 from nfactor.errors import InvalidEventFlag, NonIncreasingTime
 
 
@@ -184,6 +188,31 @@ def _score_loops(start, stop, event, x, beta, w):
     for a in range(p):
         for b in range(a):
             hess[b, a] = hess[a, b]
+    return ll, grad, hess
+
+
+def score_per_event_time(start, stop, event, x, beta):
+    p = x.shape[1]
+    eta = x @ beta
+    ll = 0.0
+    grad = np.zeros(p)
+    hess = np.zeros((p, p))
+    ev_stop = stop[event]
+    ev_eta = eta[event]
+    ev_x = x[event]
+    for t in distinct(ev_stop):
+        at_t = ev_stop == t
+        d = int(at_t.sum())
+        risk = (start < t) & (t <= stop)
+        m = eta[risk].max()
+        rel = np.exp(eta[risk] - m)
+        s0 = rel.sum()
+        xr = x[risk]
+        xbar = (rel @ xr) / s0
+        centered = xr - xbar
+        ll += ev_eta[at_t].sum() - d * (math.log(s0) + m)
+        grad += ev_x[at_t].sum(axis=0) - d * xbar
+        hess += (d / s0) * ((rel[:, None] * centered).T @ centered)
     return ll, grad, hess
 
 

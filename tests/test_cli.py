@@ -13,8 +13,9 @@ from nfactor.cli import emit_report, run
 from nfactor.errors import UnreachableSignificance
 from nfactor.search import DEFAULT_MAX_WEIGHT
 
-from conftest import HEART_CSV, LINEAR_CSV
-from test_golden_reports import TESTS_DIR, bundled_requests
+from conftest import COVARIATES, HEART_CSV, LINEAR_CSV
+from test_golden_reports import (GOLDENS, TESTS_DIR, assert_matches_golden,
+                                 bundled_requests, run_request)
 
 COX_ARGS = [
     "--model", "cox-lr",
@@ -526,3 +527,34 @@ def test_requests_do_not_import_numpy_ma():
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.splitlines()[-1] == "[0, 0] False False"
+
+
+def test_the_reused_parser_carries_nothing_between_requests(capsys, monkeypatch):
+    assert run([*COX_ARGS, "--alpha", "2"]) == 1
+    assert "target significance must lie in (0,1)" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as help_exit:
+        run(["--help"])
+    assert help_exit.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: nfactor")
+    code, doc, _ = run_json(capsys, COX_ARGS)
+    assert code == 0 and doc["spec"]["columns"]["covariates"] == COVARIATES
+    code, doc, _ = run_json(capsys, LINEAR_ARGS)
+    assert code == 0 and doc["spec"]["columns"]["covariates"] == []
+    monkeypatch.chdir(TESTS_DIR)
+    for golden in reversed(GOLDENS):
+        assert_matches_golden(run_request(golden["argv"]), golden)
+
+
+def test_the_parser_is_built_on_the_first_request_only():
+    script = (
+        "from nfactor import cli\n"
+        "built = [cli._build_parser.cache_info().misses]\n"
+        f"for argv in ({COX_ARGS!r}, {LINEAR_ARGS!r}):\n"
+        "    cli.run([*argv, '--format', 'json'])\n"
+        "    built.append(cli._build_parser.cache_info().misses)\n"
+        "print(built)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(nfactor.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "[0, 1, 1]"

@@ -77,10 +77,7 @@ def request_id(golden) -> str:
     return f"{Path(argv[3]).stem}:{covariates}:{argv[-1]}"
 
 
-@pytest.mark.parametrize("golden", GOLDENS, ids=request_id)
-def test_bundled_report_matches_golden(golden, monkeypatch):
-    monkeypatch.chdir(TESTS_DIR)
-    got = run_request(golden["argv"])
+def assert_matches_golden(got, golden):
     assert got["exit"] == golden["exit"]
     assert got["stderr"] == golden["stderr"]
     if golden["argv"][-1] == "json":
@@ -88,6 +85,12 @@ def test_bundled_report_matches_golden(golden, monkeypatch):
         assert_json_close(json.loads(got["stdout"]), json.loads(golden["stdout"]))
     else:
         assert got["stdout"] == golden["stdout"]
+
+
+@pytest.mark.parametrize("golden", GOLDENS, ids=request_id)
+def test_bundled_report_matches_golden(golden, monkeypatch):
+    monkeypatch.chdir(TESTS_DIR)
+    assert_matches_golden(run_request(golden["argv"]), golden)
 
 
 if __name__ == "__main__":

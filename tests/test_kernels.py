@@ -3,7 +3,7 @@ import pytest
 
 from nfactor import kernels, replicate_frame
 
-from oracles import _loglik_loops, _score_loops
+from oracles import _loglik_loops, _score_loops, score_per_event_time
 
 
 def kernel_args(frame):
@@ -41,3 +41,59 @@ def test_large_coefficients_do_not_overflow(heart_frame):
     # year ~ 68, so eta ~ 2700; the risk-set max shift must absorb it
     beta = np.array([0.0, 0.0, 0.0, 40.0])
     assert np.isfinite(kernels.loglik(*kernel_args(heart_frame), beta))
+
+
+def seeded_records(seed, n, p, scales=None, tied=True, event_share=0.5):
+    """start, stop, event and x of n seeded records; about half start late.
+
+    Tied stops are integer days from 1 to 11; otherwise they are continuous.
+    Column j of x is standard normal times ``scales[j]`` (1 by default).
+    """
+    rng = np.random.default_rng(seed)
+    stop = rng.integers(1, 12, n).astype(float) if tied else rng.uniform(1.0, 100.0, n)
+    start = np.where(rng.random(n) < 0.5, np.floor(stop * rng.random(n)), 0.0)
+    event = rng.random(n) < event_share
+    x = rng.standard_normal((n, p)) * (np.ones(p) if scales is None else np.asarray(scales))
+    return start, stop, event, x
+
+
+SCALES = [1e-3, 1e-1, 1e1, 1e3]
+
+
+def bit_identity_cases(heart_frame):
+    """(name, start, stop, event, x, beta) for the exact comparison with the oracle."""
+    rng = np.random.default_rng(11)
+    heart = kernel_args(heart_frame)
+    yield "heart", *heart, 0.1 * rng.standard_normal(4)
+    yield "heart, year = 40", *heart, np.array([0.0, 0.0, 0.0, 40.0])
+    replicated = replicate_frame(heart_frame, 12)
+    _, tied = np.unique(replicated.stop[replicated.event], return_counts=True)
+    # numpy's pairwise sum unrolls by 8 terms: a larger tied group checks that
+    # the kernel still adds a group's terms in file order
+    assert tied.max() > 8
+    yield "heart x12", *kernel_args(replicated), 0.1 * rng.standard_normal(4)
+    for seed in range(20):
+        yield f"tied, truncated {seed}", *seeded_records(seed, 60, 3), rng.standard_normal(3)
+        yield f"continuous, truncated {seed}", *seeded_records(seed, 60, 2, tied=False), \
+            rng.standard_normal(2)
+        yield f"scales 1e-3..1e3 {seed}", *seeded_records(seed, 80, 4, scales=SCALES), \
+            rng.standard_normal(4) / np.array(SCALES)
+    yield "p = 0", *seeded_records(1, 40, 0), np.zeros(0)
+    yield "no events", *seeded_records(2, 30, 3, event_share=0.0), rng.standard_normal(3)
+
+
+def test_score_equals_per_event_time_oracle_bit_for_bit(heart_frame):
+    for name, start, stop, event, x, beta in bit_identity_cases(heart_frame):
+        ll_o, g_o, h_o = score_per_event_time(start, stop, event, x, beta)
+        ll, g, h = kernels.score(start, stop, event, x, beta)
+        assert ll == ll_o, name
+        assert np.array_equal(g, g_o), name
+        assert np.array_equal(h, h_o), name
+
+
+def test_no_event_records_score_zero():
+    start, stop, event, x = seeded_records(3, 25, 2, event_share=0.0)
+    assert not event.any()
+    ll, g, h = kernels.score(start, stop, event, x, np.array([0.5, -0.2]))
+    assert ll == 0.0 and type(ll) is float
+    assert np.array_equal(g, np.zeros(2)) and np.array_equal(h, np.zeros((2, 2)))

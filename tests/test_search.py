@@ -1,10 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from nfactor import INTERCEPT, compute_nf, fit_cox, fit_wls, interpolate
 from nfactor.errors import DegenerateBracket, EvaluationFailed, UnreachableSignificance
+
+from test_golden_reports import TESTS_DIR, bundled_requests, run_request
 
 
 def geometric_curve(p1, ratio):
@@ -206,3 +210,27 @@ def test_linear_end_to_end(wald_dataset):
     assert result.p1 == pytest.approx(0.050, abs=5e-4)
     assert not result.exact_hit
     assert 16 < result.w_int < 17
+
+
+STAN30_JSON = [a for a in bundled_requests() if "cox-lr" in a and a[-1] == "json"]
+
+
+@pytest.mark.parametrize("argv", STAN30_JSON, ids=lambda a: a[a.index("--covariates") + 1])
+def test_nf_is_the_exact_crossing(monkeypatch, argv):
+    # p(W) = chi2.sf(W * LR, df) falls to alpha exactly at w* = chi2.isf(alpha, df) / LR,
+    # so the NF is ceil(w*) and the bracket holds w*. The reported w* of every
+    # stan30 subset lies at least 0.11 from an integer.
+    monkeypatch.chdir(TESTS_DIR)
+    got = run_request(argv)
+    doc = json.loads(got["stdout"])
+    lr_stat, lr_df = doc["fit"]["lr_stat"], doc["fit"]["lr_df"]
+    if argv[argv.index("--covariates") + 1] == "surgery":
+        # the all-zero column is omitted, and w* = inf: no weight moves a
+        # zero statistic, so the search gives up at the cap
+        assert (lr_df, lr_stat) == (0, 0.0)
+        assert got["exit"] == 2 and doc["nf_integer"] is None and doc["best_p"] == 1.0
+        return
+    w_star = chi2.isf(doc["target_alpha"], lr_df) / lr_stat
+    assert got["exit"] == 0
+    assert doc["nf_integer"] == math.ceil(w_star)
+    assert doc["w0"] < w_star <= doc["w1"]
