@@ -121,23 +121,13 @@ def _run_spec(args: argparse.Namespace) -> dict:
                     data, args.time, args.event, args.id_col, args.covariates,
                 )
             fit = fit_cox(frame)
-            p_of_weight = fit.p_lr_at
         else:
             data = load_csv(args.data, [args.response, *args.covariates])
-            fit = fit_wls(data, args.response, args.covariates)
-            if args.wald_coefficient in fit.omitted:
-                raise CliError(
-                    f"coefficient {args.wald_coefficient!r} was omitted as collinear"
-                )
-            if args.wald_coefficient not in fit.term_names:
-                raise CliError(f"no coefficient named {args.wald_coefficient!r}")
-
-            def p_of_weight(w: int) -> float:
-                return fit.p_value_at(args.wald_coefficient, w)
+            fit = fit_wls(data, args.response, args.covariates, args.wald_coefficient)
 
         unreachable = {}
         try:
-            nf = compute_nf(p_of_weight, data.n_rows, args.alpha, args.max_weight)
+            nf = compute_nf(fit.p_at, data.n_rows, args.alpha, args.max_weight)
             outcome, trace = {key: getattr(nf, key) for key in _NF_KEYS}, nf.trace
         except UnreachableSignificance as exc:
             outcome, trace = dict.fromkeys(_NF_KEYS) | {"p_at_1": exc.trace[0][1]}, exc.trace

@@ -23,7 +23,7 @@ log likelihood, and it has converged at beta = () after 0 iterations.
 A uniform frequency weight only rescales the likelihood:
 ``ll_w(beta) = w * ll_1(beta) - w * d * log(w)``. So the estimate does not
 depend on w and ``LR_w = w * LR_1``; the fit is made once, unweighted, and
-``CoxFit.p_lr_at`` answers the likelihood-ratio p-value at any weight.
+``CoxFit.p_at`` answers the likelihood-ratio p-value at any weight.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class CoxFit:
     per-coefficient arrays align with it. ``n_subjects`` and ``n_failures``
     count the frame's subjects and event records (as floats). The
     likelihood-ratio test compares the fitted model against the null model
-    over the same kept covariates; ``p_lr_at`` scales it to any weight.
+    over the same kept covariates; ``p_at`` scales it to any weight.
     """
 
     covariate_names: tuple[str, ...]
@@ -79,7 +79,7 @@ class CoxFit:
     n_failures: float
     iterations: int
 
-    def p_lr_at(self, weight) -> float:
+    def p_at(self, weight) -> float:
         """Likelihood-ratio p-value with every record's weight multiplied by ``weight``.
 
         The statistic scales linearly with a uniform weight, so this is
@@ -144,7 +144,7 @@ def fit_cox(frame: SurvivalFrame) -> CoxFit:
     from estimation and reported in ``omitted``. Newton-Raphson runs with
     step-halving from beta = 0, where the null log likelihood falls out of
     the first iteration. The fit at frequency weight w is the fit of
-    ``replicate_frame(frame, w)``; ``CoxFit.p_lr_at`` gives its p-value.
+    ``replicate_frame(frame, w)``; ``CoxFit.p_at`` gives its p-value.
     """
     if frame.n_events == 0:
         raise NoEvents("survival frame has no event records")

@@ -119,6 +119,18 @@ class InsufficientObservations(NfactorError):
         )
 
 
+class UntestableCoefficient(NfactorError):
+    """The tested coefficient is not a model term, or was omitted as collinear."""
+
+    def __init__(self, name, omitted):
+        super().__init__(
+            f"coefficient {name!r} was omitted as collinear"
+            if omitted
+            else f"no coefficient named {name!r}"
+        )
+        self.name = name
+
+
 # ---- NF search -------------------------------------------------------------
 
 

@@ -4,8 +4,8 @@ A uniform frequency weight w multiplies the residual sum of squares and
 inflates the residual degrees of freedom to w*n - k, exactly as if every
 row appeared w times; the coefficients themselves do not depend on w.
 So ``t_w = t_1 * sqrt((w*n - k) / (n - k))``: the fit is made once,
-unweighted, and ``LinearFit.p_value_at`` answers a coefficient's p-value at
-any weight.
+unweighted, and ``LinearFit.p_at`` answers the tested coefficient's p-value
+at any weight.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, check_distinct_terms, check_weight
-from .errors import DegenerateTestWarning, InsufficientObservations
+from .errors import DegenerateTestWarning, InsufficientObservations, UntestableCoefficient
 from .numerics import inverse_spd, pivoted_rank_factor, solve_spd, student_t_two_sided
 
 INTERCEPT = "intercept"
@@ -30,7 +30,8 @@ class LinearFit:
     ``term_names`` lists the estimated terms (intercept first) and aligns
     with the per-coefficient arrays; collinear covariates appear in
     ``omitted`` instead. ``weighted_n`` (the row count) and ``df_residual``
-    are floats; ``p_value_at`` scales the test to any weight.
+    are floats; ``p_at`` scales the Wald test of the term named ``tested``
+    to any weight.
     """
 
     term_names: tuple[str, ...]
@@ -43,9 +44,10 @@ class LinearFit:
     residual_ss: float
     root_mse: float
     weighted_n: float
+    tested: str
 
-    def p_value_at(self, term: str, weight) -> float:
-        """Wald p-value of ``term`` with every row's weight multiplied by ``weight``.
+    def p_at(self, weight) -> float:
+        """Wald p-value of ``tested`` with every row's weight multiplied by ``weight``.
 
         The residual degrees of freedom grow from ``df_residual`` to
         ``weight * weighted_n - k`` and the t-statistic by the square root
@@ -54,7 +56,7 @@ class LinearFit:
         its weight-1 p-value: its t is +-inf or 0 at every weight.
         """
         w = check_weight(weight)
-        j = self.term_names.index(term)
+        j = self.term_names.index(self.tested)
         df = w * self.weighted_n - len(self.term_names)
         t = self.t_stats[j] * math.sqrt(df / self.df_residual)
         return student_t_two_sided(t, df)
@@ -64,6 +66,7 @@ def fit_wls(
     d: Dataset,
     response: str,
     covariates: list[str] | tuple[str, ...] = (),
+    tested: str = INTERCEPT,
 ) -> LinearFit:
     """Fit ``response ~ intercept + covariates`` by ordinary least squares.
 
@@ -72,9 +75,10 @@ def fit_wls(
     zero residual variance yields zero standard errors and degenerate
     p-values (0 for a nonzero coefficient, 1 for a zero one, where a
     coefficient whose term adds only round-off to the fit counts as zero)
-    together with a DegenerateTestWarning. The fit at frequency weight w is
-    the fit of ``replicate(d, w)``; ``LinearFit.p_value_at`` gives its
-    p-values.
+    together with a DegenerateTestWarning. ``tested`` names the coefficient
+    whose p-value ``LinearFit.p_at`` gives at any weight w, as in a fit of
+    ``replicate(d, w)``; UntestableCoefficient says when it is omitted as
+    collinear or is not a term at all.
     """
     y = d.column(response)
     n = d.n_rows
@@ -91,6 +95,8 @@ def fit_wls(
     k = len(kept)
     if n <= k:
         raise InsufficientObservations(n, k)
+    if tested not in term_names:
+        raise UntestableCoefficient(tested, omitted=tested in omitted)
 
     gram = x.T @ x
     coef = solve_spd(gram, x.T @ y)
@@ -130,4 +136,5 @@ def fit_wls(
         residual_ss=rss,
         root_mse=math.sqrt(mse),
         weighted_n=float(n),
+        tested=tested,
     )

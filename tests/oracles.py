@@ -28,14 +28,30 @@ from nfactor.errors import InvalidEventFlag, NonIncreasingTime
 
 
 def chi2_sf_quadrature(x: float, df: int) -> float:
-    """Upper chi-square tail by adaptive quadrature of the density."""
+    """Upper chi-square tail by adaptive quadrature of the density.
+
+    Both branches keep the relative error near 1e-13 down to tails of
+    1e-300. Up to one past the mode the tail is at least ~0.4, and it is one
+    minus the integral over [0, x], where quadrature copes with the df = 1
+    pole at 0. Beyond, the density at x is factored out of the integral, so
+    the integrand ``(1 + s/x)^(df/2 - 1) e^(-s/2)`` is of order one however
+    small the tail.
+    """
+    half = df / 2.0 - 1.0
     log_norm = -(df / 2.0) * math.log(2.0) - math.lgamma(df / 2.0)
+    if x <= max(df - 2.0, 0.0) + 1.0:
 
-    def density(u):
-        return math.exp(log_norm + (df / 2.0 - 1.0) * math.log(u) - u / 2.0)
+        def density(u):
+            return math.exp(log_norm + half * math.log(u) - u / 2.0)
 
-    value, _ = quad(density, x, np.inf, limit=400, epsabs=1e-14, epsrel=1e-13)
-    return value
+        value, _ = quad(density, 0.0, x, limit=400, epsabs=0.0, epsrel=1e-13)
+        return 1.0 - value
+
+    def shape(s):
+        return math.exp(half * math.log1p(s / x) - s / 2.0)
+
+    value, _ = quad(shape, 0.0, np.inf, limit=400, epsabs=0.0, epsrel=1e-13)
+    return math.exp(log_norm + half * math.log(x) - x / 2.0) * value
 
 
 def student_t_two_sided_quadrature(t: float, df: float) -> float:

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from nfactor import (
-    INTERCEPT,
     chi2_sf,
     compute_nf,
     fit_cox,
@@ -73,14 +72,14 @@ def test_criterion_2(replicated_heart_fit, heart_fit):
     for fit in (fit4, fit5):
         np.testing.assert_allclose(fit.hazard_ratios, heart_fit.hazard_ratios, rtol=1e-6)
     assert 4 * heart_fit.lr_stat == pytest.approx(6.69, abs=0.01)
-    assert heart_fit.p_lr_at(4) == pytest.approx(0.0826, abs=5e-4)
+    assert heart_fit.p_at(4) == pytest.approx(0.0826, abs=5e-4)
     assert 5 * heart_fit.lr_stat == pytest.approx(8.36, abs=0.01)
-    assert heart_fit.p_lr_at(5) == pytest.approx(0.0392, abs=5e-4)
+    assert heart_fit.p_at(5) == pytest.approx(0.0392, abs=5e-4)
 
 
 @criterion(3, "NF end-to-end for the Cox test at alpha 0.05")
 def test_criterion_3(replicated_heart_fit, heart_fit):
-    for p_of_weight in (lambda w: replicated_heart_fit(w).p_lr, heart_fit.p_lr_at):
+    for p_of_weight in (lambda w: replicated_heart_fit(w).p_lr, heart_fit.p_at):
         result = compute_nf(p_of_weight, 30, 0.05)
         assert (result.w0, result.w1) == (4, 5)
         assert result.w_int == pytest.approx(4.751, abs=1e-3)
@@ -95,12 +94,12 @@ def test_criterion_4(wald_dataset):
     for w, p in ((16, 0.057), (17, 0.050), (18, 0.044)):
         fit = fit_wls(replicate(wald_dataset, w), "y", ())
         assert fit.p_values[0] == pytest.approx(p, abs=5e-4)
-        assert fit1.p_value_at(INTERCEPT, w) == pytest.approx(p, abs=5e-4)
+        assert fit1.p_at(w) == pytest.approx(p, abs=5e-4)
     # the replicated fits bracket alpha between 16 and 17 copies
     p16 = fit_wls(replicate(wald_dataset, 16), "y", ()).p_values[0]
     p17 = fit_wls(replicate(wald_dataset, 17), "y", ()).p_values[0]
     assert p16 > 0.05 >= p17
-    result = compute_nf(lambda w: fit1.p_value_at(INTERCEPT, w), 30, 0.05)
+    result = compute_nf(fit1.p_at, 30, 0.05)
     assert result.nf_integer == 17
     assert result.nf_integer * 30 == 510
 
@@ -118,7 +117,7 @@ def test_criterion_5(heart_frame, heart_fit, replicated_heart_fit):
         np.testing.assert_allclose(
             fit.se_beta * math.sqrt(w), heart_fit.se_beta, rtol=1e-8
         )
-        assert heart_fit.p_lr_at(w) == pytest.approx(fit.p_lr, rel=1e-9)
+        assert heart_fit.p_at(w) == pytest.approx(fit.p_lr, rel=1e-9)
 
 
 @criterion(6, "physical replication matches weighted fits for both models")
@@ -132,7 +131,7 @@ def test_criterion_6(heart_frame, heart_fit, wald_dataset):
         identity = w * heart_fit.loglik_full - 20 * w * math.log(w)
         assert replicated.loglik_full == pytest.approx(identity, rel=1e-8)
         assert replicated.lr_stat == pytest.approx(w * heart_fit.lr_stat, rel=1e-8)
-        assert replicated.p_lr == pytest.approx(heart_fit.p_lr_at(w), rel=1e-8)
+        assert replicated.p_lr == pytest.approx(heart_fit.p_at(w), rel=1e-8)
 
         lin_r = fit_wls(replicate(wald_dataset, w), "y", ())
         shrink = math.sqrt(lin_1.df_residual / (w * 30 - 1))
@@ -140,7 +139,7 @@ def test_criterion_6(heart_frame, heart_fit, wald_dataset):
         assert lin_r.residual_ss == pytest.approx(w * lin_1.residual_ss, rel=1e-8)
         np.testing.assert_allclose(lin_r.standard_errors, lin_1.standard_errors * shrink,
                                    rtol=1e-8)
-        assert lin_r.p_values[0] == pytest.approx(lin_1.p_value_at(INTERCEPT, w), rel=1e-8)
+        assert lin_r.p_values[0] == pytest.approx(lin_1.p_at(w), rel=1e-8)
 
 
 @criterion(7, "analytic derivatives match finite differences")

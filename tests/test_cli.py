@@ -231,6 +231,33 @@ def test_explicit_intervals_equivalent(capsys, heart_dataset, heart_frame, tmp_p
     assert doc["fit"]["loglik_full"] == ref_doc["fit"]["loglik_full"]
 
 
+def test_the_answer_does_not_depend_on_the_units_of_a_covariate(capsys, heart_dataset,
+                                                                 tmp_path):
+    # age in units of 128 years and year in units of 2**-20 years: both
+    # scalings are exact in binary, so the data are the same data. A pivot
+    # rule relative to the largest diagonal entry of the information matrix
+    # refused this fit.
+    scale = {"age": 2.0**-7, "year": 2.0**20}
+    path = tmp_path / "rescaled.csv"
+    columns = [heart_dataset.column(c) * scale.get(c, 1.0) for c in heart_dataset.columns]
+    with open(path, "w") as fh:
+        fh.write(",".join(heart_dataset.columns) + "\n")
+        for i in range(heart_dataset.n_rows):
+            fh.write(",".join(repr(float(col[i])) for col in columns) + "\n")
+    args = [*COX_ARGS]
+    args[args.index("--data") + 1] = str(path)
+    code, doc, _ = run_json(capsys, args)
+    ref_code, ref, _ = run_json(capsys, COX_ARGS)
+    assert code == ref_code == 0
+    assert (doc["nf_integer"], doc["w0"], doc["w1"]) == (ref["nf_integer"], ref["w0"], ref["w1"])
+    assert (ref["nf_integer"], ref["w0"], ref["w1"]) == (5, 4, 5)
+    for key in ("p0", "p1", "w_int", "n_int"):
+        assert doc[key] == pytest.approx(ref[key], rel=1e-12, abs=0), key
+    for key in ("lr_stat", "p_lr"):
+        assert doc["fit"][key] == pytest.approx(ref["fit"][key], rel=1e-12, abs=0), key
+    assert f"{doc['w_int']:.4f} {doc['n_int']:.4f}" == "4.7512 142.5353"
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_byte_order_mark_gives_the_same_report(capsys, tmp_path, fmt):
     # spreadsheets export UTF-8 CSVs with a leading byte-order mark
@@ -341,6 +368,18 @@ def test_unknown_wald_coefficient(capsys):
     code = run([*LINEAR_ARGS, "--wald-coefficient", "slope"])
     assert code == 1
     assert "slope" in capsys.readouterr().err
+
+
+def test_an_untestable_wald_coefficient_is_one_error_line(capsys, tmp_path):
+    path = tmp_path / "collinear.csv"
+    path.write_text("y,x,twice_x\n" + "".join(f"{(i * 7) % 5},{i},{2 * i}\n" for i in range(12)))
+    for name, message in [("twice_x", "coefficient 'twice_x' was omitted as collinear"),
+                          ("slope", "no coefficient named 'slope'")]:
+        assert run(["--model", "linear-wald", "--data", str(path), "--response", "y",
+                    "--covariates", "x,twice_x", "--wald-coefficient", name]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"nfactor: error: {message}\n"
+        assert captured.out == ""
 
 
 def test_bad_explicit_intervals_value(capsys):

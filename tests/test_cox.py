@@ -111,7 +111,7 @@ def test_golden_weight_4(replicated_heart_fit, heart_fit):
     assert fit.n_failures == 80
     np.testing.assert_allclose(fit.hazard_ratios, heart_fit.hazard_ratios, rtol=1e-6)
     assert 4 * heart_fit.lr_stat == pytest.approx(6.69, abs=0.01)
-    assert heart_fit.p_lr_at(4) == pytest.approx(0.0826, abs=5e-4)
+    assert heart_fit.p_at(4) == pytest.approx(0.0826, abs=5e-4)
 
 
 def test_golden_weight_5(replicated_heart_fit, heart_fit):
@@ -122,7 +122,7 @@ def test_golden_weight_5(replicated_heart_fit, heart_fit):
     assert fit.hazard_ratios[i] * fit.se_beta[i] == pytest.approx(0.0120593, abs=1e-6)
     np.testing.assert_allclose(fit.hazard_ratios, heart_fit.hazard_ratios, rtol=1e-6)
     assert 5 * heart_fit.lr_stat == pytest.approx(8.36, abs=0.01)
-    assert heart_fit.p_lr_at(5) == pytest.approx(0.0392, abs=5e-4)
+    assert heart_fit.p_at(5) == pytest.approx(0.0392, abs=5e-4)
     se_5 = heart_fit.se_beta[i] / math.sqrt(5)
     assert heart_fit.hazard_ratios[i] * se_5 == pytest.approx(0.0120593, abs=1e-6)
 
@@ -164,11 +164,11 @@ def test_weight_identity_fit(replicated_heart_fit, heart_fit, w):
     np.testing.assert_allclose(fit.beta, heart_fit.beta, rtol=1e-9, atol=1e-12)
     assert fit.lr_stat == pytest.approx(w * heart_fit.lr_stat, rel=1e-9)
     np.testing.assert_allclose(fit.se_beta * math.sqrt(w), heart_fit.se_beta, rtol=1e-8)
-    assert heart_fit.p_lr_at(w) == pytest.approx(fit.p_lr, rel=1e-9)
+    assert heart_fit.p_at(w) == pytest.approx(fit.p_lr, rel=1e-9)
 
 
 def test_p_lr_strictly_decreasing_in_weight(heart_fit):
-    values = [heart_fit.p_lr_at(w) for w in (1, 2, 3, 5, 8)]
+    values = [heart_fit.p_at(w) for w in (1, 2, 3, 5, 8)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -194,7 +194,7 @@ def oracle_sweep(heart_dataset):
     Each entry holds the weighted log likelihood, gradient and negated
     Hessian at the weight-1 estimate, and the log likelihood at 0, all over
     the kept covariates. Nothing is refitted at w: Newton runs once, at
-    weight 1, and the profile p_lr_at answers every other weight.
+    weight 1, and the profile p_at answers every other weight.
     """
     sweeps = {}
 
@@ -222,14 +222,14 @@ def oracle_sweep(heart_dataset):
 def test_every_subset_converges_at_every_weight(oracle_sweep, subset):
     # Frequency weights rescale the partial likelihood, so beta-hat does not
     # move with w and the LR statistic is exactly w times its weight-1 value.
-    # So the closed-form profile p_lr_at(w) is the p-value of the fit at w.
+    # So the closed-form profile p_at(w) is the p-value of the fit at w.
     base, _, at_w = oracle_sweep(subset)
-    assert base.p_lr_at(1) == base.p_lr
+    assert base.p_at(1) == base.p_lr
     for w, (ll_hat, _, _, ll_zero) in at_w.items():
         lr = 2.0 * (ll_hat - ll_zero)
         assert lr == pytest.approx(w * base.lr_stat, rel=1e-9, abs=0), w
         expected = chi2_sf(max(lr, 0.0), base.lr_df) if base.lr_df else 1.0
-        assert base.p_lr_at(w) == pytest.approx(expected, rel=1e-9, abs=0), w
+        assert base.p_at(w) == pytest.approx(expected, rel=1e-9, abs=0), w
 
 
 @pytest.mark.parametrize("subset", SUBSETS, ids=",".join)
@@ -349,7 +349,7 @@ def test_replication_oracle(heart_frame, heart_fit, w):
     assert replicated.loglik_full == pytest.approx(w * heart_fit.loglik_full - shift, rel=1e-8)
     assert replicated.loglik_null == pytest.approx(w * heart_fit.loglik_null - shift, rel=1e-8)
     assert replicated.lr_stat == pytest.approx(w * heart_fit.lr_stat, rel=1e-8)
-    assert replicated.p_lr == pytest.approx(heart_fit.p_lr_at(w), rel=1e-8)
+    assert replicated.p_lr == pytest.approx(heart_fit.p_at(w), rel=1e-8)
     assert replicated.n_subjects == w * heart_fit.n_subjects
 
 
@@ -440,7 +440,7 @@ def test_all_zero_covariate_gives_degenerate_test():
     no_covariates = dataclasses.replace(frame, covariates=np.empty((3, 0)), covariate_names=())
     assert loglik(replicate_frame(no_covariates, 4), []) == fit4.loglik_null
     for w in (1, 4, 10**12):
-        assert fit.p_lr_at(w) == 1.0
+        assert fit.p_at(w) == 1.0
 
 
 def test_no_events_raises():
@@ -468,4 +468,4 @@ def test_perfectly_separating_covariate_raises_monotone():
 @pytest.mark.parametrize("weight", [0, -3, 2.0, 1.5, 2**53 + 1])
 def test_profile_rejects_bad_weight(heart_fit, weight):
     with pytest.raises(InvalidWeight):
-        heart_fit.p_lr_at(weight)
+        heart_fit.p_at(weight)

@@ -9,6 +9,8 @@ from nfactor.errors import (
     DuplicateTerm,
     InsufficientObservations,
     InvalidWeight,
+    NfactorError,
+    UntestableCoefficient,
 )
 from nfactor.search import DEFAULT_MAX_WEIGHT
 
@@ -29,7 +31,7 @@ GOLDEN = {
 def test_golden_tables(wald_dataset, w):
     se, t, p, df, root_mse = GOLDEN[w]
     base = fit_wls(wald_dataset, "y", ())
-    assert base.p_value_at(INTERCEPT, w) == pytest.approx(p, abs=5e-4)
+    assert base.p_at(w) == pytest.approx(p, abs=5e-4)
     profile_t = base.t_stats[0] * math.sqrt((w * base.weighted_n - 1) / base.df_residual)
     assert round(float(profile_t), 2) == t
     fit = fit_wls(replicate(wald_dataset, w), "y", ())
@@ -56,7 +58,7 @@ def test_weight_17_is_just_significant(wald_dataset):
     assert fit_wls(replicate(wald_dataset, 17), "y", ()).p_values[0] < 0.05
     assert fit_wls(replicate(wald_dataset, 16), "y", ()).p_values[0] > 0.05
     base = fit_wls(wald_dataset, "y", ())
-    assert base.p_value_at(INTERCEPT, 17) < 0.05 < base.p_value_at(INTERCEPT, 16)
+    assert base.p_at(17) < 0.05 < base.p_at(16)
 
 
 # ---- invariants -------------------------------------------------------------
@@ -90,7 +92,9 @@ def test_replication_oracle(w):
                                rtol=1e-10)
     np.testing.assert_allclose(unrolled.t_stats, base.t_stats / shrink, rtol=1e-10)
     np.testing.assert_allclose(
-        unrolled.p_values, [base.p_value_at(term, w) for term in base.term_names], rtol=1e-10
+        unrolled.p_values,
+        [fit_wls(d, "y", ("a", "b"), term).p_at(w) for term in base.term_names],
+        rtol=1e-10,
     )
     assert unrolled.df_residual == df
     assert unrolled.residual_ss == pytest.approx(w * base.residual_ss, rel=1e-10)
@@ -127,17 +131,18 @@ def test_profile_matches_refit_at_every_weight(wald_dataset, which):
     d, covariates = (wald_dataset, ()) if which == "linear30" else (covariate_dataset(), ("a", "b"))
     base = fit_wls(d, "y", covariates)
     design = np.column_stack([np.ones(d.n_rows), *(d.column(c) for c in covariates)])
-    for j, term in enumerate(base.term_names):
-        assert base.p_value_at(term, 1) == base.p_values[j]
+    profiles = [fit_wls(d, "y", covariates, term) for term in base.term_names]
+    for j, profile in enumerate(profiles):
+        assert profile.p_at(1) == base.p_values[j]
     for w in PROFILE_WEIGHTS[1:]:
         if w <= 1000:
             expected = fit_wls(replicate(d, w), "y", covariates).p_values
         else:
             expected = wls_wald_p_values(d.column("y"), design, w)
-        for j, term in enumerate(base.term_names):
-            assert base.p_value_at(term, w) == pytest.approx(
+        for j, profile in enumerate(profiles):
+            assert profile.p_at(w) == pytest.approx(
                 expected[j], rel=1e-9, abs=0
-            ), (term, w)
+            ), (profile.tested, w)
 
 
 @pytest.mark.parametrize("response, p", [([5.0] * 8, 0.0), ([0.0] * 8, 1.0)])
@@ -147,18 +152,18 @@ def test_zero_residual_profile_keeps_weight_1_p(response, p):
     with pytest.warns(DegenerateTestWarning):
         fit = fit_wls(Dataset({"y": response}), "y", ())
     for w in (1, 2, 10**6):
-        assert fit.p_value_at(INTERCEPT, w) == p
+        assert fit.p_at(w) == p
 
 
 @pytest.mark.parametrize("weight", [0, -3, 2.0, 1.5, 2**53 + 1])
 def test_profile_rejects_bad_weight(wald_dataset, weight):
     with pytest.raises(InvalidWeight):
-        fit_wls(wald_dataset, "y", ()).p_value_at(INTERCEPT, weight)
+        fit_wls(wald_dataset, "y", ()).p_at(weight)
 
 
 def test_p_values_strictly_decrease_in_weight(wald_dataset):
     base = fit_wls(wald_dataset, "y", ())
-    values = [base.p_value_at(INTERCEPT, w) for w in (1, 2, 5, 11, 23)]
+    values = [base.p_at(w) for w in (1, 2, 5, 11, 23)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -263,3 +268,36 @@ def test_a_term_named_twice_is_rejected(covariates, name):
     with pytest.raises(DuplicateTerm) as err:
         fit_wls(d, "y", covariates)
     assert err.value.name == name
+
+
+def test_the_wald_test_does_not_depend_on_the_units_of_a_covariate():
+    # a rescaled by 2**-20 (exact in binary) is the same covariate: each
+    # coefficient scales by 2**20 and its t and p stay. A pivot rule relative
+    # to the largest diagonal entry of X'X refused a scale of 1e-6.
+    rng = np.random.default_rng(41)
+    a, b = rng.standard_normal(40), rng.uniform(-3.0, 3.0, 40)
+    y = 0.3 + 0.5 * a - 0.2 * b + rng.standard_normal(40)
+    base = fit_wls(Dataset({"y": y, "a": a, "b": b}), "y", ["a", "b"], tested="a")
+    scaled = fit_wls(Dataset({"y": y, "a": a * 2.0**-20, "b": b}), "y", ["a", "b"], tested="a")
+    np.testing.assert_allclose(scaled.t_stats, base.t_stats, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(scaled.p_values, base.p_values, rtol=1e-12, atol=0)
+    assert scaled.coefficients[1] == pytest.approx(base.coefficients[1] * 2.0**20, rel=1e-12)
+    for w in (1, 7, 10**6):
+        assert scaled.p_at(w) == pytest.approx(base.p_at(w), rel=1e-12, abs=0)
+
+
+def test_the_tested_coefficient_is_bound_by_the_fit():
+    rng = np.random.default_rng(42)
+    x = rng.standard_normal(30)
+    d = Dataset({"y": 0.1 + 2.0 * x + rng.standard_normal(30), "x": x, "twice_x": 2.0 * x})
+    fit = fit_wls(d, "y", ["x"], tested="x")
+    assert fit.tested == "x"
+    assert fit.p_at(1) == fit.p_values[1]
+    assert fit_wls(d, "y", ["x"]).p_at(1) == fit.p_values[0]  # the intercept by default
+    for tested, message in [("twice_x", "coefficient 'twice_x' was omitted as collinear"),
+                            ("slope", "no coefficient named 'slope'")]:
+        with pytest.raises(UntestableCoefficient) as err:
+            fit_wls(d, "y", ["x", "twice_x"], tested=tested)
+        assert isinstance(err.value, NfactorError)
+        assert str(err.value) == message
+        assert err.value.name == tested

@@ -124,15 +124,35 @@ def test_solve_rejects_zero_matrix():
 
 
 def test_tiny_third_pivot_is_named():
-    # L L' with a third pivot of 1e-13 times the largest diagonal entry (4)
-    lower = np.array([[2.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.5, 0.25, math.sqrt(4e-13)]])
+    # L L' with a third pivot of 2e-13, below 1e-12 of its own diagonal
+    # entry a[2, 2] = 0.3125 + 2e-13
+    lower = np.array([[2.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.5, 0.25, math.sqrt(2e-13)]])
     a = lower @ lower.T
     for call in (lambda: solve_spd(a, np.ones(3)), lambda: inverse_spd(a)):
         with pytest.raises(NotPositiveDefinite) as info:
             call()
         assert info.value.pivot_index == 2
-        # a[2, 2] carries the pivot only to the ulp of 0.3125, ~1e-4 of it
-        assert info.value.pivot == pytest.approx(4e-13, rel=1e-3)
+        # a[2, 2] carries the pivot only to the ulp of 0.3125, ~3e-4 of it
+        assert info.value.pivot == pytest.approx(2e-13, rel=1e-3)
+
+
+def _scaled_3x3():
+    """A well-conditioned 3 x 3 with its second row and column scaled by 2**-25."""
+    m = np.random.default_rng(7).standard_normal((3, 3))
+    scale = np.diag([1.0, 2.0**-25, 1.0])
+    return scale @ (m @ m.T + 3.0 * np.eye(3)) @ scale
+
+
+@pytest.mark.parametrize("a", [np.diag([2.0**-30, 2.0**30]), _scaled_3x3()],
+                         ids=["diag(2**-30, 2**30)", "3x3 row scaled by 2**-25"])
+def test_solves_do_not_see_the_units_of_a_column(a):
+    # each pivot is judged against its own diagonal entry; a rule relative to
+    # the largest diagonal entry refused both matrices at their small pivot
+    n = len(a)
+    b = np.random.default_rng(8).standard_normal(n)
+    np.testing.assert_allclose(solve_spd(a, b), gauss_solve(a, b), rtol=1e-12, atol=0)
+    expected = np.column_stack([gauss_solve(a, e) for e in np.eye(n)])
+    np.testing.assert_allclose(inverse_spd(a), expected, rtol=1e-12, atol=0)
 
 
 def test_solve_rejects_shape_mismatch():
@@ -335,6 +355,28 @@ def test_chi2_domain_errors():
 def test_chi2_at_infinity_is_zero(df):
     assert chi2_sf(math.inf, df) == 0.0
     assert chi2_sf(np.float64(math.inf), df) == 0.0
+
+
+TAIL_DFS = (*range(1, 41), 99, 200)
+TAIL_XS = (0.0, 1e-12, 1e-3, 0.5, 3.84, 20.0, 100.0, 700.0, 1400.0)
+
+
+@pytest.mark.parametrize("df", TAIL_DFS)
+def test_chi2_closed_form_is_relatively_exact(df):
+    # every term of the closed form is positive, so the relative error stays
+    # near round-off from p ~ 1 down to p ~ 1e-300, for odd and even df
+    for x in TAIL_XS:
+        p = chi2_sf(x, df)
+        for reference in (chi2_sf_quadrature(x, df), stats.chi2.sf(x, df)):
+            if reference > 1e-300:
+                assert p == pytest.approx(reference, rel=1e-12, abs=0), (x, df)
+
+
+def test_chi2_rejects_a_fractional_df():
+    for df in (2.5, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            chi2_sf(1.0, df)
+    assert chi2_sf(3.0, 2.0) == chi2_sf(3.0, 2)
 
 
 # ---- student_t_two_sided ----------------------------------------------------
