@@ -3,7 +3,8 @@
 A request runs to one report document, the dict that ``--format json``
 prints; the text format is rendered from the same document.
 
-Exit codes: 0 on success, 1 on input or model errors (diagnostic on stderr),
+Exit codes: 0 on success, 1 on input or model errors (one diagnostic line on
+stderr, naming the stage that failed once the command line has parsed),
 2 when no weight up to the cap reaches the target significance (the report
 is still written, with the best p-value found).
 """
@@ -11,6 +12,7 @@ is still written, with the best p-value found).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -104,34 +106,59 @@ def _parse(argv) -> argparse.Namespace:
 _NF_KEYS = ("p_at_1", "w0", "p0", "w1", "p1", "w_int", "n_int", "nf_integer", "exact_hit")
 
 
-def _run_spec(args: argparse.Namespace) -> dict:
-    """Run a parsed request and return its report document (see ``emit_report``)."""
+@contextlib.contextmanager
+def _stage(name: str):
+    """Name the request stage in any NfactorError raised inside."""
+    try:
+        yield
+    except NfactorError as exc:
+        exc.stage = name
+        raise
+
+
+def _run_spec(args: argparse.Namespace) -> tuple[str, int]:
+    """Run a parsed request; returns its rendered report and exit code.
+
+    An NfactorError leaves with its ``stage`` set to the step that raised
+    it: load, frame, fit, search or report.
+    """
     caught: list[warnings.WarningMessage]
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+        # Only the package's own warnings are recorded unconditionally; any
+        # other keeps the filter the process set, so one that the process
+        # treats as an error still raises.
+        warnings.simplefilter("always", TiesWarning)
+        warnings.simplefilter("always", DegenerateTestWarning)
         if args.model == COX_LR:
             intervals = args.explicit_intervals or (args.time,)
-            data = load_csv(args.data, [args.event, args.id_col, *args.covariates, *intervals])
-            if args.explicit_intervals:
-                frame = survival_frame_from_intervals(
-                    data, *intervals, args.event, args.id_col, args.covariates,
-                )
-            else:
-                frame = stset_reconstruct(
-                    data, args.time, args.event, args.id_col, args.covariates,
-                )
-            fit = fit_cox(frame)
+            with _stage("load"):
+                data = load_csv(args.data, [args.event, args.id_col, *args.covariates, *intervals])
+            with _stage("frame"):
+                if args.explicit_intervals:
+                    frame = survival_frame_from_intervals(
+                        data, *intervals, args.event, args.id_col, args.covariates,
+                    )
+                else:
+                    frame = stset_reconstruct(
+                        data, args.time, args.event, args.id_col, args.covariates,
+                    )
+            with _stage("fit"):
+                fit = fit_cox(frame)
         else:
-            data = load_csv(args.data, [args.response, *args.covariates])
-            fit = fit_wls(data, args.response, args.covariates, args.wald_coefficient)
+            with _stage("load"):
+                data = load_csv(args.data, [args.response, *args.covariates])
+            with _stage("fit"):
+                fit = fit_wls(data, args.response, args.covariates, args.wald_coefficient)
 
         unreachable = {}
-        try:
-            nf = compute_nf(fit.p_at, data.n_rows, args.alpha, args.max_weight)
-            outcome, trace = {key: getattr(nf, key) for key in _NF_KEYS}, nf.trace
-        except UnreachableSignificance as exc:
-            outcome, trace = dict.fromkeys(_NF_KEYS) | {"p_at_1": exc.trace[0][1]}, exc.trace
-            unreachable = {"best_p": exc.best_p, "max_weight": args.max_weight}
+        with _stage("search"):
+            try:
+                nf = compute_nf(fit.p_at, data.n_rows, args.alpha, args.max_weight)
+                outcome, trace = {key: getattr(nf, key) for key in _NF_KEYS}, nf.trace
+            except UnreachableSignificance as exc:
+                outcome = dict.fromkeys(_NF_KEYS) | {"p_at_1": exc.trace[0][1]}
+                trace = exc.trace
+                unreachable = {"best_p": exc.best_p, "max_weight": args.max_weight}
 
     labels = set()
     for item in caught:
@@ -139,15 +166,17 @@ def _run_spec(args: argparse.Namespace) -> dict:
             labels.add("ties")
         elif issubclass(item.category, DegenerateTestWarning):
             labels.add("degenerate")
-    return {
-        "spec": _spec_json(args),
-        "fit": _fit_json(fit),
-        "target_alpha": args.alpha,
-        **outcome,
-        "trace": [[w, p] for w, p in trace],
-        "warnings": sorted(labels),
-        **unreachable,
-    }
+    with _stage("report"):
+        document = {
+            "spec": _spec_json(args),
+            "fit": _fit_json(fit),
+            "target_alpha": args.alpha,
+            **outcome,
+            "trace": [[w, p] for w, p in trace],
+            "warnings": sorted(labels),
+            **unreachable,
+        }
+        return emit_report(document, args.format), 2 if unreachable else 0
 
 
 # ---- report emission --------------------------------------------------------
@@ -224,6 +253,17 @@ def _fmt(value, decimals=4) -> str:
     return f"{value:.{decimals}f}"
 
 
+# A table's estimate and std. err. print in fixed point while that fits
+# their 10-character columns; from 1e5 up, and when not finite, they print
+# as 1.463e+272 or inf. A small-unit covariate can have a hazard ratio of
+# hundreds of digits.
+_FIXED_POINT_BELOW = 1e5
+
+
+def _cell(value) -> str:
+    return _fmt(value) if abs(value) < _FIXED_POINT_BELOW else f"{value:.3e}"
+
+
 def _text_lines(doc: dict) -> list[str]:
     spec, fit = doc["spec"], doc["fit"]
     lines = [
@@ -256,7 +296,7 @@ def _text_lines(doc: dict) -> list[str]:
     lines.append(f"  {term:<12} {estimate:>10} {'std. err.':>10} {stat:>7} {p:>7}")
     for term, estimate, se, stat, p in rows:
         lines.append(
-            f"  {term:<12} {_fmt(estimate):>10} {_fmt(se):>10} "
+            f"  {term:<12} {_cell(estimate):>10} {_cell(se):>10} "
             f"{_fmt(stat, 2):>7} {_fmt(p, 3):>7}"
         )
     lines += [f"  {term:<12} {'(omitted)':>10}" for term in fit["omitted"]]
@@ -309,7 +349,8 @@ def emit_report(document: dict, format: str = "text") -> str:
     ``exact_hit``), ``trace`` and ``warnings``, plus ``best_p`` and
     ``max_weight`` when the target is unreachable. JSON spells each float in
     its shortest round-trip form and writes non-finite values as null; text
-    rounds for display and prints them as ``inf`` or ``nan``.
+    rounds for display, prints them as ``inf`` or ``nan``, and prints a
+    table's estimates and standard errors from 1e5 up in exponent form.
     """
     if format == "json":
         return json.dumps(_finite_or_null(document), ensure_ascii=False, allow_nan=False) + "\n"
@@ -325,13 +366,13 @@ def run(argv) -> int:
     one in the process.
     """
     try:
-        args = _parse(argv)
-        document = _run_spec(args)
+        report, code = _run_spec(_parse(argv))
     except NfactorError as exc:
-        print(f"nfactor: error: {exc}", file=sys.stderr)
+        stage = f"{exc.stage}: " if exc.stage else ""
+        print(f"nfactor: error: {stage}{exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(emit_report(document, args.format))
-    return 2 if "best_p" in document else 0
+    sys.stdout.write(report)
+    return code
 
 
 def main():  # pragma: no cover - thin wrapper

@@ -14,6 +14,28 @@ the current one; near the optimum the likelihood is flat to within
 round-off, and demanding a strict rise there would stall the search on a
 tie. Otherwise the step is halved, down to ``MIN_STEP_SCALE``.
 
+Each column is centred on its mean once per fit. That shifts every
+record's linear predictor by the same amount, which the partial likelihood
+does not see, and keeps a column's offset out of the predictor and out of
+the kernel's sums.
+
+Two rules decide what the fit can estimate, and neither sees a column's
+units, its offset or its coding:
+
+- **Rank.** The first score, at beta = 0, returns the null information
+  ``H(0)``. A pivoted factor of it (``pivoted_rank_factor``) omits each
+  column that varies within no risk set once the earlier kept columns are
+  accounted for: a constant column under any coding, a duplicate, a linear
+  combination. The information at any beta has the same null space, so
+  Newton solves on the kept block alone; it continues from that first
+  score's kept sub-blocks.
+- **Divergence.** An accepted step whose linear predictor spans more than
+  ``MAX_ETA_SPAN`` (max eta - min eta over the records) raises
+  MonotoneLikelihood, naming the column that adds most to the span. Past
+  ``-log(eps)``, about 36, a lagging record's weight rounds to 0 beside a
+  leading one and the gradient vanishes, so a fit on separated data would
+  otherwise "converge" there.
+
 ``kernels.score`` is the only kernel the fit calls. Each Newton step costs
 one pass when the full step is accepted, because a step is judged by the
 ``ll`` that scoring it returns; each halving costs one more pass. A model
@@ -45,7 +67,9 @@ from .errors import (
 from .numerics import chi2_sf, inverse_spd, normal_two_sided, pivoted_rank_factor, solve_spd
 
 MAX_ITERATIONS = 100
-MAX_ABS_COEF = 50.0
+# Largest span (max eta - min eta over the records) of an accepted step's
+# linear predictor, below the ~36 where exp(-span) rounds away beside 1.
+MAX_ETA_SPAN = 30.0
 DECREMENT_PER_EVENT = 1e-20
 ULP_SLACK = 8.0
 MIN_STEP_SCALE = 1e-10
@@ -95,18 +119,15 @@ def _lr_p_value(lr_stat: float, lr_df: int) -> float:
     return chi2_sf(max(lr_stat, 0.0), lr_df) if lr_df else 1.0
 
 
-def _newton(frame: SurvivalFrame, x: np.ndarray, names):
-    """Maximize the partial likelihood over the kept covariates.
+def _newton(frame: SurvivalFrame, x: np.ndarray, names, ll, grad, neg_hess):
+    """Maximize the partial likelihood over the centred, kept columns ``x``.
 
-    Newton starts at beta = 0, where the null log likelihood falls out of
-    the first score. With no columns it stops there, after 0 iterations.
+    Newton starts at beta = 0, whose score (``ll``, ``grad``, ``neg_hess``)
+    the caller has already taken. With no columns it stops there, after 0
+    iterations.
     """
-    # frame.covariates[:, kept] is Fortran-ordered, and the kernel's matrix
-    # products round differently on it; the fit always scores a C-ordered copy.
-    args = (frame.start, frame.stop, frame.event, np.ascontiguousarray(x, dtype=np.float64))
+    args = (frame.start, frame.stop, frame.event, x)
     beta = np.zeros(x.shape[1])
-    ll, grad, neg_hess = kernels.score(*args, beta)
-    loglik_null = ll
     tolerance = DECREMENT_PER_EVENT * frame.n_events
     iterations = 0
     while True:
@@ -129,21 +150,32 @@ def _newton(frame: SurvivalFrame, x: np.ndarray, names):
                 raise NotConverged(iterations, decrement)
             candidate = beta + scale * step
             scored = kernels.score(*args, candidate)
-        worst = int(np.abs(candidate).argmax())
-        if abs(candidate[worst]) > MAX_ABS_COEF:
-            raise MonotoneLikelihood(names[worst], float(candidate[worst]))
+        eta = x @ candidate
+        top, bottom = eta.argmax(), eta.argmin()
+        span = float(eta[top] - eta[bottom])
+        if span > MAX_ETA_SPAN:
+            worst = int(np.argmax(candidate * (x[top] - x[bottom])))
+            raise MonotoneLikelihood(names[worst], span, MAX_ETA_SPAN)
         beta = candidate
         ll, grad, neg_hess = scored
-    return beta, ll, loglik_null, neg_hess, iterations
+    return beta, ll, neg_hess, iterations
+
+
+def _hazard_ratios(beta: np.ndarray) -> np.ndarray:
+    """exp(beta), inf where it overflows: a small-unit covariate can have a large beta."""
+    with np.errstate(over="ignore"):
+        return np.exp(beta)
 
 
 def fit_cox(frame: SurvivalFrame) -> CoxFit:
     """Fit the Cox model and its likelihood-ratio test, unweighted.
 
-    Collinear covariate columns (detected on the event records) are omitted
-    from estimation and reported in ``omitted``. Newton-Raphson runs with
-    step-halving from beta = 0, where the null log likelihood falls out of
-    the first iteration. The fit at frequency weight w is the fit of
+    Covariates that the null information shows to be constant or collinear
+    within the risk sets are omitted from estimation and reported in
+    ``omitted``. Newton-Raphson runs with step-halving from beta = 0, where
+    the null log likelihood falls out of the first score; a step whose
+    linear predictor spans more than ``MAX_ETA_SPAN`` raises
+    MonotoneLikelihood. The fit at frequency weight w is the fit of
     ``replicate_frame(frame, w)``; ``CoxFit.p_at`` gives its p-value.
     """
     if frame.n_events == 0:
@@ -159,7 +191,13 @@ def fit_cox(frame: SurvivalFrame) -> CoxFit:
     n_subjects = float(frame.n_subjects)
     n_failures = float(frame.n_events)
 
-    kept, dropped = pivoted_rank_factor(frame.covariates[frame.event])
+    # The copy is C-ordered: the kernel's matrix products round differently
+    # on a Fortran-ordered one.
+    x = np.ascontiguousarray(frame.covariates - frame.covariates.mean(axis=0))
+    ll_null, grad, neg_hess = kernels.score(
+        frame.start, frame.stop, frame.event, x, np.zeros(x.shape[1])
+    )
+    kept, dropped = pivoted_rank_factor(neg_hess)
     kept_names = tuple(frame.covariate_names[j] for j in kept)
     omitted = tuple(frame.covariate_names[j] for j in dropped)
 
@@ -170,8 +208,10 @@ def fit_cox(frame: SurvivalFrame) -> CoxFit:
             stacklevel=2,
         )
 
-    x = frame.covariates[:, kept]
-    beta, ll_full, ll_null, neg_hess, iterations = _newton(frame, x, kept_names)
+    beta, ll_full, neg_hess, iterations = _newton(
+        frame, np.take(x, kept, axis=1), kept_names,
+        ll_null, grad[kept], neg_hess[np.ix_(kept, kept)],
+    )
 
     covariance = inverse_spd(neg_hess)
     se = np.sqrt(np.diag(covariance))
@@ -185,7 +225,7 @@ def fit_cox(frame: SurvivalFrame) -> CoxFit:
     return CoxFit(
         covariate_names=kept_names,
         beta=beta,
-        hazard_ratios=np.exp(beta),
+        hazard_ratios=_hazard_ratios(beta),
         se_beta=se,
         z_stats=z,
         p_wald=p_wald,

@@ -2,7 +2,14 @@
 
 
 class NfactorError(Exception):
-    """Base class for every error this package raises deliberately."""
+    """Base class for every error this package raises deliberately.
+
+    ``stage`` names the step of a command-line request that raised it: load,
+    frame, fit, search or report. The command line sets it; elsewhere it is
+    None.
+    """
+
+    stage: str | None = None
 
 
 # ---- data loading / reconstruction ----------------------------------------
@@ -103,13 +110,16 @@ class NotConverged(NfactorError):
 
 
 class MonotoneLikelihood(NfactorError):
-    def __init__(self, name, value):
+    """The linear predictor's span passed its bound; ``name`` adds most to it."""
+
+    def __init__(self, name, span, bound):
         super().__init__(
-            f"coefficient for {name!r} is diverging (|{value:.3g}| > 50); "
-            "the partial likelihood appears monotone in this direction"
+            f"coefficient for {name!r} is diverging (linear predictor spans "
+            f"{span:.3g} > {bound:g}); the partial likelihood appears monotone "
+            "in this direction"
         )
         self.name = name
-        self.value = value
+        self.span = span
 
 
 class InsufficientObservations(NfactorError):

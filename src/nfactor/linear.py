@@ -88,17 +88,18 @@ def fit_wls(
     names = (INTERCEPT, *covariates)
     check_distinct_terms(names)
     design = np.column_stack([np.ones(n)] + [d.column(c) for c in covariates])
-    kept, dropped = pivoted_rank_factor(design)
+    gram = design.T @ design
+    kept, dropped = pivoted_rank_factor(gram)
     term_names = tuple(names[j] for j in kept)
     omitted = tuple(names[j] for j in dropped)
     x = design[:, kept]
+    gram = gram[np.ix_(kept, kept)]
     k = len(kept)
     if n <= k:
         raise InsufficientObservations(n, k)
     if tested not in term_names:
         raise UntestableCoefficient(tested, omitted=tested in omitted)
 
-    gram = x.T @ x
     coef = solve_spd(gram, x.T @ y)
     resid = y - x @ coef
     rss = float(resid @ resid)

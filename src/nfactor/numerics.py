@@ -88,21 +88,19 @@ def inverse_spd(a: np.ndarray) -> np.ndarray:
     return inverse_lower.T @ inverse_lower
 
 
-def pivoted_rank_factor(x: np.ndarray) -> tuple[list[int], list[int]]:
-    """Split covariate columns into (kept, omitted) by rank of the Gram matrix.
+def pivoted_rank_factor(a: np.ndarray) -> tuple[list[int], list[int]]:
+    """Split the columns behind a symmetric information matrix into (kept, omitted).
 
-    Columns are visited in order; a column is omitted when its squared
-    residual against the span of previously kept columns is at most
-    ``COLLINEARITY_RTOL`` times its original squared norm. Earlier columns
-    therefore take precedence over later duplicates. A matrix with no
-    columns gives ``([], [])``.
+    ``a`` is a Gram matrix ``X'X`` or a Cox information matrix; only its
+    lower triangle is read. Columns are visited in order; a column is
+    omitted when its pivot, what the previously kept columns leave of its
+    diagonal entry, is at most ``COLLINEARITY_RTOL`` times that entry. So a
+    zero diagonal entry is omitted, and earlier columns take precedence over
+    later duplicates. A 0 x 0 matrix gives ``([], [])``.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("expected a matrix")
-    _, skipped = _pivoting_cholesky(x.T @ x, COLLINEARITY_RTOL)
+    _, skipped = _pivoting_cholesky(a, COLLINEARITY_RTOL)
     omitted = [j for j, _ in skipped]
-    return [j for j in range(x.shape[1]) if j not in omitted], omitted
+    return [j for j in range(len(a)) if j not in omitted], omitted
 
 
 # ---- chi-square tail ----------------------------------------------------------

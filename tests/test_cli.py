@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,9 +9,9 @@ from pathlib import Path
 import pytest
 
 import nfactor
-from nfactor import cli, kernels
+from nfactor import chi2_sf, cli, cox, kernels
 from nfactor.cli import emit_report, run
-from nfactor.errors import UnreachableSignificance
+from nfactor.errors import DomainError, NfactorError, UnreachableSignificance
 from nfactor.search import DEFAULT_MAX_WEIGHT
 
 from conftest import COVARIATES, HEART_CSV, LINEAR_CSV
@@ -258,6 +259,39 @@ def test_the_answer_does_not_depend_on_the_units_of_a_covariate(capsys, heart_da
     assert f"{doc['w_int']:.4f} {doc['n_int']:.4f}" == "4.7512 142.5353"
 
 
+def write_age_scaled(heart_dataset, path, scale):
+    columns = [heart_dataset.column(c) * (scale if c == "age" else 1.0)
+               for c in heart_dataset.columns]
+    with open(path, "w") as fh:
+        fh.write(",".join(heart_dataset.columns) + "\n")
+        for i in range(heart_dataset.n_rows):
+            fh.write(",".join(repr(float(col[i])) for col in columns) + "\n")
+    return [*COX_ARGS[:-4], "--covariates", "age", "--data", str(path)]
+
+
+@pytest.mark.parametrize("divisor, beta, row", [
+    # exp(626.68) is about 1.5e272: fixed point would print some 270 digits
+    (-40000, 626.68, "  age          1.463e+272 1.494e+275    0.61   0.540"),
+    # exp(783.35) overflows; it is computed without a RuntimeWarning
+    (-50000, 783.35, "  age                 inf        inf    0.61   0.540"),
+])
+def test_a_huge_hazard_ratio_prints_in_exponent_form(capsys, heart_dataset, tmp_path,
+                                                       divisor, beta, row):
+    # age in units of -40000 or -50000 years has a huge coefficient, and the
+    # same answer as age in years: NF 11
+    args = write_age_scaled(heart_dataset, tmp_path / "age.csv", 1.0 / divisor)
+    code, doc, _ = run_json(capsys, args)
+    (coef,) = doc["fit"]["coefficients"]
+    assert code == 0 and doc["nf_integer"] == 11 and f"{doc['w_int']:.4f}" == "10.7879"
+    assert coef["beta"] == pytest.approx(beta, abs=0.01)
+    if beta < 709:
+        assert coef["hazard_ratio"] == pytest.approx(math.exp(coef["beta"]), rel=1e-14)
+    else:
+        assert coef["hazard_ratio"] is None  # JSON writes inf as null
+    assert run(args) == 0
+    assert row in capsys.readouterr().out.splitlines()
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_byte_order_mark_gives_the_same_report(capsys, tmp_path, fmt):
     # spreadsheets export UTF-8 CSVs with a leading byte-order mark
@@ -346,21 +380,22 @@ def test_unreadable_data_is_one_error_line(capsys, unreadable_csv):
     code = run(["--model", "linear-wald", "--data", str(path), "--response", "y"])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith(f"nfactor: error: cannot read {path}: {reason}")
+    assert err.startswith(f"nfactor: error: load: cannot read {path}: {reason}")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_a_term_named_twice_is_one_error_line(capsys, tmp_path):
     path = tmp_path / "intercept_column.csv"
     path.write_text("y,intercept\n" + "".join(f"{i % 3},{i}\n" for i in range(20)))
-    for args, name in [
-        ([*COX_ARGS, "--covariates", "age,age"], "age"),
+    for args, name, stage in [
+        ([*COX_ARGS, "--covariates", "age,age"], "age", "frame"),
         (["--model", "linear-wald", "--data", str(path), "--response", "y",
-          "--covariates", "intercept", "--wald-coefficient", "intercept"], "intercept"),
+          "--covariates", "intercept", "--wald-coefficient", "intercept"], "intercept", "fit"),
     ]:
         assert run(args) == 1
         captured = capsys.readouterr()
-        assert captured.err == f"nfactor: error: model term {name!r} appears more than once\n"
+        assert captured.err == (
+            f"nfactor: error: {stage}: model term {name!r} appears more than once\n")
         assert captured.out == ""
 
 
@@ -378,8 +413,45 @@ def test_an_untestable_wald_coefficient_is_one_error_line(capsys, tmp_path):
         assert run(["--model", "linear-wald", "--data", str(path), "--response", "y",
                     "--covariates", "x,twice_x", "--wald-coefficient", name]) == 1
         captured = capsys.readouterr()
-        assert captured.err == f"nfactor: error: {message}\n"
+        assert captured.err == f"nfactor: error: fit: {message}\n"
         assert captured.out == ""
+
+
+def _refuse_past_weight_1(x, df):
+    if x > 3.0:  # LR is 1.67 at weight 1 and 3.34 at weight 2
+        raise DomainError("refused")
+    return chi2_sf(x, df)
+
+
+def _fail_to_render(document, format):
+    raise NfactorError("cannot render")
+
+
+@pytest.mark.parametrize("stage, csv_text, patch, message", [
+    ("load", "id,died,age\n1,1,30\n", None, "required column 't1' not found"),
+    ("frame", "id,t1,died,age\n1,5,0,30\n1,3,1,30\n2,4,1,40\n", None,
+     "observation times for subject 1.0 are not strictly increasing"),
+    ("fit", "id,t1,died,age\n1,1,1,1\n2,2,0,0\n", None,
+     "coefficient for 'age' is diverging (linear predictor spans 30.2 > 30); "
+     "the partial likelihood appears monotone in this direction"),
+    ("search", None, (cox, "chi2_sf", _refuse_past_weight_1),
+     "p-value evaluation failed at weight 2: refused"),
+    ("report", None, (cli, "emit_report", _fail_to_render),
+     "cannot render"),
+])
+def test_an_error_line_names_its_stage(capsys, monkeypatch, tmp_path,
+                                       stage, csv_text, patch, message):
+    args = [*COX_ARGS]
+    if csv_text is not None:
+        path = tmp_path / f"{stage}.csv"
+        path.write_text(csv_text)
+        args = [*COX_ARGS[:-4], "--covariates", "age", "--data", str(path)]
+    if patch is not None:
+        monkeypatch.setattr(*patch)
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"nfactor: error: {stage}: {message}\n"
+    assert captured.out == ""
 
 
 def test_bad_explicit_intervals_value(capsys):

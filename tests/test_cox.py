@@ -456,13 +456,59 @@ def test_tied_event_times_warn_and_fit():
     assert np.isfinite(fit.loglik_full)
 
 
-def test_perfectly_separating_covariate_raises_monotone():
+@pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
+def test_perfectly_separating_covariate_raises_monotone(scale):
     # the only event has the strictly largest covariate in its risk set, so
-    # the likelihood increases in beta without bound; the small scale keeps
-    # the flat region beyond the coefficient cap
-    frame = tiny_frame([[0.1], [0.0]], [True, False], stops=[1.0, 2.0])
-    with pytest.raises(MonotoneLikelihood):
+    # the likelihood increases in beta without bound. Once the event's eta
+    # leads by about 37 the gradient rounds to 0 and Newton would stop there;
+    # the span rule fires first, at every scale of x.
+    frame = tiny_frame([[scale], [0.0]], [True, False], stops=[1.0, 2.0])
+    with pytest.raises(MonotoneLikelihood) as info:
         fit_cox(frame)
+    assert info.value.name == "x0"
+    assert cox.MAX_ETA_SPAN < info.value.span < 36
+    assert "is diverging" in str(info.value)
+
+
+def test_monotone_likelihood_names_the_column_that_drives_the_span():
+    # x1 is largest in every risk set at its event; x0 is not separating
+    frame = tiny_frame([[0.0, 3.0], [1.0, 2.0], [0.0, 1.0], [1.0, 0.0]],
+                       [True, True, True, False])
+    with pytest.raises(MonotoneLikelihood) as info:
+        fit_cox(frame)
+    assert info.value.name == "x1"
+
+
+def test_the_rank_rule_reads_the_null_information(heart_frame, monkeypatch):
+    # the first score, at beta = 0, is the only pass over the risk sets
+    # before the rank rule; its negated Hessian is what the rule factors
+    seen = []
+    real_rank, real_score = cox.pivoted_rank_factor, kernels.score
+    monkeypatch.setattr(cox, "pivoted_rank_factor", lambda a: seen.append(a) or real_rank(a))
+    monkeypatch.setattr(kernels, "score", lambda *args: seen.append(args) or real_score(*args))
+    fit = fit_cox(heart_frame)
+    (x, beta), information = seen[0][3:], seen[1]
+    assert not beta.any() and x.shape[1] == 4
+    np.testing.assert_allclose(x.mean(axis=0), 0.0, atol=1e-12)
+    np.testing.assert_array_equal(information, real_score(*seen[0])[2])
+    assert fit.omitted == ("surgery",) and len(seen) == 2 + fit.iterations
+
+
+def test_single_record_risk_sets_carry_no_information():
+    # each event is alone in its risk set, so x varies across events but
+    # within no risk set: the null information is 0 and x is omitted
+    frame = SurvivalFrame(
+        subject_ids=np.arange(3.0),
+        start=np.array([0.0, 1.0, 2.0]),
+        stop=np.array([1.0, 2.0, 3.0]),
+        event=np.ones(3, bool),
+        covariates=np.array([[0.0], [5.0], [-2.0]]),
+        covariate_names=("x0",),
+    )
+    with pytest.warns(DegenerateTestWarning):
+        fit = fit_cox(frame)
+    assert fit.omitted == ("x0",) and fit.p_lr == 1.0
+    assert fit.loglik_full == fit.loglik_null == 0.0
 
 
 @pytest.mark.parametrize("weight", [0, -3, 2.0, 1.5, 2**53 + 1])

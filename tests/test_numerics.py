@@ -178,8 +178,13 @@ def test_empty_system():
 # ---- pivoted_rank_factor ----------------------------------------------------
 
 
+def rank_split(x):
+    """(kept, omitted) columns of ``x`` by the rank rule on its Gram matrix."""
+    return pivoted_rank_factor(x.T @ x)
+
+
 def test_all_zero_column_is_omitted(heart_frame):
-    kept, omitted = pivoted_rank_factor(heart_frame.covariates[heart_frame.event])
+    kept, omitted = rank_split(heart_frame.covariates[heart_frame.event])
     assert kept == [0, 1, 3]
     assert omitted == [2]  # surgery
 
@@ -187,7 +192,7 @@ def test_all_zero_column_is_omitted(heart_frame):
 def test_duplicate_column_second_omitted():
     rng = np.random.default_rng(11)
     c = rng.standard_normal(20)
-    kept, omitted = pivoted_rank_factor(np.column_stack([c, c]))
+    kept, omitted = rank_split(np.column_stack([c, c]))
     assert kept == [0]
     assert omitted == [1]
 
@@ -196,7 +201,7 @@ def test_exact_linear_combination_is_omitted():
     rng = np.random.default_rng(12)
     a = rng.standard_normal(25)
     b = rng.standard_normal(25)
-    kept, omitted = pivoted_rank_factor(np.column_stack([a, b, 2.0 * a - 3.0 * b]))
+    kept, omitted = rank_split(np.column_stack([a, b, 2.0 * a - 3.0 * b]))
     assert kept == [0, 1]
     assert omitted == [2]
 
@@ -205,25 +210,25 @@ def test_full_rank_random_matrix_keeps_everything():
     rng = np.random.default_rng(13)
     x = rng.standard_normal((30, 3))
     assert matrix_rank_by_elimination(x) == 3
-    kept, omitted = pivoted_rank_factor(x)
+    kept, omitted = rank_split(x)
     assert kept == [0, 1, 2]
     assert omitted == []
 
 
 def test_kept_columns_are_full_rank_by_oracle(heart_frame):
     x = heart_frame.covariates[heart_frame.event]
-    kept, _ = pivoted_rank_factor(x)
+    kept, _ = rank_split(x)
     assert matrix_rank_by_elimination(x[:, kept]) == len(kept)
 
 
 def test_all_zero_input_omits_everything():
-    kept, omitted = pivoted_rank_factor(np.zeros((10, 2)))
+    kept, omitted = rank_split(np.zeros((10, 2)))
     assert kept == []
     assert omitted == [0, 1]
 
 
 def test_no_columns_keep_and_omit_nothing():
-    assert pivoted_rank_factor(np.zeros((4, 0))) == ([], [])
+    assert rank_split(np.zeros((4, 0))) == ([], [])
 
 
 # ---- hostile designs: rank rule and solves against the elimination oracles ----
@@ -286,7 +291,7 @@ RESIDUAL_BOUND = 64 * np.finfo(float).eps
 @pytest.mark.parametrize("case", HOSTILE)
 def test_rank_rule_on_hostile_designs(case):
     x, expected_kept = HOSTILE[case]
-    kept, omitted = pivoted_rank_factor(x)
+    kept, omitted = rank_split(x)
     assert kept == expected_kept
     assert omitted == [j for j in range(x.shape[1]) if j not in expected_kept]
     # the per-column rule does not see column scale; the oracle's global
