@@ -21,7 +21,7 @@ import warnings
 
 from .cox import CoxFit, fit_cox
 from .data import MAX_WEIGHT, load_csv, stset_reconstruct, survival_frame_from_intervals
-from .errors import DegenerateTestWarning, NfactorError, TiesWarning, UnreachableSignificance
+from .errors import DegenerateTestWarning, NfactorError, TiesWarning
 from .linear import INTERCEPT, LinearFit, fit_wls
 from .search import DEFAULT_MAX_WEIGHT, compute_nf
 
@@ -101,8 +101,7 @@ def _parse(argv) -> argparse.Namespace:
     return args
 
 
-# NfResult fields a report carries, in report order; all null when unreachable
-# except p_at_1, which the trace still holds.
+# NfResult fields a report carries, in report order.
 _NF_KEYS = ("p_at_1", "w0", "p0", "w1", "p1", "w_int", "n_int", "nf_integer", "exact_hit")
 
 
@@ -150,15 +149,8 @@ def _run_spec(args: argparse.Namespace) -> tuple[str, int]:
             with _stage("fit"):
                 fit = fit_wls(data, args.response, args.covariates, args.wald_coefficient)
 
-        unreachable = {}
         with _stage("search"):
-            try:
-                nf = compute_nf(fit.p_at, data.n_rows, args.alpha, args.max_weight)
-                outcome, trace = {key: getattr(nf, key) for key in _NF_KEYS}, nf.trace
-            except UnreachableSignificance as exc:
-                outcome = dict.fromkeys(_NF_KEYS) | {"p_at_1": exc.trace[0][1]}
-                trace = exc.trace
-                unreachable = {"best_p": exc.best_p, "max_weight": args.max_weight}
+            nf = compute_nf(fit.p_at, data.n_rows, args.alpha, args.max_weight)
 
     labels = set()
     for item in caught:
@@ -171,12 +163,13 @@ def _run_spec(args: argparse.Namespace) -> tuple[str, int]:
             "spec": _spec_json(args),
             "fit": _fit_json(fit),
             "target_alpha": args.alpha,
-            **outcome,
-            "trace": [[w, p] for w, p in trace],
+            **{key: getattr(nf, key) for key in _NF_KEYS},
+            "trace": [[w, p] for w, p in nf.trace],
             "warnings": sorted(labels),
-            **unreachable,
         }
-        return emit_report(document, args.format), 2 if unreachable else 0
+        if nf.w1 is None:
+            document |= {"best_p": nf.best_p, "max_weight": args.max_weight}
+        return emit_report(document, args.format), 2 if nf.w1 is None else 0
 
 
 # ---- report emission --------------------------------------------------------

@@ -42,6 +42,10 @@ one pass when the full step is accepted, because a step is judged by the
 with no kept covariate is Newton with no columns: the first score gives its
 log likelihood, and it has converged at beta = () after 0 iterations.
 
+The likelihood ratio is twice the gain ``ll_full - ll_null`` that the
+kernel sums on the last accepted pass, without the cancellation of
+subtracting the two log likelihoods; ``w_int`` scales as one over it.
+
 A uniform frequency weight only rescales the likelihood:
 ``ll_w(beta) = w * ll_1(beta) - w * d * log(w)``. So the estimate does not
 depend on w and ``LR_w = w * LR_1``; the fit is made once, unweighted, and
@@ -124,10 +128,12 @@ def _newton(frame: SurvivalFrame, x: np.ndarray, names, ll, grad, neg_hess):
 
     Newton starts at beta = 0, whose score (``ll``, ``grad``, ``neg_hess``)
     the caller has already taken. With no columns it stops there, after 0
-    iterations.
+    iterations. Returns beta, its ``ll``, its gain ``ll - ll(0)`` as the
+    kernel sums it, the negated Hessian and the iteration count.
     """
     args = (frame.start, frame.stop, frame.event, x)
     beta = np.zeros(x.shape[1])
+    gain = 0.0
     tolerance = DECREMENT_PER_EVENT * frame.n_events
     iterations = 0
     while True:
@@ -157,8 +163,8 @@ def _newton(frame: SurvivalFrame, x: np.ndarray, names, ll, grad, neg_hess):
             worst = int(np.argmax(candidate * (x[top] - x[bottom])))
             raise MonotoneLikelihood(names[worst], span, MAX_ETA_SPAN)
         beta = candidate
-        ll, grad, neg_hess = scored
-    return beta, ll, neg_hess, iterations
+        ll, grad, neg_hess, gain = scored
+    return beta, ll, gain, neg_hess, iterations
 
 
 def _hazard_ratios(beta: np.ndarray) -> np.ndarray:
@@ -194,7 +200,7 @@ def fit_cox(frame: SurvivalFrame) -> CoxFit:
     # The copy is C-ordered: the kernel's matrix products round differently
     # on a Fortran-ordered one.
     x = np.ascontiguousarray(frame.covariates - frame.covariates.mean(axis=0))
-    ll_null, grad, neg_hess = kernels.score(
+    ll_null, grad, neg_hess, _ = kernels.score(
         frame.start, frame.stop, frame.event, x, np.zeros(x.shape[1])
     )
     kept, dropped = pivoted_rank_factor(neg_hess)
@@ -208,7 +214,7 @@ def fit_cox(frame: SurvivalFrame) -> CoxFit:
             stacklevel=2,
         )
 
-    beta, ll_full, neg_hess, iterations = _newton(
+    beta, ll_full, gain, neg_hess, iterations = _newton(
         frame, np.take(x, kept, axis=1), kept_names,
         ll_null, grad[kept], neg_hess[np.ix_(kept, kept)],
     )
@@ -218,7 +224,7 @@ def fit_cox(frame: SurvivalFrame) -> CoxFit:
     z = beta / se
     p_wald = np.array([normal_two_sided(v) for v in z])
 
-    lr_stat = 2.0 * (ll_full - ll_null)
+    lr_stat = 2.0 * gain
     lr_df = len(kept)
     p_lr = _lr_p_value(lr_stat, lr_df)
 

@@ -45,8 +45,12 @@ MAX_WEIGHT = 2**53
 
 
 def check_weight(weight) -> float:
-    """A frequency weight as a float; raises InvalidWeight unless an integer 1..MAX_WEIGHT."""
-    if not isinstance(weight, (int, np.integer)) or not 1 <= weight <= MAX_WEIGHT:
+    """A frequency weight as a float; raises InvalidWeight unless an integer 1..MAX_WEIGHT.
+
+    A bool is not a weight, although Python counts ``True`` as the int 1.
+    """
+    if (isinstance(weight, bool) or not isinstance(weight, (int, np.integer))
+            or not 1 <= weight <= MAX_WEIGHT):
         raise InvalidWeight(weight)
     return float(weight)
 

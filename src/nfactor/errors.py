@@ -148,17 +148,6 @@ class DegenerateBracket(NfactorError):
     """Both bracket p-values are equal; the p-curve is flat at the bracket."""
 
 
-class UnreachableSignificance(NfactorError):
-    def __init__(self, max_weight, best_p, trace=()):
-        super().__init__(
-            f"no weight up to {max_weight} reaches the target significance "
-            f"(best p-value found: {best_p})"
-        )
-        self.max_weight = max_weight
-        self.best_p = best_p
-        self.trace = tuple(trace)
-
-
 class EvaluationFailed(NfactorError):
     def __init__(self, weight, cause):
         super().__init__(f"p-value evaluation failed at weight {weight}: {cause}")

@@ -1,8 +1,8 @@
 """The Cox partial likelihood kernel.
 
 ``score`` is the one risk-set kernel: it returns the log partial likelihood
-together with its gradient and negated Hessian over counting-process risk
-sets:
+together with its gradient, its negated Hessian and its gain over beta = 0,
+over counting-process risk sets:
 
     ll   = sum over event records i of  eta_i - log S0(t_i)
     grad = sum over event records i of  x_i - S1(t_i) / S0(t_i)
@@ -11,10 +11,16 @@ sets:
 where eta = X @ beta, the risk set at time t is {j : start_j < t <= stop_j},
 and S0, S1, S2 are the exp(eta)-weighted sums of 1, x, and x x' over it.
 ``hess`` is the negated Hessian (positive semidefinite). exp arguments are
-shifted by the risk-set maximum of eta so large coefficients cannot overflow.
+shifted by the risk-set maximum m of eta so large coefficients cannot overflow.
 An ``x`` with no columns (and an empty ``beta``) gives the empty model,
 whose log likelihood is ``-sum log |risk set|``. ``loglik`` is ``score``'s
 first output and nothing in the package calls it.
+
+The gain ``ll(beta) - ll(0)`` adds, at each distinct event time with d
+events, ``sum of their eta - d * (m + log1p(mean over the risk set of
+expm1(eta - m)))``. Its terms are of the size of eta, so a small
+likelihood ratio keeps the digits that subtracting two values of ``ll``
+would cancel.
 
 Event records sharing a stop time share one risk set, so each distinct event
 time is visited once. The E event records are sorted by stop time once per
@@ -35,7 +41,7 @@ import numpy as np
 def score(start, stop, event, x, beta):
     p = x.shape[1]
     eta = x @ beta
-    ll = 0.0
+    ll = gain = 0.0
     grad = np.zeros(p)
     hess = np.zeros((p, p))
     events = np.flatnonzero(event)
@@ -53,15 +59,18 @@ def score(start, stop, event, x, beta):
         risk = (start < t) & (t <= stop)
         eta_r = eta[risk]
         m = eta_r.max()
-        rel = np.exp(eta_r - m)
+        shifted = eta_r - m
+        rel = np.exp(shifted)
         s0 = rel.sum()
         xr = x[risk]
         xbar = (rel @ xr) / s0
         centered = xr - xbar
-        ll += ev_eta[a:b].sum() - d * (math.log(s0) + m)
+        eta_d = ev_eta[a:b].sum()
+        ll += eta_d - d * (math.log(s0) + m)
+        gain += eta_d - d * (m + math.log1p(np.expm1(shifted).sum() / shifted.size))
         grad += ev_x[a:b].sum(axis=0) - d * xbar
         hess += (d / s0) * ((rel[:, None] * centered).T @ centered)
-    return ll, grad, hess
+    return ll, grad, hess, gain
 
 
 # Kept only by name, for perfbench's tracer, which wraps ``kernels.loglik``:

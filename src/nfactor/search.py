@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegenerateBracket, EvaluationFailed, UnreachableSignificance
+from .errors import DegenerateBracket, EvaluationFailed
 
 EXACT_HIT_TOL = 1e-12
 
@@ -32,20 +32,23 @@ class NfResult:
     target; ``w_int`` the interpolated fractional weight and ``n_int`` the
     implied sample size (base rows times ``w_int``). ``w0``/``p0`` are None
     when the test is already significant at weight 1 and no bracket exists.
-    ``trace`` lists every (weight, p) evaluation in order.
+    When no weight up to the cap reaches the target, every field from ``w0``
+    to ``exact_hit`` is None. ``best_p`` is the smallest p-value evaluated
+    and ``trace`` lists every (weight, p) evaluation in order.
     """
 
     target_alpha: float
     p_at_1: float
     w0: int | None
     p0: float | None
-    w1: int
-    p1: float
-    w_int: float
-    n_int: float
-    nf_integer: int
+    w1: int | None
+    p1: float | None
+    w_int: float | None
+    n_int: float | None
+    nf_integer: int | None
     trace: tuple[tuple[int, float], ...]
-    exact_hit: bool
+    exact_hit: bool | None
+    best_p: float
 
 
 def interpolate(w0: int, p0: float, w1: int, p1: float, target: float) -> float:
@@ -59,31 +62,6 @@ def interpolate(w0: int, p0: float, w1: int, p1: float, target: float) -> float:
     return (w0 * (target - p1) + w1 * (p0 - target)) / (p0 - p1)
 
 
-class _Evaluator:
-    """Caches p-value evaluations by weight and records them in call order."""
-
-    def __init__(self, p_of_weight):
-        self._fn = p_of_weight
-        self._cache: dict[int, float] = {}
-        self.trace: list[tuple[int, float]] = []
-
-    def __call__(self, w: int) -> float:
-        if w not in self._cache:
-            try:
-                p = float(self._fn(w))
-            except Exception as exc:
-                raise EvaluationFailed(w, exc) from exc
-            if not 0.0 <= p <= 1.0:
-                raise EvaluationFailed(w, ValueError(f"p-value {p} outside [0, 1]"))
-            self._cache[w] = p
-            self.trace.append((w, p))
-        return self._cache[w]
-
-    @property
-    def best_p(self) -> float:
-        return min(p for _, p in self.trace)
-
-
 def compute_nf(
     p_of_weight,
     base_n: int,
@@ -93,46 +71,53 @@ def compute_nf(
     """Find the bracketing integer weights around ``target`` and interpolate.
 
     ``p_of_weight`` must deterministically map a positive integer weight to
-    the test's p-value. Raises UnreachableSignificance when no weight up to
-    ``max_weight`` reaches the target.
+    the test's p-value. When no weight up to ``max_weight`` reaches the
+    target, the result's ``w1`` is None.
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target significance must lie in (0,1), got {target}")
     if max_weight < 1:
         raise ValueError(f"max_weight must be at least 1, got {max_weight}")
 
-    evaluate = _Evaluator(p_of_weight)
+    # Insertion-ordered: both the cache of evaluations and their trace.
+    trace: dict[int, float] = {}
 
-    def result(w0, p0, w1, p1, w_int):
+    def evaluate(w: int) -> float:
+        if w not in trace:
+            try:
+                p = float(p_of_weight(w))
+            except Exception as exc:
+                raise EvaluationFailed(w, exc) from exc
+            if not 0.0 <= p <= 1.0:
+                raise EvaluationFailed(w, ValueError(f"p-value {p} outside [0, 1]"))
+            trace[w] = p
+        return trace[w]
+
+    def result(w0=None, p0=None, w1=None, p1=None, w_int=None):
         return NfResult(
             target_alpha=target,
-            p_at_1=evaluate(1),
+            p_at_1=trace[1],
             w0=w0,
             p0=p0,
             w1=w1,
             p1=p1,
             w_int=w_int,
-            n_int=base_n * w_int,
+            n_int=None if w_int is None else base_n * w_int,
             nf_integer=w1,
-            trace=tuple(evaluate.trace),
-            exact_hit=abs(p1 - target) <= EXACT_HIT_TOL,
+            trace=tuple(trace.items()),
+            exact_hit=None if p1 is None else abs(p1 - target) <= EXACT_HIT_TOL,
+            best_p=min(trace.values()),
         )
 
-    p_first = evaluate(1)
-    if p_first <= target:
-        return result(None, None, 1, p_first, 1.0)
+    if evaluate(1) <= target:
+        return result(None, None, 1, trace[1], 1.0)
 
     # Geometric doubling until the target is reached or the cap is hit.
-    lo, hi = 1, None
-    w = 1
-    while w < max_weight:
-        w = min(2 * w, max_weight)
-        if evaluate(w) <= target:
-            hi = w
-            break
-        lo = w
-    if hi is None:
-        raise UnreachableSignificance(max_weight, evaluate.best_p, evaluate.trace)
+    lo = hi = 1
+    while evaluate(hi) > target:
+        if hi == max_weight:
+            return result()
+        lo, hi = hi, min(2 * hi, max_weight)
 
     # Integer bisection for the smallest significant weight in (lo, hi].
     while hi - lo > 1:
@@ -142,9 +127,7 @@ def compute_nf(
         else:
             lo = mid
 
-    w1, w0 = hi, hi - 1
-    p1 = evaluate(w1)
-    p0 = evaluate(w0)
+    p0, p1 = trace[lo], trace[hi]
     if abs(p1 - target) <= EXACT_HIT_TOL:
-        return result(w0, p0, w1, p1, float(w1))
-    return result(w0, p0, w1, p1, interpolate(w0, p0, w1, p1, target))
+        return result(lo, p0, hi, p1, float(hi))
+    return result(lo, p0, hi, p1, interpolate(lo, p0, hi, p1, target))

@@ -14,9 +14,13 @@ survival-frame constructors are checked against loops that chain each
 subject's records one record at a time through a dict keyed by subject id.
 ``score_per_event_time`` is the earlier Cox kernel, kept verbatim: it finds
 each distinct event time's records with a mask over all event records, and
-the package's kernel must equal it bit for bit.
+the package's kernel must equal it bit for bit. ``breslow_loglik_decimal``
+is the Breslow log likelihood in 50-digit decimal arithmetic, so a
+likelihood ratio taken as the difference of two of them keeps every digit
+a double can hold.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -205,6 +209,38 @@ def _score_loops(start, stop, event, x, beta, w):
         for b in range(a):
             hess[b, a] = hess[a, b]
     return ll, grad, hess
+
+
+def breslow_loglik_decimal(start, stop, event, x, beta, digits=50):
+    """The Breslow log partial likelihood as a ``decimal.Decimal`` of ``digits`` digits.
+
+    The doubles in ``x`` and ``beta`` convert to decimals exactly, so the
+    only rounding is the context's, at ``digits`` significant digits. Every
+    event record adds its linear predictor minus the log of the summed
+    hazards over its own risk set (ties included).
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        x = np.asarray(x, dtype=np.float64)
+        beta = [decimal.Decimal(float(b)) for b in beta]
+        eta = [sum((decimal.Decimal(float(v)) * b for v, b in zip(row, beta)),
+                   decimal.Decimal(0)) for row in x]
+        hazard = [e.exp() for e in eta]
+        ll = decimal.Decimal(0)
+        for i in np.flatnonzero(event):
+            t = stop[i]
+            s0 = sum((h for h, a, b in zip(hazard, start, stop) if a < t <= b),
+                     decimal.Decimal(0))
+            ll += eta[i] - s0.ln()
+        return +ll
+
+
+def breslow_lr_decimal(start, stop, event, x, beta) -> float:
+    """``2 * (ll(beta) - ll(0))`` from two 50-digit log likelihoods, rounded once to a double."""
+    zero = np.zeros(len(beta))
+    lr = 2 * (breslow_loglik_decimal(start, stop, event, x, beta)
+              - breslow_loglik_decimal(start, stop, event, x, zero))
+    return float(lr)
 
 
 def score_per_event_time(start, stop, event, x, beta):

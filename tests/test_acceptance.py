@@ -23,7 +23,7 @@ from nfactor import (
     replicate_frame,
     student_t_two_sided,
 )
-from nfactor.errors import TiesWarning, UnreachableSignificance
+from nfactor.errors import TiesWarning
 
 from oracles import chi2_sf_quadrature, student_t_two_sided_quadrature
 from test_kernels import kernel_args
@@ -149,7 +149,7 @@ def test_criterion_7(heart_frame):
     args = kernel_args(heart_frame)
     for _ in range(5):
         beta = 0.2 * rng.standard_normal(4)
-        _, grad, neg_hess = kernels.score(*args, beta)
+        _, grad, neg_hess, _ = kernels.score(*args, beta)
         fd_grad = np.zeros(4)
         fd_hess = np.zeros((4, 4))
         for j in range(4):
@@ -192,15 +192,14 @@ def test_criterion_9():
         expected = next(
             (w for w in range(1, max_weight + 1) if curve(w) <= target), None
         )
-        if expected is None:
-            with pytest.raises(UnreachableSignificance):
-                compute_nf(curve, 30, target, max_weight)
-            continue
-        reachable += 1
         result = compute_nf(curve, 30, target, max_weight)
         assert result.nf_integer == expected
+        if expected is None:
+            assert result.w1 is None and result.best_p == curve(max_weight)
+            continue
+        reachable += 1
         if expected > 1:
             assert (result.w0, result.w1) == (expected - 1, expected)
     assert reachable >= 50  # the draw actually exercises the search path
-    with pytest.raises(UnreachableSignificance):
-        compute_nf(lambda w: 1.0, 30, 0.05, 1000)
+    flat = compute_nf(lambda w: 1.0, 30, 0.05, 1000)
+    assert flat.w1 is None and flat.best_p == 1.0

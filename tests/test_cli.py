@@ -11,7 +11,7 @@ import pytest
 import nfactor
 from nfactor import chi2_sf, cli, cox, kernels
 from nfactor.cli import emit_report, run
-from nfactor.errors import DomainError, NfactorError, UnreachableSignificance
+from nfactor.errors import DomainError, NfactorError
 from nfactor.search import DEFAULT_MAX_WEIGHT
 
 from conftest import COVARIATES, HEART_CSV, LINEAR_CSV
@@ -474,11 +474,7 @@ def record_outcomes(monkeypatch, module, name, outcomes):
     original = getattr(module, name)
 
     def recorded(*args, **kwargs):
-        try:
-            outcomes.append(original(*args, **kwargs))
-        except UnreachableSignificance as exc:
-            outcomes.append(exc)
-            raise
+        outcomes.append(original(*args, **kwargs))
         return outcomes[-1]
 
     monkeypatch.setattr(module, name, recorded)
@@ -521,12 +517,13 @@ def test_json_report_is_exact_and_a_fixed_point(capsys, monkeypatch, argv):
     for i, reported in enumerate(doc["fit"]["coefficients"]):
         for key, attr in coefficients:
             assert bits(reported[key]) == bits(getattr(fit, attr)[i]), (reported["name"], key)
-    if isinstance(nf, UnreachableSignificance):
-        assert code == 2 and bits(doc["best_p"]) == bits(nf.best_p)
+    assert code == (2 if nf.w1 is None else 0)
+    for key in ("p_at_1", "p0", "p1", "w_int", "n_int"):
+        assert bits(doc[key]) == bits(getattr(nf, key)), key
+    if nf.w1 is None:
+        assert bits(doc["best_p"]) == bits(nf.best_p)
     else:
-        assert code == 0
-        for key in ("p_at_1", "p0", "p1", "w_int", "n_int"):
-            assert bits(doc[key]) == bits(getattr(nf, key)), key
+        assert "best_p" not in doc
     assert [[w, bits(p)] for w, p in doc["trace"]] == [[w, bits(p)] for w, p in nf.trace]
     assert emit_report(json.loads(text), "json") == text
 

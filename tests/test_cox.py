@@ -23,9 +23,9 @@ from nfactor.errors import (
     NotConverged,
     TiesWarning,
 )
-from nfactor.search import DEFAULT_MAX_WEIGHT
+from nfactor.search import DEFAULT_MAX_WEIGHT, compute_nf
 
-from oracles import _loglik_loops, _score_loops
+from oracles import _loglik_loops, _score_loops, breslow_lr_decimal
 from test_kernels import kernel_args
 
 # Reference output for the 30-row fixture, weight 1.
@@ -44,7 +44,7 @@ def loglik(frame, beta):
 
 
 def score_hessian(frame, beta):
-    _, grad, neg_hess = kernels.score(*kernel_args(frame), np.asarray(beta, dtype=float))
+    _, grad, neg_hess, _ = kernels.score(*kernel_args(frame), np.asarray(beta, dtype=float))
     return grad, neg_hess
 
 
@@ -326,13 +326,73 @@ def test_failed_line_search_raises_at_once(heart_frame, monkeypatch):
     real_score = kernels.score
 
     def score(start, stop, event, x, beta):
-        ll, grad, neg_hess = real_score(start, stop, event, x, beta)
-        return (-math.inf if beta.any() else ll), grad, neg_hess
+        ll, grad, neg_hess, gain = real_score(start, stop, event, x, beta)
+        return (-math.inf if beta.any() else ll), grad, neg_hess, gain
 
     monkeypatch.setattr(kernels, "score", score)
     with pytest.raises(NotConverged) as info:
         fit_cox(heart_frame)
     assert info.value.iterations == 1
+
+
+# ---- the likelihood ratio against a 50-digit oracle ----------------------------
+
+
+def exact_lr(frame, fit):
+    """The 50-digit LR over the fit's kept covariates, at its estimate."""
+    kept = [frame.covariate_names.index(name) for name in fit.covariate_names]
+    return breslow_lr_decimal(*kernel_args(frame)[:3], frame.covariates[:, kept], fit.beta)
+
+
+def faint_signal_frame(eps, seed=0, n=200):
+    """n continuous-time records whose one covariate ``x0 + eps * v`` barely matters.
+
+    ``x0`` has zero score at beta = 0 (to round-off) and ``v`` tracks the
+    event flag, so the LR is of order eps**2 while each log likelihood is
+    about -494: their difference would cancel all but a few digits.
+    """
+    rng = np.random.default_rng(seed)
+    stop = rng.uniform(1.0, 100.0, n)
+    start = np.zeros(n)
+    event = rng.random(n) < 0.6
+    u, z, v = rng.standard_normal((3, n))
+
+    def score_at_zero(column):
+        return kernels.score(start, stop, event, column[:, None], np.zeros(1))[1][0]
+
+    x0 = u - score_at_zero(u) / score_at_zero(z) * z
+    return SurvivalFrame(subject_ids=np.arange(n, dtype=float), start=start, stop=stop,
+                         event=event, covariates=(x0 + eps * (v + event))[:, None],
+                         covariate_names=("x",))
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5])
+def test_a_small_lr_keeps_its_digits(eps):
+    frame = faint_signal_frame(eps)
+    fit = fit_cox(frame)
+    assert fit.lr_stat == pytest.approx(exact_lr(frame, fit), rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3])
+def test_a_small_lr_gives_the_exact_nf(eps):
+    # w_int grows as 1 / LR, so an LR off by 1e-8 moves a printed w_int of
+    # 4e5 in its last decimal
+    frame = faint_signal_frame(eps)
+    fit = fit_cox(frame)
+    lr = exact_lr(frame, fit)
+    got = compute_nf(fit.p_at, 200, 0.05, 10**9)
+    want = compute_nf(lambda w: chi2_sf(w * lr, 1), 200, 0.05, 10**9)
+    assert got.nf_integer == want.nf_integer
+    assert f"{got.w_int:.4f}" == f"{want.w_int:.4f}"
+
+
+@pytest.mark.parametrize("subset", SUBSETS, ids=",".join)
+def test_stan30_lr_matches_the_decimal_oracle(heart_dataset, subset):
+    frame = stset_reconstruct(heart_dataset, "t1", "died", "id", list(subset))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateTestWarning)
+        fit = fit_cox(frame)
+    assert fit.lr_stat == pytest.approx(exact_lr(frame, fit), rel=1e-13, abs=0)
 
 
 # ---- replication oracle -----------------------------------------------------

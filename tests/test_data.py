@@ -335,6 +335,14 @@ def test_replicate_rejects_bad_weight(heart_dataset, w):
         replicate(heart_dataset, w)
 
 
+@pytest.mark.parametrize("flag", [True, np.True_])
+def test_a_bool_is_not_a_weight(heart_dataset, flag):
+    with pytest.raises(InvalidWeight):
+        check_weight(flag)
+    with pytest.raises(InvalidWeight):
+        replicate(heart_dataset, flag)
+
+
 def test_weight_is_bounded_where_doubles_are_exact():
     # every integer up to 2**53 is an exact double; past it float(w) rounds,
     # and past about 2**1024 it overflows

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from nfactor import kernels, replicate_frame
+from nfactor import SurvivalFrame, cox, fit_cox, kernels, replicate_frame
 
-from oracles import _loglik_loops, _score_loops, score_per_event_time
+from oracles import _loglik_loops, _score_loops, breslow_lr_decimal, score_per_event_time
 
 
 def kernel_args(frame):
@@ -31,7 +31,7 @@ def test_score_matches_loop_oracle(heart_frame, w):
     for _ in range(5):
         beta = 0.1 * rng.standard_normal(4)
         ll_o, g_o, h_o = _score_loops(*kernel_args(heart_frame), beta, float(w))
-        ll, g, h = kernels.score(*kernel_args(replicated), beta)
+        ll, g, h, _ = kernels.score(*kernel_args(replicated), beta)
         assert ll == pytest.approx(ll_o, rel=1e-12)
         np.testing.assert_allclose(g, g_o, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(h, h_o, rtol=1e-10, atol=1e-12)
@@ -85,7 +85,7 @@ def bit_identity_cases(heart_frame):
 def test_score_equals_per_event_time_oracle_bit_for_bit(heart_frame):
     for name, start, stop, event, x, beta in bit_identity_cases(heart_frame):
         ll_o, g_o, h_o = score_per_event_time(start, stop, event, x, beta)
-        ll, g, h = kernels.score(start, stop, event, x, beta)
+        ll, g, h, _ = kernels.score(start, stop, event, x, beta)
         assert ll == ll_o, name
         assert np.array_equal(g, g_o), name
         assert np.array_equal(h, h_o), name
@@ -94,6 +94,77 @@ def test_score_equals_per_event_time_oracle_bit_for_bit(heart_frame):
 def test_no_event_records_score_zero():
     start, stop, event, x = seeded_records(3, 25, 2, event_share=0.0)
     assert not event.any()
-    ll, g, h = kernels.score(start, stop, event, x, np.array([0.5, -0.2]))
-    assert ll == 0.0 and type(ll) is float
+    ll, g, h, gain = kernels.score(start, stop, event, x, np.array([0.5, -0.2]))
+    assert ll == gain == 0.0 and type(ll) is type(gain) is float
     assert np.array_equal(g, np.zeros(2)) and np.array_equal(h, np.zeros((2, 2)))
+
+
+def test_gain_is_the_rise_over_beta_zero(heart_frame):
+    for name, start, stop, event, x, beta in bit_identity_cases(heart_frame):
+        ll, _, _, gain = kernels.score(start, stop, event, x, beta)
+        ll_zero, _, _, gain_zero = kernels.score(start, stop, event, x, np.zeros_like(beta))
+        assert gain_zero == 0.0, name
+        assert gain == pytest.approx(ll - ll_zero, rel=1e-9, abs=1e-12 * abs(ll_zero)), name
+
+
+# ---- hostile frames ---------------------------------------------------------
+
+
+def hazard_records(seed, n, b, late_share):
+    """start, stop, event and x of n records whose hazard is exp(x @ b).
+
+    x holds a U(-1, 1) and a standard normal column; censoring is U(0, 40),
+    and every time is shifted by 1. A share ``late_share`` of the records
+    enter at a U(0.5, 0.95) fraction of their stop time (left truncation),
+    the rest at 0.
+    """
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([rng.uniform(-1.0, 1.0, n), rng.standard_normal(n)])
+    failure = rng.exponential(10.0 / np.exp(x @ b))
+    censor = rng.uniform(0.0, 40.0, n)
+    stop = np.minimum(failure, censor) + 1.0
+    event = failure <= censor
+    late = rng.random(n) < late_share
+    start = np.where(late, stop * rng.uniform(0.5, 0.95, n), 0.0)
+    return start, stop, event, x
+
+
+def hostile_frame(name):
+    """A frame that strains the kernel's sums.
+
+    ``truncated``: 90% of the records enter late, so most records enter
+    after the first event time and a risk set holds a small share of them.
+    ``truncated, tied``: the same records on whole time units (starts
+    floored, stops ceiled), so events tie. ``wide span``: a strong effect
+    whose fitted linear predictor spans nearly ``cox.MAX_ETA_SPAN``.
+    """
+    if name == "wide span":
+        start, stop, event, x = hazard_records(7, 120, np.array([13.0, 0.3]), 0.0)
+    else:
+        start, stop, event, x = hazard_records(0, 150, np.array([0.8, -0.5]), 0.9)
+        if name == "truncated, tied":
+            start, stop = np.floor(start), np.ceil(stop)
+    return SurvivalFrame(subject_ids=np.arange(len(stop), dtype=float), start=start,
+                         stop=stop, event=event, covariates=x, covariate_names=("u", "z"))
+
+
+@pytest.mark.filterwarnings("ignore::nfactor.errors.TiesWarning")
+@pytest.mark.parametrize("name", ["truncated", "truncated, tied", "wide span"])
+def test_hostile_frame_matches_the_oracles(name):
+    frame = hostile_frame(name)
+    args = kernel_args(frame)
+    fit = fit_cox(frame)
+    assert fit.omitted == ()
+    if name == "wide span":
+        span = np.ptp(frame.covariates @ fit.beta)
+        assert 0.9 * cox.MAX_ETA_SPAN < span <= cox.MAX_ETA_SPAN
+    else:
+        assert np.mean(frame.start >= frame.stop[frame.event].min()) > 0.5
+        assert frame.has_tied_event_times == (name == "truncated, tied")
+    for beta in (fit.beta, 0.5 * fit.beta):
+        ll_o, g_o, h_o = _score_loops(*args, beta, 1.0)
+        ll, g, h, _ = kernels.score(*args, beta)
+        assert ll == pytest.approx(ll_o, rel=1e-12)
+        np.testing.assert_allclose(g, g_o, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(h, h_o, rtol=1e-10, atol=1e-12)
+    assert fit.lr_stat == pytest.approx(breslow_lr_decimal(*args, fit.beta), rel=1e-9, abs=0)

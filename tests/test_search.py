@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from nfactor import compute_nf, fit_cox, fit_wls, interpolate
-from nfactor.errors import DegenerateBracket, EvaluationFailed, UnreachableSignificance
+from nfactor import Dataset, compute_nf, fit_cox, fit_wls, interpolate, student_t_two_sided
+from nfactor.errors import DegenerateBracket, EvaluationFailed
 
 from test_golden_reports import TESTS_DIR, bundled_requests, run_request
 
@@ -18,6 +18,15 @@ def geometric_curve(p1, ratio):
         return p1 * ratio ** (w - 1)
 
     return p_of_weight
+
+
+def assert_unreachable(result, max_weight):
+    """The record of a search that no weight up to ``max_weight`` satisfied."""
+    assert (result.w0, result.p0, result.w1, result.p1) == (None, None, None, None)
+    assert (result.w_int, result.n_int, result.nf_integer, result.exact_hit) == (None,) * 4
+    assert result.trace[0][0] == 1 and result.p_at_1 == result.trace[0][1]
+    assert max(w for w, _ in result.trace) == max_weight  # the cap itself was tried
+    assert result.best_p == min(p for _, p in result.trace) > result.target_alpha
 
 
 def scan_bracket(p_of_weight, target, max_weight):
@@ -68,6 +77,7 @@ def test_already_significant_at_weight_one():
     assert result.w0 is None and result.p0 is None
     assert result.trace == ((1, 0.04),)
     assert not result.exact_hit
+    assert result.best_p == 0.04
 
 
 def test_flat_curve_is_unreachable():
@@ -77,11 +87,11 @@ def test_flat_curve_is_unreachable():
         calls.append(w)
         return 1.0
 
-    with pytest.raises(UnreachableSignificance) as err:
-        compute_nf(flat, 30, 0.05, 1000)
-    assert err.value.max_weight == 1000
-    assert err.value.best_p == 1.0
-    assert calls[-1] == 1000  # the cap itself was tried before giving up
+    result = compute_nf(flat, 30, 0.05, 1000)
+    assert_unreachable(result, 1000)
+    assert result.best_p == 1.0
+    assert calls[-1] == 1000
+    assert [w for w, _ in result.trace] == calls
 
 
 def test_exact_hit_skips_interpolation():
@@ -117,11 +127,11 @@ def test_matches_linear_scan_on_random_monotone_curves():
         target = rng.uniform(1e-6, 0.2)
         curve = geometric_curve(p1, ratio)
         expected_w1 = scan_bracket(curve, target, max_weight)
-        if expected_w1 is None:
-            with pytest.raises(UnreachableSignificance):
-                compute_nf(curve, 30, target, max_weight)
-            continue
         result = compute_nf(curve, 30, target, max_weight)
+        if expected_w1 is None:
+            assert_unreachable(result, max_weight)
+            assert result.best_p == curve(max_weight)
+            continue
         assert result.nf_integer == expected_w1
         if expected_w1 > 1:
             assert (result.w0, result.w1) == (expected_w1 - 1, expected_w1)
@@ -175,8 +185,9 @@ def test_max_weight_one_already_significant():
 
 
 def test_max_weight_one_unreachable():
-    with pytest.raises(UnreachableSignificance):
-        compute_nf(lambda w: 0.5, 5, 0.05, 1)
+    result = compute_nf(lambda w: 0.5, 5, 0.05, 1)
+    assert_unreachable(result, 1)
+    assert result.trace == ((1, 0.5),)
 
 
 # ---- end-to-end with the model engines ---------------------------------------
@@ -234,3 +245,56 @@ def test_nf_is_the_exact_crossing(monkeypatch, argv):
     assert got["exit"] == 0
     assert doc["nf_integer"] == math.ceil(w_star)
     assert doc["w0"] < w_star <= doc["w1"]
+
+
+def wald_p(fit, w):
+    """The Wald profile at a real weight: t * sqrt(df_w / df_1) on df_w = w * n - k."""
+    j = fit.term_names.index(fit.tested)
+    df = w * fit.weighted_n - len(fit.term_names)
+    return student_t_two_sided(fit.t_stats[j] * math.sqrt(df / fit.df_residual), df)
+
+
+def wald_crossing(fit, target):
+    """The real weight w* > 1 where ``wald_p`` falls to ``target``, to adjacent doubles.
+
+    Doubling, then bisection on the monotone p(w); the caller checks p(1) > target.
+    """
+    lo, hi = 1.0, 2.0
+    while wald_p(fit, hi) > target:
+        lo, hi = hi, 2.0 * hi
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if wald_p(fit, mid) > target else (lo, mid)
+    return hi
+
+
+def seeded_linear_fit(seed):
+    """A least-squares fit of 8-59 rows with 0-2 covariates, testing a weak term."""
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(8, 60)), int(rng.integers(0, 3))
+    columns = {f"x{i}": rng.standard_normal(n) for i in range(k)}
+    tested = str(rng.choice(["intercept", *columns]))
+    y = rng.standard_normal(n) + sum(0.5 * c for name, c in columns.items() if name != tested)
+    y += rng.uniform(0.0, 0.3) * (columns[tested] if tested in columns else 1.0)
+    return fit_wls(Dataset({"y": y, **columns}), "y", list(columns), tested), n
+
+
+@pytest.mark.parametrize("seed", [None, *range(20)],
+                         ids=lambda s: "linear30" if s is None else f"seed {s}")
+def test_wald_nf_is_the_exact_crossing(wald_dataset, seed):
+    # The crossing is found with none of the search's code: the NF is
+    # ceil(w*) and the bracket holds w*.
+    if seed is None:
+        fit, n = fit_wls(wald_dataset, "y", ()), wald_dataset.n_rows
+    else:
+        fit, n = seeded_linear_fit(seed)
+    result = compute_nf(fit.p_at, n, 0.05, 10**12)
+    if wald_p(fit, 1.0) <= 0.05:
+        # the crossing lies at or below weight 1
+        assert (result.nf_integer, result.w0) == (1, None)
+        return
+    w_star = wald_crossing(fit, 0.05)
+    if result.exact_hit:
+        assert w_star == pytest.approx(result.w1, rel=1e-9)
+    else:
+        assert result.nf_integer == math.ceil(w_star)
+        assert result.w0 < w_star <= result.w1
