@@ -18,14 +18,8 @@ from .data import (
     survival_frame_from_intervals,
 )
 from .linear import INTERCEPT, LinearFit, fit_wls
-from .numerics import (
-    chi2_sf,
-    normal_two_sided,
-    pivoted_rank_factor,
-    solve_spd,
-    student_t_two_sided,
-)
-from .search import DEFAULT_MAX_WEIGHT, NfResult, compute_nf, interpolate
+from .numerics import chi2_sf, student_t_two_sided
+from .search import DEFAULT_MAX_WEIGHT, NfResult, compute_nf
 
 __version__ = "0.1.0"
 
@@ -41,13 +35,9 @@ __all__ = [
     "compute_nf",
     "fit_cox",
     "fit_wls",
-    "interpolate",
     "load_csv",
-    "normal_two_sided",
-    "pivoted_rank_factor",
     "replicate",
     "replicate_frame",
-    "solve_spd",
     "stset_reconstruct",
     "student_t_two_sided",
     "survival_frame_from_intervals",

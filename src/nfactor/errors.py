@@ -144,10 +144,6 @@ class UntestableCoefficient(NfactorError):
 # ---- NF search -------------------------------------------------------------
 
 
-class DegenerateBracket(NfactorError):
-    """Both bracket p-values are equal; the p-curve is flat at the bracket."""
-
-
 class EvaluationFailed(NfactorError):
     def __init__(self, weight, cause):
         super().__init__(f"p-value evaluation failed at weight {weight}: {cause}")

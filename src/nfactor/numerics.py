@@ -255,8 +255,8 @@ def _beta_inc_large_a(a: float, x: float, y: float) -> float:
     return scale * total
 
 
-def _beta_inc(a: float, b: float, x: float, y: float) -> float:
-    """Regularized incomplete beta I_x(a, b) for a, b > 0 and 0 <= x <= 1.
+def _beta_inc(a: float, x: float, y: float) -> float:
+    """Regularized incomplete beta I_x(a, 1/2) for a > 0 and 0 <= x <= 1.
 
     Takes both ``x`` and ``y = 1 - x``, each to full precision.
     """
@@ -264,20 +264,18 @@ def _beta_inc(a: float, b: float, x: float, y: float) -> float:
         return 0.0
     if y == 0.0:
         return 1.0
-    if b == 0.5 and a >= _GRAT_MIN_A and x >= 0.5:
+    if a >= _GRAT_MIN_A and x >= 0.5:
         return _beta_inc_large_a(a, x, y)
     log_x = math.log1p(-y) if y < 0.5 else math.log(x)
     log_y = math.log1p(-x) if x < 0.5 else math.log(y)
-    if a >= b:
-        log_beta = math.lgamma(b) - _log_gamma_ratio(a, b)
-    else:
-        log_beta = math.lgamma(a) - _log_gamma_ratio(b, a)
-    front = math.exp(a * log_x + b * log_y - log_beta)
+    # log B(a, 1/2), for every a > 0
+    log_beta = math.lgamma(0.5) - _log_gamma_ratio(a, 0.5)
+    front = math.exp(a * log_x + 0.5 * log_y - log_beta)
     # The continued fraction converges fast on the side where x is below the
     # distribution mean; use the symmetry I_x(a,b) = 1 - I_{1-x}(b,a) otherwise.
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_contfrac(a, b, x) / a
-    return 1.0 - front * _beta_contfrac(b, a, y) / b
+    if x < (a + 1.0) / (a + 2.5):
+        return front * _beta_contfrac(a, 0.5, x) / a
+    return 1.0 - front * _beta_contfrac(0.5, a, y) / 0.5
 
 
 def student_t_two_sided(t: float, df: float) -> float:
@@ -293,7 +291,7 @@ def student_t_two_sided(t: float, df: float) -> float:
     # Form x = df / (df + t^2) and its complement separately: at large df,
     # 1 - x recomputed from a rounded x has lost most of its digits.
     t2 = t * t
-    return _beta_inc(df / 2.0, 0.5, df / (df + t2), t2 / (df + t2))
+    return _beta_inc(df / 2.0, df / (df + t2), t2 / (df + t2))
 
 
 def normal_two_sided(z: float) -> float:

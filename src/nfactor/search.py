@@ -9,15 +9,17 @@ interpolation of the p-values:
     w_int = (W0 * (target - p1) + W1 * (p0 - target)) / (p0 - p1)
 
 Doubling and bisection keep p(lo) > target >= p(hi) at every step, so the
-bracket always straddles the target; on a monotone p-curve W1 is the
-smallest significant weight.
+bracket always straddles the target and the denominator is positive; on a
+monotone p-curve W1 is the smallest significant weight. ``compute_nf``'s
+``result`` is the one place that decides the record: ``w_int`` is W1 itself
+when there is no W0 or when p1 hits the target, and the formula otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegenerateBracket, EvaluationFailed
+from .errors import EvaluationFailed
 
 EXACT_HIT_TOL = 1e-12
 
@@ -51,17 +53,6 @@ class NfResult:
     best_p: float
 
 
-def interpolate(w0: int, p0: float, w1: int, p1: float, target: float) -> float:
-    """Linearly interpolated fractional weight where the p-curve crosses ``target``."""
-    if p0 == p1:
-        raise DegenerateBracket(f"p-values at both bracket weights equal {p0}")
-    if p0 < p1:
-        raise ValueError(f"bracket p-values must decrease: p0={p0} < p1={p1}")
-    if not (p0 >= target >= p1):
-        raise ValueError(f"target {target} not inside bracket [{p1}, {p0}]")
-    return (w0 * (target - p1) + w1 * (p0 - target)) / (p0 - p1)
-
-
 def compute_nf(
     p_of_weight,
     base_n: int,
@@ -93,7 +84,15 @@ def compute_nf(
             trace[w] = p
         return trace[w]
 
-    def result(w0=None, p0=None, w1=None, p1=None, w_int=None):
+    def result(w0=None, w1=None):
+        p0, p1 = trace.get(w0), trace.get(w1)
+        exact_hit = None if w1 is None else abs(p1 - target) <= EXACT_HIT_TOL
+        if w1 is None:
+            w_int = None
+        elif w0 is None or exact_hit:
+            w_int = float(w1)
+        else:
+            w_int = (w0 * (target - p1) + w1 * (p0 - target)) / (p0 - p1)
         return NfResult(
             target_alpha=target,
             p_at_1=trace[1],
@@ -105,12 +104,12 @@ def compute_nf(
             n_int=None if w_int is None else base_n * w_int,
             nf_integer=w1,
             trace=tuple(trace.items()),
-            exact_hit=None if p1 is None else abs(p1 - target) <= EXACT_HIT_TOL,
+            exact_hit=exact_hit,
             best_p=min(trace.values()),
         )
 
     if evaluate(1) <= target:
-        return result(None, None, 1, trace[1], 1.0)
+        return result(w1=1)
 
     # Geometric doubling until the target is reached or the cap is hit.
     lo = hi = 1
@@ -127,7 +126,4 @@ def compute_nf(
         else:
             lo = mid
 
-    p0, p1 = trace[lo], trace[hi]
-    if abs(p1 - target) <= EXACT_HIT_TOL:
-        return result(lo, p0, hi, p1, float(hi))
-    return result(lo, p0, hi, p1, interpolate(lo, p0, hi, p1, target))
+    return result(lo, hi)

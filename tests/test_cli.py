@@ -363,6 +363,17 @@ def test_missing_required_binding(capsys):
     assert "--time" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, line", [
+    (COX_ARGS[:-4], "nfactor: error: model cox-lr requires --covariates\n"),
+    (LINEAR_ARGS[:-4], "nfactor: error: model linear-wald requires --response\n"),
+], ids=["cox-lr without --covariates", "linear-wald without --response"])
+def test_a_model_without_its_option_is_one_usage_line(capsys, args, line):
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == line  # a usage error names no stage
+    assert captured.out == ""
+
+
 def test_unknown_model(capsys):
     code = run(["--model", "anova", "--data", str(HEART_CSV)])
     assert code == 1
@@ -526,6 +537,11 @@ def test_json_report_is_exact_and_a_fixed_point(capsys, monkeypatch, argv):
         assert "best_p" not in doc
     assert [[w, bits(p)] for w, p in doc["trace"]] == [[w, bits(p)] for w, p in nf.trace]
     assert emit_report(json.loads(text), "json") == text
+
+
+def test_an_unknown_report_format_is_refused():
+    with pytest.raises(ValueError, match="unknown report format 'xml'"):
+        emit_report({}, "xml")
 
 
 def test_json_escapes_control_characters_in_data_path(capsys, tmp_path):

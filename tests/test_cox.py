@@ -40,7 +40,7 @@ def padded(fit):
 
 
 def loglik(frame, beta):
-    return kernels.loglik(*kernel_args(frame), np.asarray(beta, dtype=float))
+    return kernels.score(*kernel_args(frame), np.asarray(beta, dtype=float))[0]
 
 
 def score_hessian(frame, beta):

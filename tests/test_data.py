@@ -6,6 +6,7 @@ import pytest
 from nfactor import (
     Dataset,
     SurvivalFrame,
+    fit_wls,
     load_csv,
     replicate,
     replicate_frame,
@@ -135,6 +136,13 @@ def test_dataset_rejects_ragged_columns():
         Dataset({"a": [1.0], "b": [1.0, 2.0]})
 
 
+def test_a_column_the_dataset_lacks_is_named(wald_dataset):
+    with pytest.raises(MissingColumn) as err:
+        fit_wls(wald_dataset, "absent")
+    assert err.value.name == "absent"
+    assert str(err.value) == "required column 'absent' not found"
+
+
 def test_dataset_columns_are_read_only(heart_dataset):
     with pytest.raises(ValueError):
         heart_dataset.column("t1")[0] = 99.0
@@ -187,6 +195,18 @@ def test_explicit_intervals_match_reconstruction(heart_dataset, heart_frame):
     np.testing.assert_array_equal(explicit.start, heart_frame.start)
     np.testing.assert_array_equal(explicit.stop, heart_frame.stop)
     np.testing.assert_array_equal(explicit.covariates, heart_frame.covariates)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("event", [True], "record arrays have mismatched lengths"),
+    ("covariates", np.zeros((3, 0)), "record arrays have mismatched lengths"),
+    ("covariate_names", ("x",), "covariate matrix does not match covariate_names"),
+], ids=["short event", "long covariates", "unnamed column"])
+def test_frame_rejects_arrays_that_do_not_fit_together(field, value, message):
+    records = dict(subject_ids=[1.0, 2.0], start=[0.0, 0.0], stop=[3.0, 4.0],
+                   event=[True, False], covariates=np.zeros((2, 0)), covariate_names=())
+    with pytest.raises(ValueError, match=message):
+        SurvivalFrame(**{**records, field: value})
 
 
 def test_frame_rejects_empty_interval():

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from nfactor import (
+from nfactor.errors import DomainError, NotPositiveDefinite
+from nfactor.numerics import (
+    COLLINEARITY_RTOL,
     chi2_sf,
+    inverse_spd,
     normal_two_sided,
     pivoted_rank_factor,
     solve_spd,
     student_t_two_sided,
 )
-from nfactor.errors import DomainError, NotPositiveDefinite
-from nfactor.numerics import COLLINEARITY_RTOL, inverse_spd
 
 from oracles import (
     chi2_sf_quadrature,
@@ -435,6 +436,14 @@ def test_t_domain_error():
                   (3.0, math.nan), (math.inf, math.inf)]:
         with pytest.raises(DomainError):
             student_t_two_sided(t, df)
+
+
+@pytest.mark.parametrize("t, p", [(1e200, 0.0), (1e-170, 1.0)],
+                         ids=["t squared overflows", "t squared underflows"])
+def test_t_tail_where_t_squared_leaves_the_doubles(t, p):
+    # t * t is inf (x = df / (df + t^2) is 0) or 0 (its complement y is 0)
+    for sign in (1.0, -1.0):
+        assert student_t_two_sided(sign * t, 10) == p == 2.0 * stats.t.sf(t, 10)
 
 
 # ---- normal_two_sided -------------------------------------------------------

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from nfactor import Dataset, compute_nf, fit_cox, fit_wls, interpolate, student_t_two_sided
-from nfactor.errors import DegenerateBracket, EvaluationFailed
+from nfactor import Dataset, compute_nf, fit_cox, fit_wls, student_t_two_sided
+from nfactor.errors import EvaluationFailed
 
 from test_golden_reports import TESTS_DIR, bundled_requests, run_request
 
@@ -37,35 +37,6 @@ def scan_bracket(p_of_weight, target, max_weight):
     return None
 
 
-# ---- interpolate ------------------------------------------------------------
-
-
-def test_interpolate_reference_example():
-    assert interpolate(4, 0.0826, 5, 0.0392, 0.05) == pytest.approx(4.751, abs=1e-3)
-
-
-def test_interpolate_endpoints():
-    assert interpolate(4, 0.08, 5, 0.03, 0.03) == 5.0
-    assert interpolate(4, 0.08, 5, 0.03, 0.08) == 4.0
-
-
-def test_interpolate_midpoint():
-    # dyadic p-values make the linearity identity exact in floating point
-    assert interpolate(10, 0.75, 11, 0.25, 0.5) == 10.5
-
-
-def test_interpolate_degenerate_bracket():
-    with pytest.raises(DegenerateBracket):
-        interpolate(4, 0.05, 5, 0.05, 0.05)
-
-
-def test_interpolate_rejects_bad_bracket():
-    with pytest.raises(ValueError):
-        interpolate(4, 0.03, 5, 0.08, 0.05)
-    with pytest.raises(ValueError):
-        interpolate(4, 0.8, 5, 0.6, 0.05)
-
-
 # ---- compute_nf on synthetic curves ------------------------------------------
 
 
@@ -94,11 +65,27 @@ def test_flat_curve_is_unreachable():
     assert [w for w, _ in result.trace] == calls
 
 
-def test_exact_hit_skips_interpolation():
-    def stepped(w):
-        return {1: 0.9, 2: 0.5}.get(w, 0.05)
+def stepped_curve(points, rest):
+    """p(w) from ``points`` where it has w, and ``rest`` at every other weight."""
+    return lambda w: points.get(w, rest)
 
-    result = compute_nf(stepped, 10, 0.05, 100)
+
+@pytest.mark.parametrize("points, rest, target, bracket, w_int", [
+    # the reference example: p(4) = 0.0826 and p(5) = 0.0392 give 4.751
+    ({1: 0.6433, 2: 0.3, 3: 0.15, 4: 0.0826}, 0.0392, 0.05, (4, 5),
+     pytest.approx(4.751, abs=1e-3)),
+    # dyadic p-values make the linearity identity exact in floating point
+    ({w: 0.75 for w in range(1, 11)}, 0.25, 0.5, (10, 11), 10.5),
+], ids=["reference example", "dyadic midpoint"])
+def test_interpolates_inside_the_bracket(points, rest, target, bracket, w_int):
+    result = compute_nf(stepped_curve(points, rest), 30, target, 100)
+    assert (result.w0, result.w1) == bracket and not result.exact_hit
+    assert result.w_int == w_int
+    assert result.n_int == 30 * result.w_int
+
+
+def test_exact_hit_skips_interpolation():
+    result = compute_nf(stepped_curve({1: 0.9, 2: 0.5}, 0.05), 10, 0.05, 100)
     assert result.exact_hit
     assert result.nf_integer == 3
     assert result.w_int == 3.0
@@ -109,11 +96,11 @@ def test_bracket_and_interpolation_against_closed_form():
     p1, ratio, target = 0.8, 0.7, 0.05
     result = compute_nf(geometric_curve(p1, ratio), 30, target, 10_000)
     w1 = scan_bracket(geometric_curve(p1, ratio), target, 10_000)
-    assert result.w1 == w1
-    assert result.w0 == w1 - 1
-    assert result.p0 == pytest.approx(p1 * ratio ** (result.w0 - 1))
-    expected = interpolate(result.w0, result.p0, result.w1, result.p1, target)
-    assert result.w_int == expected
+    w0 = w1 - 1
+    assert (result.w0, result.w1) == (w0, w1)
+    q0, q1 = p1 * ratio ** (w0 - 1), p1 * ratio ** (w1 - 1)
+    assert (result.p0, result.p1) == (q0, q1)
+    assert result.w_int == (w0 * (target - q1) + w1 * (q0 - target)) / (q0 - q1)
     assert result.w0 <= result.w_int <= result.w1
     assert result.n_int == 30 * result.w_int
 
