@@ -197,9 +197,7 @@ def fit_cox(frame: SurvivalFrame) -> CoxFit:
     n_subjects = float(frame.n_subjects)
     n_failures = float(frame.n_events)
 
-    # The copy is C-ordered: the kernel's matrix products round differently
-    # on a Fortran-ordered one.
-    x = np.ascontiguousarray(frame.covariates - frame.covariates.mean(axis=0))
+    x = frame.covariates - frame.covariates.mean(axis=0)
     ll_null, grad, neg_hess, _ = kernels.score(
         frame.start, frame.stop, frame.event, x, np.zeros(x.shape[1])
     )

@@ -3,7 +3,8 @@
 Survival input uses the last-observation-time convention: each row carries
 the time its interval ends, and a subject's consecutive rows are turned into
 half-open intervals ``(previous time, time]`` with the first interval opening
-at 0. Explicit start/stop columns are supported as an alternative.
+at 0. Explicit start/stop columns are supported as an alternative. Every
+SurvivalFrame, however it is built, holds finite numbers and 0/1 event flags.
 """
 
 from __future__ import annotations
@@ -62,7 +63,18 @@ def check_distinct_terms(names) -> None:
             raise DuplicateTerm(name)
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
+def _finite_array(values, names) -> np.ndarray:
+    """``values`` as a read-only, C-ordered float64 copy of finite numbers.
+
+    ``names`` is one name for the whole array, or a sequence naming each
+    column of a 2-d one. NonNumericCell names the first column, in order,
+    with a value that is not finite, and the data row of its first such value.
+    """
+    a = np.array(values, dtype=np.float64, order="C")
+    finite = np.isfinite(a)
+    if not finite.all():
+        column, row = np.argwhere(~np.atleast_2d(finite.T))[0]
+        raise NonNumericCell(int(row) + 1, names if isinstance(names, str) else names[column])
     a.flags.writeable = False
     return a
 
@@ -83,14 +95,7 @@ class Dataset:
         lengths = {len(v) for v in self.columns.values()}
         if len(lengths) > 1:
             raise ValueError(f"ragged columns: lengths {sorted(lengths)}")
-        cols = {
-            name: _frozen(np.array(v, dtype=np.float64))
-            for name, v in self.columns.items()
-        }
-        for name, v in cols.items():
-            if not np.all(np.isfinite(v)):
-                row = int(np.flatnonzero(~np.isfinite(v))[0]) + 1
-                raise NonNumericCell(row, name)
+        cols = {name: _finite_array(v, name) for name, v in self.columns.items()}
         object.__setattr__(self, "columns", cols)
         object.__setattr__(self, "n_rows", lengths.pop() if lengths else 0)
 
@@ -107,8 +112,10 @@ class SurvivalFrame:
 
     One record per row: subject id, half-open at-risk interval
     ``(start, stop]``, event flag for that interval, and a covariate vector.
-    Arrays are read-only after construction. A covariate named twice raises
-    DuplicateTerm.
+    Arrays are read-only after construction. A value that is not finite
+    raises NonNumericCell (naming a covariate by its name), a flag not 0 or
+    1 InvalidEventFlag, a covariate named twice DuplicateTerm, and intervals
+    that do not chain per subject NonIncreasingTime, in that order.
     """
 
     subject_ids: np.ndarray
@@ -119,26 +126,27 @@ class SurvivalFrame:
     covariate_names: tuple[str, ...]
 
     def __post_init__(self):
-        n = len(self.stop)
-        ids = _frozen(np.array(self.subject_ids, dtype=np.float64))
-        start = _frozen(np.array(self.start, dtype=np.float64))
-        stop = _frozen(np.array(self.stop, dtype=np.float64))
-        event = _frozen(np.array(self.event, dtype=bool))
-        x = _frozen(np.array(self.covariates, dtype=np.float64, order="C", ndmin=2))
-        if not (len(ids) == len(start) == len(event) == n and x.shape[0] == n):
+        names = tuple(self.covariate_names)
+        ids, start, stop, flags = (
+            _finite_array(getattr(self, attr), attr)
+            for attr in ("subject_ids", "start", "stop", "event")
+        )
+        n = len(stop)
+        x_shape = np.shape(self.covariates)
+        if not (len(ids) == len(start) == len(flags) == n and x_shape[:1] == (n,)):
             raise ValueError("record arrays have mismatched lengths")
-        if x.ndim != 2 or x.shape[1] != len(self.covariate_names):
+        if x_shape[1:] != (len(names),):
             raise ValueError("covariate matrix does not match covariate_names")
-        for name, arr in (
-            ("subject_ids", ids),
-            ("start", start),
-            ("stop", stop),
-            ("covariates", x),
-        ):
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "event", event)
-        object.__setattr__(self, "covariate_names", tuple(self.covariate_names))
-        check_distinct_terms(self.covariate_names)
+        x = _finite_array(self.covariates, names)
+        bad = np.flatnonzero((flags != 0.0) & (flags != 1.0))
+        if bad.size:
+            raise InvalidEventFlag(int(bad[0]) + 1, flags[bad[0]])
+        event = flags == 1.0
+        event.flags.writeable = False
+        for attr, value in dict(subject_ids=ids, start=start, stop=stop, event=event,
+                                covariates=x, covariate_names=names).items():
+            object.__setattr__(self, attr, value)
+        check_distinct_terms(names)
         # start < stop on every record; per subject the intervals chain.
         # Each check names the subject of its first offending record.
         bad = np.flatnonzero(start >= stop)
@@ -182,14 +190,6 @@ def _previous_in_subject(ids: np.ndarray, values: np.ndarray):
     previous = np.zeros(len(ids))
     previous[order[1:][linked]] = values[order[:-1][linked]]
     return previous, chained
-
-
-def _event_flags(events: np.ndarray) -> np.ndarray:
-    """Event flags as booleans; raises InvalidEventFlag at the first value not 0 or 1."""
-    bad = np.flatnonzero((events != 0.0) & (events != 1.0))
-    if bad.size:
-        raise InvalidEventFlag(int(bad[0]) + 1, events[bad[0]])
-    return events.astype(bool)
 
 
 def load_csv(path, required_columns=()) -> Dataset:
@@ -248,14 +248,13 @@ def _frame(
     covariate_cols: list[str],
 ) -> SurvivalFrame:
     """The SurvivalFrame of ``d``'s rows, with interval starts ``start``."""
-    flags = _event_flags(d.column(event_col))
     x = np.column_stack([d.column(c) for c in covariate_cols]) if covariate_cols \
         else np.empty((d.n_rows, 0))
     return SurvivalFrame(
         subject_ids=d.column(id_col),
         start=start,
         stop=d.column(stop_col),
-        event=flags,
+        event=d.column(event_col),
         covariates=x,
         covariate_names=tuple(covariate_cols),
     )

@@ -18,6 +18,7 @@ when there is no W0 or when p1 hits the target, and the formula otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 from .errors import EvaluationFailed
 
@@ -67,8 +68,9 @@ def compute_nf(
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target significance must lie in (0,1), got {target}")
-    if max_weight < 1:
-        raise ValueError(f"max_weight must be at least 1, got {max_weight}")
+    if isinstance(max_weight, bool) or not isinstance(max_weight, Integral) or max_weight < 1:
+        raise ValueError(f"max_weight must be an integer of at least 1, got {max_weight!r}")
+    max_weight = int(max_weight)
 
     # Insertion-ordered: both the cache of evaluations and their trace.
     trace: dict[int, float] = {}

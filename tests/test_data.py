@@ -249,6 +249,81 @@ def test_explicit_intervals_reject_bad_event_flag_by_row():
     assert str(err.value) == "event flag at data row 3 must be 0 or 1, got 2.0"
 
 
+# A valid frame: subject 2 carries two chained records; covariates age, dose.
+RECORDS = dict(
+    subject_ids=[1.0, 2.0, 2.0, 3.0], start=[0.0, 0.0, 4.0, 0.0], stop=[5.0, 4.0, 9.0, 7.0],
+    event=[1.0, 0.0, 1.0, 0.0], covariates=[[61.0, 1.0], [48.0, 0.0], [48.0, 2.0], [55.0, 1.0]],
+    covariate_names=("age", "dose"),
+)
+
+
+def with_cell(field, row, value, column=None):
+    """RECORDS with ``field``'s value at data row ``row`` (a covariate: ``column``) replaced."""
+    values = np.array(RECORDS[field], dtype=float)
+    values[(row - 1,) if column is None else (row - 1, column)] = value
+    return {**RECORDS, field: values}
+
+
+def test_frame_stores_c_ordered_read_only_arrays():
+    # fit_cox relies on C order: the kernel's products round differently on Fortran order
+    frame = SurvivalFrame(**{**RECORDS, "covariates": np.asfortranarray(RECORDS["covariates"])})
+    assert frame.event.tolist() == [True, False, True, False]
+    assert frame.covariates.flags.c_contiguous and not frame.covariates.flags.writeable
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("field, column, name", [
+    ("subject_ids", None, "subject_ids"),
+    ("start", None, "start"),
+    ("stop", None, "stop"),
+    ("event", None, "event"),
+    ("covariates", 1, "dose"),
+])
+def test_frame_rejects_a_value_that_is_not_finite(field, column, name, value):
+    with pytest.raises(NonNumericCell) as err:
+        SurvivalFrame(**with_cell(field, 3, value, column))
+    assert (err.value.row, err.value.column) == (3, name)
+    assert str(err.value) == f"cell at data row 3, column {name!r} is not a finite number"
+
+
+@pytest.mark.parametrize("flag", [2.0, 0.5, -1.0])
+def test_frame_rejects_an_event_flag_other_than_0_or_1(flag):
+    with pytest.raises(InvalidEventFlag) as err:
+        SurvivalFrame(**with_cell("event", 3, flag))
+    assert err.value.row == 3
+    assert str(err.value) == f"event flag at data row 3 must be 0 or 1, got {flag}"
+
+
+def test_the_first_covariate_in_order_is_named():
+    # age goes bad at row 4, dose earlier at row 2: age is named
+    records = with_cell("covariates", 4, np.nan, 0)
+    records["covariates"][1, 1] = np.inf
+    with pytest.raises(NonNumericCell) as err:
+        SurvivalFrame(**records)
+    assert (err.value.row, err.value.column) == (4, "age")
+
+
+def test_flags_are_checked_before_intervals():
+    records = {**with_cell("event", 2, 2.0), "start": [0.0, 0.0, 3.0, 0.0]}
+    with pytest.raises(InvalidEventFlag) as err:
+        SurvivalFrame(**records)
+    assert err.value.row == 2
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_dataset_and_frame_name_the_same_cell(value):
+    bad = with_cell("covariates", 3, value, 1)
+    columns = {"id": RECORDS["subject_ids"], "start": RECORDS["start"],
+               "stop": RECORDS["stop"], "event": RECORDS["event"],
+               "age": bad["covariates"][:, 0], "dose": bad["covariates"][:, 1]}
+    with pytest.raises(NonNumericCell) as from_dataset:
+        Dataset(columns)
+    with pytest.raises(NonNumericCell) as from_frame:
+        SurvivalFrame(**bad)
+    assert (from_dataset.value.row, from_dataset.value.column) == (3, "dose")
+    assert str(from_frame.value) == str(from_dataset.value)
+
+
 @pytest.mark.parametrize("path", ["reconstruct", "empty interval", "gap"])
 def test_non_increasing_time_names_a_float_subject(path):
     d = Dataset({"id": [1.0, 2.0, 2.0], "t": [4.0, 3.0, 3.0], "e": [0.0, 0.0, 1.0]})

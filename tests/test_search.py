@@ -164,6 +164,16 @@ def test_validates_arguments():
         compute_nf(curve, 30, 1.0, 10)
     with pytest.raises(ValueError):
         compute_nf(curve, 30, 0.05, 0)
+    # the cap is an integer weight: no float, however whole, and no bool
+    for cap in (2.5, 40.0, np.float64(3.0), True, False):
+        with pytest.raises(ValueError, match="max_weight must be an integer"):
+            compute_nf(curve, 30, 0.05, cap)
+
+
+def test_a_numpy_integer_cap_keeps_the_trace_in_ints():
+    result = compute_nf(lambda w: 0.5 / w, 10, 0.01, np.int64(40))
+    assert_unreachable(result, 40)
+    assert all(type(w) is int for w, _ in result.trace)
 
 
 def test_max_weight_one_already_significant():
