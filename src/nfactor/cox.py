@@ -36,11 +36,14 @@ units, its offset or its coding:
   leading one and the gradient vanishes, so a fit on separated data would
   otherwise "converge" there.
 
-``kernels.score`` is the only kernel the fit calls. Each Newton step costs
-one pass when the full step is accepted, because a step is judged by the
-``ll`` that scoring it returns; each halving costs one more pass. A model
-with no kept covariate is Newton with no columns: the first score gives its
-log likelihood, and it has converged at beta = () after 0 iterations.
+``kernels.score`` is the only kernel the fit calls. The fit lays out the
+risk sets once (``kernels.risk_set_layout``, which also gives the event
+count and whether event times tie), and every pass reads that layout.
+Each Newton step costs one pass when the full step is accepted, because a
+step is judged by the ``ll`` that scoring it returns; each halving costs
+one more pass. A model with no kept covariate is Newton with no columns:
+the first score gives its log likelihood, and it has converged at
+beta = () after 0 iterations.
 
 The likelihood ratio is twice the gain ``ll_full - ll_null`` that the
 kernel sums on the last accepted pass, without the cancellation of
@@ -123,7 +126,7 @@ def _lr_p_value(lr_stat: float, lr_df: int) -> float:
     return chi2_sf(max(lr_stat, 0.0), lr_df) if lr_df else 1.0
 
 
-def _newton(frame: SurvivalFrame, x: np.ndarray, names, ll, grad, neg_hess):
+def _newton(layout: kernels.RiskSetLayout, x: np.ndarray, names, ll, grad, neg_hess):
     """Maximize the partial likelihood over the centred, kept columns ``x``.
 
     Newton starts at beta = 0, whose score (``ll``, ``grad``, ``neg_hess``)
@@ -131,10 +134,9 @@ def _newton(frame: SurvivalFrame, x: np.ndarray, names, ll, grad, neg_hess):
     iterations. Returns beta, its ``ll``, its gain ``ll - ll(0)`` as the
     kernel sums it, the negated Hessian and the iteration count.
     """
-    args = (frame.start, frame.stop, frame.event, x)
     beta = np.zeros(x.shape[1])
     gain = 0.0
-    tolerance = DECREMENT_PER_EVENT * frame.n_events
+    tolerance = DECREMENT_PER_EVENT * layout.d.sum()
     iterations = 0
     while True:
         step = solve_spd(neg_hess, grad)
@@ -146,7 +148,7 @@ def _newton(frame: SurvivalFrame, x: np.ndarray, names, ll, grad, neg_hess):
         iterations += 1
         floor = ll - ULP_SLACK * _EPS * abs(ll)
         candidate = beta + step
-        scored = kernels.score(*args, candidate)
+        scored = kernels.score(layout, x, candidate)
         scale = 1.0
         while not scored[0] >= floor:
             scale *= 0.5
@@ -155,7 +157,7 @@ def _newton(frame: SurvivalFrame, x: np.ndarray, names, ll, grad, neg_hess):
                 # the likelihood itself is not finite there.
                 raise NotConverged(iterations, decrement)
             candidate = beta + scale * step
-            scored = kernels.score(*args, candidate)
+            scored = kernels.score(layout, x, candidate)
         eta = x @ candidate
         top, bottom = eta.argmax(), eta.argmin()
         span = float(eta[top] - eta[bottom])
@@ -184,9 +186,10 @@ def fit_cox(frame: SurvivalFrame) -> CoxFit:
     MonotoneLikelihood. The fit at frequency weight w is the fit of
     ``replicate_frame(frame, w)``; ``CoxFit.p_at`` gives its p-value.
     """
-    if frame.n_events == 0:
+    layout = kernels.risk_set_layout(frame.start, frame.stop, frame.event)
+    if layout.d.size == 0:
         raise NoEvents("survival frame has no event records")
-    if frame.has_tied_event_times:
+    if layout.d.max() > 1:
         warnings.warn(
             "tied event times present; each tied event keeps the full "
             "risk-set sum in its denominator",
@@ -195,12 +198,10 @@ def fit_cox(frame: SurvivalFrame) -> CoxFit:
         )
 
     n_subjects = float(frame.n_subjects)
-    n_failures = float(frame.n_events)
+    n_failures = float(layout.d.sum())
 
     x = frame.covariates - frame.covariates.mean(axis=0)
-    ll_null, grad, neg_hess, _ = kernels.score(
-        frame.start, frame.stop, frame.event, x, np.zeros(x.shape[1])
-    )
+    ll_null, grad, neg_hess, _ = kernels.score(layout, x, np.zeros(x.shape[1]))
     kept, dropped = pivoted_rank_factor(neg_hess)
     kept_names = tuple(frame.covariate_names[j] for j in kept)
     omitted = tuple(frame.covariate_names[j] for j in dropped)
@@ -213,7 +214,7 @@ def fit_cox(frame: SurvivalFrame) -> CoxFit:
         )
 
     beta, ll_full, gain, neg_hess, iterations = _newton(
-        frame, np.take(x, kept, axis=1), kept_names,
+        layout, np.take(x, kept, axis=1), kept_names,
         ll_null, grad[kept], neg_hess[np.ix_(kept, kept)],
     )
 

@@ -164,15 +164,6 @@ class SurvivalFrame:
     def n_subjects(self) -> int:
         return len(distinct(self.subject_ids))
 
-    @property
-    def n_events(self) -> int:
-        return int(self.event.sum())
-
-    @property
-    def has_tied_event_times(self) -> bool:
-        times = self.stop[self.event]
-        return len(distinct(times)) < len(times)
-
 
 def _previous_in_subject(ids: np.ndarray, values: np.ndarray):
     """``values`` at each record's previous record of the same subject.

@@ -22,59 +22,116 @@ expm1(eta - m)))``. Its terms are of the size of eta, so a small
 likelihood ratio keeps the digits that subtracting two values of ``ll``
 would cancel.
 
-Event records sharing a stop time share one risk set, so each distinct event
-time is visited once. The E event records are sorted by stop time once per
-call; the sort is stable, so each group of tied events is a contiguous slice
-in file order and its sums add the same terms in the same order as a mask
-over the event records would. At each of the T distinct event times the risk
-set is a scan of all n records, so a call costs O(E log E + T n), which is
-still quadratic on continuous event times.
+Nothing about which records are at risk depends on beta, so it is laid out
+once per fit by ``risk_set_layout`` and read by every ``score`` call. The
+records are put in stable stop order, so at each distinct event time t the
+records with ``stop >= t`` are a suffix of that order, starting at an offset
+found by binary search. The records of that suffix that have not yet entered
+(``start >= t``) are masked out only at the event times that some record
+starts at or after; with no late entry the risk set is the suffix itself, a
+view. Building the layout costs O(n log n). A ``score`` call then costs
+O(n p) to gather its columns in stop order and O(T n p^2) over the T distinct
+event times, each of which reads its whole suffix: still quadratic on
+continuous event times.
 """
 
 from __future__ import annotations
 
-import math
+from dataclasses import dataclass
 
 import numpy as np
 
 
-def score(start, stop, event, x, beta):
-    p = x.shape[1]
-    eta = x @ beta
-    ll = gain = 0.0
-    grad = np.zeros(p)
-    hess = np.zeros((p, p))
-    events = np.flatnonzero(event)
-    # stable: tied events keep file order, so each group sums as a mask would
-    events = events[np.argsort(stop[events], kind="stable")]
-    ev_stop = stop[events]
-    ev_eta = eta[events]
-    ev_x = x[events]
+@dataclass(frozen=True)
+class RiskSetLayout:
+    """Which records are at risk at each distinct event time, in stop order.
+
+    ``order`` is the stable stop order of the n records and ``start`` their
+    starts in that order. ``events`` lists the event records (indices into
+    the frame) in that order, so tied events keep file order; ``first``
+    holds the offset in ``events`` of each distinct event time's group and
+    ``d`` its size. ``lo[k]`` is the offset in ``order`` where ``stop >=
+    times[k]`` begins. The first ``n_late`` times have a record that starts
+    at or after them, so their suffix needs the ``start < t`` mask.
+    """
+
+    order: np.ndarray
+    start: np.ndarray
+    events: np.ndarray
+    first: np.ndarray
+    d: np.ndarray
+    times: np.ndarray
+    lo: np.ndarray
+    n_late: int
+
+
+def risk_set_layout(start, stop, event) -> RiskSetLayout:
+    """The part of ``score`` that beta does not change, for records ``(start, stop]``."""
+    order = np.argsort(stop, kind="stable")
+    stop_sorted = stop[order]
+    is_event = event[order]
+    events = order[is_event]
+    ev_stop = stop_sorted[is_event]
     new_time = np.ones(len(events), dtype=bool)
     new_time[1:] = ev_stop[1:] != ev_stop[:-1]
-    bounds = [*np.flatnonzero(new_time).tolist(), len(events)]
-    for a, b in zip(bounds, bounds[1:]):
-        t = ev_stop[a]
-        d = b - a
-        risk = (start < t) & (t <= stop)
-        eta_r = eta[risk]
+    first = np.flatnonzero(new_time)
+    times = ev_stop[first]
+    return RiskSetLayout(
+        order=order,
+        start=start[order],
+        events=events,
+        first=first,
+        d=np.diff(first, append=len(events)),
+        times=times,
+        lo=np.searchsorted(stop_sorted, times, side="left"),
+        n_late=int(np.searchsorted(times, start.max(), side="right")) if times.size else 0,
+    )
+
+
+def score(layout: RiskSetLayout, x, beta):
+    p = x.shape[1]
+    hess = np.zeros((p, p))
+    if layout.times.size == 0:
+        return 0.0, np.zeros(p), hess, 0.0
+    eta = x @ beta
+    eta_s = eta[layout.order]
+    x_s = x[layout.order]
+    start_s = layout.start
+    n_times = layout.times.size
+    top = np.empty(n_times)
+    s0 = np.empty(n_times)
+    excess = np.empty(n_times)
+    xbar = np.empty((n_times, p))
+    n_late = layout.n_late
+    for k, (lo, t, d_k) in enumerate(zip(layout.lo.tolist(), layout.times.tolist(),
+                                         layout.d.tolist())):
+        eta_r = eta_s[lo:]
+        xr = x_s[lo:]
+        if k < n_late:
+            entered = start_s[lo:] < t
+            eta_r = eta_r[entered]
+            xr = xr[entered]
         m = eta_r.max()
         shifted = eta_r - m
         rel = np.exp(shifted)
-        s0 = rel.sum()
-        xr = x[risk]
-        xbar = (rel @ xr) / s0
-        centered = xr - xbar
-        eta_d = ev_eta[a:b].sum()
-        ll += eta_d - d * (math.log(s0) + m)
-        gain += eta_d - d * (m + math.log1p(np.expm1(shifted).sum() / shifted.size))
-        grad += ev_x[a:b].sum(axis=0) - d * xbar
-        hess += (d / s0) * ((rel[:, None] * centered).T @ centered)
+        s0_k = rel.sum()
+        xbar_k = (rel @ xr) / s0_k
+        centered = xr - xbar_k
+        hess += (d_k / s0_k) * ((rel[:, None] * centered).T @ centered)
+        top[k] = m
+        s0[k] = s0_k
+        excess[k] = np.expm1(shifted).sum() / shifted.size
+        xbar[k] = xbar_k
+    d = layout.d
+    eta_d = np.add.reduceat(eta[layout.events], layout.first)
+    ll = float((eta_d - d * (top + np.log(s0))).sum())
+    gain = float((eta_d - d * (top + np.log1p(excess))).sum())
+    grad = x[layout.events].sum(axis=0) - d @ xbar
     return ll, grad, hess, gain
 
 
 # Kept only by name, for perfbench's tracer, which wraps ``kernels.loglik``:
 # perfbench/tests/test_smoke.py::test_a_missing_wrapped_name_is_reported_absent
 # expects the tracer to find every wrapped name but the one it deletes.
-def loglik(start, stop, event, x, beta):
-    return score(start, stop, event, x, beta)[0]
+def loglik(layout: RiskSetLayout, x, beta):
+    return score(layout, x, beta)[0]

@@ -6,6 +6,13 @@ row appeared w times; the coefficients themselves do not depend on w.
 So ``t_w = t_1 * sqrt((w*n - k) / (n - k))``: the fit is made once,
 unweighted, and ``LinearFit.p_at`` answers the tested coefficient's p-value
 at any weight.
+
+Each covariate is centred on its mean once per fit, as in the Cox fit.
+The rank rule then judges a column by its spread, not by its offset from
+zero: in ``X'X`` a column of ``5e4 + N(0, 1)`` would look collinear with the
+intercept. The centred model has the same slopes and residuals; its
+intercept and that intercept's variance are mapped back to the uncentred
+model, whose intercept is the one reported.
 """
 
 from __future__ import annotations
@@ -87,7 +94,9 @@ def fit_wls(
 
     names = (INTERCEPT, *covariates)
     check_distinct_terms(names)
-    design = np.column_stack([np.ones(n)] + [d.column(c) for c in covariates])
+    raw = np.column_stack([np.ones(n)] + [d.column(c) for c in covariates])
+    offset = np.concatenate(([0.0], raw[:, 1:].mean(axis=0)))
+    design = raw - offset
     gram = design.T @ design
     kept, dropped = pivoted_rank_factor(gram)
     term_names = tuple(names[j] for j in kept)
@@ -100,8 +109,13 @@ def fit_wls(
     if tested not in term_names:
         raise UntestableCoefficient(tested, omitted=tested in omitted)
 
-    coef = solve_spd(gram, x.T @ y)
-    resid = y - x @ coef
+    centred_coef = solve_spd(gram, x.T @ y)
+    resid = y - x @ centred_coef
+    # uncentred = to_raw @ centred: only the intercept (column 0, always
+    # kept) moves, by -offset @ slopes
+    to_raw = np.eye(k)
+    to_raw[0, 1:] = -offset[kept[1:]]
+    coef = to_raw @ centred_coef
     rss = float(resid @ resid)
     df = float(n - k)
 
@@ -117,12 +131,12 @@ def fit_wls(
         mse = 0.0
         se = np.zeros(k)
         # so is a coefficient whose term adds only round-off to the fitted y
-        zero = np.abs(coef) * np.linalg.norm(x, axis=0) <= roundoff * math.sqrt(y @ y)
+        zero = np.abs(coef) * np.linalg.norm(raw[:, kept], axis=0) <= roundoff * math.sqrt(y @ y)
         t = np.array([0.0 if z else math.copysign(math.inf, c) for c, z in zip(coef, zero)])
     else:
         mse = rss / df
-        # cov(beta) = mse * (X'X)^-1
-        se = np.sqrt(np.diag(inverse_spd(gram)) * mse)
+        # cov(beta) = mse * to_raw (X'X)^-1 to_raw', X the centred design
+        se = np.sqrt(np.diag(to_raw @ inverse_spd(gram) @ to_raw.T) * mse)
         t = coef / se
     p = np.array([student_t_two_sided(v, df) for v in t])
 

@@ -12,9 +12,10 @@ oracle take a frequency weight; the package's fits do not, so these are the
 weighted reference where replicating the data would be too large. The
 survival-frame constructors are checked against loops that chain each
 subject's records one record at a time through a dict keyed by subject id.
-``score_per_event_time`` is the earlier Cox kernel, kept verbatim: it finds
-each distinct event time's records with a mask over all event records, and
-the package's kernel must equal it bit for bit. ``breslow_loglik_decimal``
+``score_per_event_time`` is an earlier Cox kernel, kept verbatim: it finds
+each distinct event time's records and its risk set with masks over all
+records in file order, where the package's kernel reads a suffix of the
+stop order, so the two agree to round-off. ``breslow_loglik_decimal``
 is the Breslow log likelihood in 50-digit decimal arithmetic, so a
 likelihood ratio taken as the difference of two of them keeps every digit
 a double can hold.

@@ -212,7 +212,7 @@ def oracle_sweep(heart_dataset):
                     _loglik_loops(*args, zero, float(w)))
                 for w in SWEEP_WEIGHTS
             }
-            sweeps[subset] = base, frame.n_events, at_w
+            sweeps[subset] = base, int(frame.event.sum()), at_w
         return sweeps[subset]
 
     return sweep
@@ -244,12 +244,17 @@ def test_warm_start_from_weight_1_is_converged(oracle_sweep, subset):
         assert decrement <= cox.DECREMENT_PER_EVENT * w * d, w
 
 
+def overshooting_frame():
+    """Six records whose outlying covariate makes the first full Newton step overshoot."""
+    return tiny_frame([[0.0], [1.0], [0.0], [1.0], [0.0], [10.0]],
+                      [True, False, True, False, False, True], stops=[2, 3, 4, 5, 6, 1])
+
+
 def test_cold_fit_that_halves_a_step_converges(monkeypatch):
     # The outlying covariate makes the full Newton step overshoot once; the
     # halved step is accepted and Newton goes on to the optimum. Each score
     # call is the start, a full step or a halving: 1 + iterations + 1.
-    frame = tiny_frame([[0.0], [1.0], [0.0], [1.0], [0.0], [10.0]],
-                       [True, False, True, False, False, True], stops=[2, 3, 4, 5, 6, 1])
+    frame = overshooting_frame()
     calls = []
     real_score = kernels.score
 
@@ -261,7 +266,33 @@ def test_cold_fit_that_halves_a_step_converges(monkeypatch):
     fit = fit_cox(frame)
     assert fit.iterations > 1 and len(calls) == 1 + fit.iterations + 1
     grad, neg_hess = score_hessian(frame, fit.beta)
-    assert grad @ np.linalg.solve(neg_hess, grad) <= cox.DECREMENT_PER_EVENT * frame.n_events
+    assert (grad @ np.linalg.solve(neg_hess, grad)
+            <= cox.DECREMENT_PER_EVENT * frame.event.sum())
+
+
+@pytest.mark.parametrize("which, halvings", [("heart", 0), ("overshooting", 1)])
+def test_a_fit_lays_out_its_risk_sets_once(heart_frame, monkeypatch, which, halvings):
+    # The layout depends on the records alone, so the fit builds it once
+    # and every score call, the start, each full step and each halving,
+    # reads that one layout.
+    frame = heart_frame if which == "heart" else overshooting_frame()
+    layouts, calls = [], []
+    real_layout, real_score = kernels.risk_set_layout, kernels.score
+
+    def risk_set_layout(*args):
+        layouts.append(real_layout(*args))
+        return layouts[-1]
+
+    def score(layout, x, beta):
+        calls.append(layout)
+        return real_score(layout, x, beta)
+
+    monkeypatch.setattr(kernels, "risk_set_layout", risk_set_layout)
+    monkeypatch.setattr(kernels, "score", score)
+    fit = fit_cox(frame)
+    assert len(layouts) == 1
+    assert len(calls) == 1 + fit.iterations + halvings
+    assert all(layout is layouts[0] for layout in calls)
 
 
 def raw_scale_frame(seed, n_subjects=800):
@@ -325,8 +356,8 @@ def test_failed_line_search_raises_at_once(heart_frame, monkeypatch):
     # from beta = 0
     real_score = kernels.score
 
-    def score(start, stop, event, x, beta):
-        ll, grad, neg_hess, gain = real_score(start, stop, event, x, beta)
+    def score(layout, x, beta):
+        ll, grad, neg_hess, gain = real_score(layout, x, beta)
         return (-math.inf if beta.any() else ll), grad, neg_hess, gain
 
     monkeypatch.setattr(kernels, "score", score)
@@ -341,7 +372,8 @@ def test_failed_line_search_raises_at_once(heart_frame, monkeypatch):
 def exact_lr(frame, fit):
     """The 50-digit LR over the fit's kept covariates, at its estimate."""
     kept = [frame.covariate_names.index(name) for name in fit.covariate_names]
-    return breslow_lr_decimal(*kernel_args(frame)[:3], frame.covariates[:, kept], fit.beta)
+    return breslow_lr_decimal(frame.start, frame.stop, frame.event, frame.covariates[:, kept],
+                              fit.beta)
 
 
 def faint_signal_frame(eps, seed=0, n=200):
@@ -356,9 +388,10 @@ def faint_signal_frame(eps, seed=0, n=200):
     start = np.zeros(n)
     event = rng.random(n) < 0.6
     u, z, v = rng.standard_normal((3, n))
+    layout = kernels.risk_set_layout(start, stop, event)
 
     def score_at_zero(column):
-        return kernels.score(start, stop, event, column[:, None], np.zeros(1))[1][0]
+        return kernels.score(layout, column[:, None], np.zeros(1))[1][0]
 
     x0 = u - score_at_zero(u) / score_at_zero(z) * z
     return SurvivalFrame(subject_ids=np.arange(n, dtype=float), start=start, stop=stop,
@@ -547,7 +580,7 @@ def test_the_rank_rule_reads_the_null_information(heart_frame, monkeypatch):
     monkeypatch.setattr(cox, "pivoted_rank_factor", lambda a: seen.append(a) or real_rank(a))
     monkeypatch.setattr(kernels, "score", lambda *args: seen.append(args) or real_score(*args))
     fit = fit_cox(heart_frame)
-    (x, beta), information = seen[0][3:], seen[1]
+    (x, beta), information = seen[0][1:], seen[1]
     assert not beta.any() and x.shape[1] == 4
     np.testing.assert_allclose(x.mean(axis=0), 0.0, atol=1e-12)
     np.testing.assert_array_equal(information, real_score(*seen[0])[2])

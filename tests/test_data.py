@@ -13,7 +13,7 @@ from nfactor import (
     stset_reconstruct,
     survival_frame_from_intervals,
 )
-from nfactor.data import MAX_WEIGHT, check_weight
+from nfactor.data import MAX_WEIGHT, check_weight, distinct
 from nfactor.errors import (
     DuplicateColumn,
     DuplicateTerm,
@@ -168,8 +168,9 @@ def test_reconstruct_single_row_subject(heart_frame):
 def test_reconstruct_totals(heart_frame):
     assert (heart_frame.stop - heart_frame.start).sum() == 3071.0
     assert heart_frame.n_subjects == 20
-    assert heart_frame.n_events == 20
-    assert not heart_frame.has_tied_event_times
+    assert heart_frame.event.sum() == 20
+    # no two events tie
+    assert len(distinct(heart_frame.stop[heart_frame.event])) == 20
 
 
 def test_reconstruct_rejects_repeated_time():
@@ -463,9 +464,9 @@ def test_replicate_frame_counts(heart_frame):
     rep = replicate_frame(heart_frame, 4)
     assert rep.n_records == 120
     assert rep.n_subjects == 80
-    assert rep.n_events == 80
+    assert rep.event.sum() == 80
     assert (rep.stop - rep.start).sum() == 4 * 3071.0
-    assert rep.has_tied_event_times
+    assert len(distinct(rep.stop[rep.event])) < 80
 
 
 def test_replicate_frame_preserves_covariate_rows(heart_frame):

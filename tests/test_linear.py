@@ -214,6 +214,24 @@ def test_collinear_covariate_is_omitted():
     assert fit.omitted == ("twice_a",)
 
 
+def test_a_raw_scale_covariate_keeps_its_column():
+    # a spread of 2e-5 of the mean: in the uncentred X'X, x's pivot after the
+    # intercept is 4e-10 of its diagonal, below the collinearity threshold
+    rng = np.random.default_rng(43)
+    x = 5e4 + rng.standard_normal(60)
+    y = 1.0 + 0.3 * (x - 5e4) + rng.standard_normal(60)
+    fit = fit_wls(Dataset({"y": y, "x": x}), "y", ["x"], tested="x")
+    assert fit.term_names == ("intercept", "x") and fit.omitted == ()
+    design = np.column_stack([np.ones(60), x])
+    coef = np.linalg.lstsq(design, y, rcond=None)[0]
+    resid = y - design @ coef
+    # the rows of the pseudo-inverse give (X'X)^-1 = pinv pinv'
+    pinv = np.linalg.lstsq(design, np.eye(60), rcond=None)[0]
+    t = coef / np.sqrt(float(resid @ resid) / 58 * (pinv * pinv).sum(axis=1))
+    np.testing.assert_allclose(fit.coefficients, coef, rtol=1e-8)
+    np.testing.assert_allclose(fit.t_stats, t, rtol=1e-8)
+
+
 # ---- degenerate and error cases ----------------------------------------------
 
 
