@@ -1,7 +1,9 @@
 """Command-line front end.
 
 A request runs to one report document, the dict that ``--format json``
-prints; the text format is rendered from the same document.
+prints; the text format is rendered from the same document. Its
+``warnings`` are the labels the fit returned (``"ties"``, ``"degenerate"``);
+any other warning raised on the way goes to the process's own filters.
 
 Exit codes: 0 on success, 1 on input or model errors (one diagnostic line on
 stderr, naming the stage that failed once the command line has parsed),
@@ -17,11 +19,10 @@ import functools
 import json
 import math
 import sys
-import warnings
 
 from .cox import CoxFit, fit_cox
 from .data import MAX_WEIGHT, load_csv, stset_reconstruct, survival_frame_from_intervals
-from .errors import DegenerateTestWarning, NfactorError, TiesWarning
+from .errors import NfactorError
 from .linear import INTERCEPT, LinearFit, fit_wls
 from .search import DEFAULT_MAX_WEIGHT, compute_nf
 
@@ -119,45 +120,33 @@ def _run_spec(args: argparse.Namespace) -> tuple[str, int]:
     """Run a parsed request; returns its rendered report and exit code.
 
     An NfactorError leaves with its ``stage`` set to the step that raised
-    it: load, frame, fit, search or report.
+    it: load, frame, fit, search or report. The report's ``warnings`` are
+    the fit's own; the request touches no process-wide warning state.
     """
-    caught: list[warnings.WarningMessage]
-    with warnings.catch_warnings(record=True) as caught:
-        # Only the package's own warnings are recorded unconditionally; any
-        # other keeps the filter the process set, so one that the process
-        # treats as an error still raises.
-        warnings.simplefilter("always", TiesWarning)
-        warnings.simplefilter("always", DegenerateTestWarning)
-        if args.model == COX_LR:
-            intervals = args.explicit_intervals or (args.time,)
-            with _stage("load"):
-                data = load_csv(args.data, [args.event, args.id_col, *args.covariates, *intervals])
-            with _stage("frame"):
-                if args.explicit_intervals:
-                    frame = survival_frame_from_intervals(
-                        data, *intervals, args.event, args.id_col, args.covariates,
-                    )
-                else:
-                    frame = stset_reconstruct(
-                        data, args.time, args.event, args.id_col, args.covariates,
-                    )
-            with _stage("fit"):
-                fit = fit_cox(frame)
-        else:
-            with _stage("load"):
-                data = load_csv(args.data, [args.response, *args.covariates])
-            with _stage("fit"):
-                fit = fit_wls(data, args.response, args.covariates, args.wald_coefficient)
+    if args.model == COX_LR:
+        intervals = args.explicit_intervals or (args.time,)
+        with _stage("load"):
+            data = load_csv(args.data, [args.event, args.id_col, *args.covariates, *intervals])
+        with _stage("frame"):
+            if args.explicit_intervals:
+                frame = survival_frame_from_intervals(
+                    data, *intervals, args.event, args.id_col, args.covariates,
+                )
+            else:
+                frame = stset_reconstruct(
+                    data, args.time, args.event, args.id_col, args.covariates,
+                )
+        with _stage("fit"):
+            fit = fit_cox(frame)
+    else:
+        with _stage("load"):
+            data = load_csv(args.data, [args.response, *args.covariates])
+        with _stage("fit"):
+            fit = fit_wls(data, args.response, args.covariates, args.wald_coefficient)
 
-        with _stage("search"):
-            nf = compute_nf(fit.p_at, data.n_rows, args.alpha, args.max_weight)
+    with _stage("search"):
+        nf = compute_nf(fit.p_at, data.n_rows, args.alpha, args.max_weight)
 
-    labels = set()
-    for item in caught:
-        if issubclass(item.category, TiesWarning):
-            labels.add("ties")
-        elif issubclass(item.category, DegenerateTestWarning):
-            labels.add("degenerate")
     with _stage("report"):
         document = {
             "spec": _spec_json(args),
@@ -165,7 +154,7 @@ def _run_spec(args: argparse.Namespace) -> tuple[str, int]:
             "target_alpha": args.alpha,
             **{key: getattr(nf, key) for key in _NF_KEYS},
             "trace": [[w, p] for w, p in nf.trace],
-            "warnings": sorted(labels),
+            "warnings": list(fit.warnings),
         }
         if nf.w1 is None:
             document |= {"best_p": nf.best_p, "max_weight": args.max_weight}

@@ -14,7 +14,11 @@ the current one; near the optimum the likelihood is flat to within
 round-off, and demanding a strict rise there would stall the search on a
 tie. Otherwise the step is halved, down to ``MIN_STEP_SCALE``.
 
-Each column is centred on its mean once per fit. That shifts every
+Each column is divided by a power of two near its largest |value|
+(``numerics.scale_exponent``), which is exact, and then centred on its
+mean, once per fit. The scaling keeps the mean and the squares in the
+information inside the double range whatever the column's units; beta and
+its standard errors are mapped back at the end. The centring shifts every
 record's linear predictor by the same amount, which the partial likelihood
 does not see, and keeps a column's offset out of the predictor and out of
 the kernel's sums.
@@ -57,21 +61,15 @@ depend on w and ``LR_w = w * LR_1``; the fit is made once, unweighted, and
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .data import SurvivalFrame, check_weight
-from .errors import (
-    DegenerateTestWarning,
-    MonotoneLikelihood,
-    NoEvents,
-    NotConverged,
-    TiesWarning,
-)
-from .numerics import chi2_sf, inverse_spd, normal_two_sided, pivoted_rank_factor, solve_spd
+from .errors import MonotoneLikelihood, NoEvents, NotConverged
+from .numerics import (chi2_sf, inverse_spd, normal_two_sided, pivoted_rank_factor,
+                       scale_exponent, solve_spd)
 
 MAX_ITERATIONS = 100
 # Largest span (max eta - min eta over the records) of an accepted step's
@@ -92,6 +90,7 @@ class CoxFit:
     count the frame's subjects and event records (as floats). The
     likelihood-ratio test compares the fitted model against the null model
     over the same kept covariates; ``p_at`` scales it to any weight.
+    ``warnings`` holds the sorted labels ``fit_cox`` describes.
     """
 
     covariate_names: tuple[str, ...]
@@ -109,6 +108,7 @@ class CoxFit:
     n_subjects: float
     n_failures: float
     iterations: int
+    warnings: tuple[str, ...]
 
     def p_at(self, weight) -> float:
         """Likelihood-ratio p-value with every record's weight multiplied by ``weight``.
@@ -169,12 +169,6 @@ def _newton(layout: kernels.RiskSetLayout, x: np.ndarray, names, ll, grad, neg_h
     return beta, ll, gain, neg_hess, iterations
 
 
-def _hazard_ratios(beta: np.ndarray) -> np.ndarray:
-    """exp(beta), inf where it overflows: a small-unit covariate can have a large beta."""
-    with np.errstate(over="ignore"):
-        return np.exp(beta)
-
-
 def fit_cox(frame: SurvivalFrame) -> CoxFit:
     """Fit the Cox model and its likelihood-ratio test, unweighted.
 
@@ -185,43 +179,37 @@ def fit_cox(frame: SurvivalFrame) -> CoxFit:
     linear predictor spans more than ``MAX_ETA_SPAN`` raises
     MonotoneLikelihood. The fit at frequency weight w is the fit of
     ``replicate_frame(frame, w)``; ``CoxFit.p_at`` gives its p-value.
+    ``warnings`` has ``"degenerate"`` when no covariate is kept and ``"ties"``
+    when event times tie (each tied event keeps the full risk-set sum).
     """
     layout = kernels.risk_set_layout(frame.start, frame.stop, frame.event)
     if layout.d.size == 0:
         raise NoEvents("survival frame has no event records")
-    if layout.d.max() > 1:
-        warnings.warn(
-            "tied event times present; each tied event keeps the full "
-            "risk-set sum in its denominator",
-            TiesWarning,
-            stacklevel=2,
-        )
 
     n_subjects = float(frame.n_subjects)
     n_failures = float(layout.d.sum())
 
-    x = frame.covariates - frame.covariates.mean(axis=0)
+    exponent = scale_exponent(frame.covariates)
+    x = np.ldexp(frame.covariates, -exponent)
+    x -= x.mean(axis=0)
     ll_null, grad, neg_hess, _ = kernels.score(layout, x, np.zeros(x.shape[1]))
     kept, dropped = pivoted_rank_factor(neg_hess)
     kept_names = tuple(frame.covariate_names[j] for j in kept)
     omitted = tuple(frame.covariate_names[j] for j in dropped)
-
-    if not kept:
-        warnings.warn(
-            "no estimable covariates remain; likelihood-ratio test is degenerate",
-            DegenerateTestWarning,
-            stacklevel=2,
-        )
 
     beta, ll_full, gain, neg_hess, iterations = _newton(
         layout, np.take(x, kept, axis=1), kept_names,
         ll_null, grad[kept], neg_hess[np.ix_(kept, kept)],
     )
 
-    covariance = inverse_spd(neg_hess)
-    se = np.sqrt(np.diag(covariance))
+    se = np.sqrt(np.diag(inverse_spd(neg_hess)))
     z = beta / se
     p_wald = np.array([normal_two_sided(v) for v in z])
+    # back to the frame's units: a small-unit covariate can have a large
+    # beta, and its hazard ratio, or the beta itself, may overflow to inf
+    with np.errstate(over="ignore"):
+        beta, se = np.ldexp(beta, -exponent[kept]), np.ldexp(se, -exponent[kept])
+        hazard_ratios = np.exp(beta)
 
     lr_stat = 2.0 * gain
     lr_df = len(kept)
@@ -230,7 +218,7 @@ def fit_cox(frame: SurvivalFrame) -> CoxFit:
     return CoxFit(
         covariate_names=kept_names,
         beta=beta,
-        hazard_ratios=_hazard_ratios(beta),
+        hazard_ratios=hazard_ratios,
         se_beta=se,
         z_stats=z,
         p_wald=p_wald,
@@ -243,4 +231,6 @@ def fit_cox(frame: SurvivalFrame) -> CoxFit:
         n_subjects=n_subjects,
         n_failures=n_failures,
         iterations=iterations,
+        warnings=tuple(label for label, fired in (
+            ("degenerate", not kept), ("ties", layout.d.max() > 1)) if fired),
     )

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class NfactorError(Exception):
@@ -150,13 +150,3 @@ class EvaluationFailed(NfactorError):
         self.weight = weight
         self.cause = cause
 
-
-# ---- warnings --------------------------------------------------------------
-
-
-class TiesWarning(UserWarning):
-    """Tied event times present; the unmodified risk-set sum is used for each."""
-
-
-class DegenerateTestWarning(UserWarning):
-    """The requested test is degenerate (nothing to test, or zero variance)."""

@@ -7,6 +7,11 @@ So ``t_w = t_1 * sqrt((w*n - k) / (n - k))``: the fit is made once,
 unweighted, and ``LinearFit.p_at`` answers the tested coefficient's p-value
 at any weight.
 
+Each covariate and the response are first divided by a power of two near
+their largest |value| (``numerics.scale_exponent``): exact, and it keeps
+``X'X`` and the residual sum of squares inside the double range in any
+units. t is formed in those units; the estimates are mapped back.
+
 Each covariate is centred on its mean once per fit, as in the Cox fit.
 The rank rule then judges a column by its spread, not by its offset from
 zero: in ``X'X`` a column of ``5e4 + N(0, 1)`` would look collinear with the
@@ -18,14 +23,14 @@ model, whose intercept is the one reported.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, check_distinct_terms, check_weight
-from .errors import DegenerateTestWarning, InsufficientObservations, UntestableCoefficient
-from .numerics import inverse_spd, pivoted_rank_factor, solve_spd, student_t_two_sided
+from .errors import InsufficientObservations, UntestableCoefficient
+from .numerics import (inverse_spd, pivoted_rank_factor, scale_exponent, solve_spd,
+                       student_t_two_sided)
 
 INTERCEPT = "intercept"
 
@@ -38,7 +43,7 @@ class LinearFit:
     with the per-coefficient arrays; collinear covariates appear in
     ``omitted`` instead. ``weighted_n`` (the row count) and ``df_residual``
     are floats; ``p_at`` scales the Wald test of the term named ``tested``
-    to any weight.
+    to any weight. ``warnings`` holds the labels ``fit_wls`` describes.
     """
 
     term_names: tuple[str, ...]
@@ -52,6 +57,7 @@ class LinearFit:
     root_mse: float
     weighted_n: float
     tested: str
+    warnings: tuple[str, ...]
 
     def p_at(self, weight) -> float:
         """Wald p-value of ``tested`` with every row's weight multiplied by ``weight``.
@@ -82,10 +88,10 @@ def fit_wls(
     zero residual variance yields zero standard errors and degenerate
     p-values (0 for a nonzero coefficient, 1 for a zero one, where a
     coefficient whose term adds only round-off to the fit counts as zero)
-    together with a DegenerateTestWarning. ``tested`` names the coefficient
-    whose p-value ``LinearFit.p_at`` gives at any weight w, as in a fit of
-    ``replicate(d, w)``; UntestableCoefficient says when it is omitted as
-    collinear or is not a term at all.
+    and ``warnings`` ``("degenerate",)``; any other fit has none. ``tested``
+    names the coefficient whose p-value ``LinearFit.p_at`` gives at any
+    weight w, as in a fit of ``replicate(d, w)``; UntestableCoefficient says
+    when it is omitted as collinear or is not a term at all.
     """
     y = d.column(response)
     n = d.n_rows
@@ -94,9 +100,14 @@ def fit_wls(
 
     names = (INTERCEPT, *covariates)
     check_distinct_terms(names)
+    # the intercept column of ones is not scaled; its exponent is 0
     raw = np.column_stack([np.ones(n)] + [d.column(c) for c in covariates])
-    offset = np.concatenate(([0.0], raw[:, 1:].mean(axis=0)))
-    design = raw - offset
+    exponent = np.concatenate(([0], scale_exponent(raw[:, 1:])))
+    y_exponent = scale_exponent(y)
+    scaled = np.ldexp(raw, -exponent)
+    y = np.ldexp(y, -y_exponent)
+    offset = np.concatenate(([0.0], scaled[:, 1:].mean(axis=0)))
+    design = scaled - offset
     gram = design.T @ design
     kept, dropped = pivoted_rank_factor(gram)
     term_names = tuple(names[j] for j in kept)
@@ -121,17 +132,13 @@ def fit_wls(
 
     # a residual sum of squares at round-off level is a zero-variance fit
     roundoff = 64 * np.finfo(float).eps
-    if rss <= roundoff ** 2 * float(y @ y):
-        warnings.warn(
-            "response has zero residual variance; the Wald test is degenerate",
-            DegenerateTestWarning,
-            stacklevel=2,
-        )
+    degenerate = rss <= roundoff ** 2 * float(y @ y)
+    if degenerate:
         rss = 0.0
         mse = 0.0
         se = np.zeros(k)
         # so is a coefficient whose term adds only round-off to the fitted y
-        zero = np.abs(coef) * np.linalg.norm(raw[:, kept], axis=0) <= roundoff * math.sqrt(y @ y)
+        zero = np.abs(coef) * np.linalg.norm(scaled[:, kept], axis=0) <= roundoff * math.sqrt(y @ y)
         t = np.array([0.0 if z else math.copysign(math.inf, c) for c, z in zip(coef, zero)])
     else:
         mse = rss / df
@@ -140,16 +147,21 @@ def fit_wls(
         t = coef / se
     p = np.array([student_t_two_sided(v, df) for v in t])
 
-    return LinearFit(
-        term_names=term_names,
-        coefficients=coef,
-        standard_errors=se,
-        t_stats=t,
-        p_values=p,
-        omitted=omitted,
-        df_residual=df,
-        residual_ss=rss,
-        root_mse=math.sqrt(mse),
-        weighted_n=float(n),
-        tested=tested,
-    )
+    # back to the data's units, y's over the column's for a coefficient; an
+    # estimate past the double range reads inf
+    unit = y_exponent - exponent[kept]
+    with np.errstate(over="ignore"):
+        return LinearFit(
+            term_names=term_names,
+            coefficients=np.ldexp(coef, unit),
+            standard_errors=np.ldexp(se, unit),
+            t_stats=t,
+            p_values=p,
+            omitted=omitted,
+            df_residual=df,
+            residual_ss=float(np.ldexp(rss, 2 * y_exponent)),
+            root_mse=float(np.ldexp(math.sqrt(mse), y_exponent)),
+            weighted_n=float(n),
+            tested=tested,
+            warnings=("degenerate",) if degenerate else (),
+        )

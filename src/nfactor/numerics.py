@@ -103,6 +103,15 @@ def pivoted_rank_factor(a: np.ndarray) -> tuple[list[int], list[int]]:
     return [j for j in range(len(a)) if j not in omitted], omitted
 
 
+def scale_exponent(a: np.ndarray) -> np.ndarray:
+    """Per column of ``a`` (of a 1-d ``a``), the e with 2**e <= max |value| < 2**(e+1), or -1.
+
+    The exact ``np.ldexp(a, -e)`` puts each largest |value| in [1, 2), where
+    squares and means stay inside the double range whatever the units.
+    """
+    return np.frexp(np.abs(a).max(axis=0))[1] - 1
+
+
 # ---- chi-square tail ----------------------------------------------------------
 
 
@@ -115,7 +124,8 @@ def chi2_sf(x: float, df: int) -> float:
     ``Q(a + 1, u) = Q(a, u) + u^a e^-u / Gamma(a + 1)``. Every term is
     positive, so nothing cancels, and each is formed by one ``exp``: no
     running product underflows on the way to a term that does not. The cost
-    is about df/2 terms.
+    is about df/2 terms. At small x the rounded sum can pass 1 by an ulp; a
+    probability, it is clamped there.
     """
     if not (df >= 1 and float(df).is_integer()):
         raise DomainError(f"degrees of freedom must be an integer >= 1, got {df}")
@@ -132,7 +142,7 @@ def chi2_sf(x: float, df: int) -> float:
     for i in range((int(df) - 1) // 2):
         a = i + (0.5 if odd else 1.0)
         q += math.exp(a * log_u - u - math.lgamma(a + 1.0))
-    return q
+    return min(q, 1.0)
 
 
 # ---- regularized incomplete beta -------------------------------------------

@@ -1,10 +1,8 @@
-import warnings
 from pathlib import Path
 
 import pytest
 
 from nfactor import fit_cox, load_csv, replicate_frame, stset_reconstruct
-from nfactor.errors import TiesWarning
 
 DATA_DIR = Path(__file__).parent / "data"
 HEART_CSV = DATA_DIR / "stan30.csv"
@@ -36,9 +34,7 @@ def replicated_heart_fit(heart_frame):
 
     def fit_at(w):
         if w not in fits:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", TiesWarning)
-                fits[w] = fit_cox(replicate_frame(heart_frame, w))
+            fits[w] = fit_cox(replicate_frame(heart_frame, w))
         return fits[w]
 
     return fit_at

@@ -5,11 +5,12 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from warnings import warn
 
 import pytest
 
 import nfactor
-from nfactor import chi2_sf, cli, cox, kernels
+from nfactor import chi2_sf, cli, cox, fit_wls, kernels
 from nfactor.cli import emit_report, run
 from nfactor.errors import DomainError, NfactorError
 from nfactor.search import DEFAULT_MAX_WEIGHT
@@ -320,6 +321,19 @@ def test_ties_warning_is_reported(capsys, tmp_path):
             "--event", "e", "--id", "id", "--covariates", "x", "--alpha", "0.4"]
     code, doc, _ = run_json(capsys, args)
     assert "ties" in doc["warnings"]
+
+
+def test_a_foreign_warning_reaches_the_process_filters(capsys, monkeypatch):
+    # the report's warnings are the fit's own labels; a warning that anything
+    # else raises on the way leaves cli.run under the process's filters
+    def fit_and_warn(*args):
+        warn("probe", UserWarning)
+        return fit_wls(*args)
+
+    monkeypatch.setattr(cli, "fit_wls", fit_and_warn)
+    with pytest.warns(UserWarning, match="probe"):
+        code, doc, _ = run_json(capsys, LINEAR_ARGS)
+    assert code == 0 and doc["warnings"] == []
 
 
 def test_unreachable_exits_2_with_report(capsys):

@@ -195,7 +195,6 @@ def hostile_frame(name):
                          stop=stop, event=event, covariates=x, covariate_names=("u", "z"))
 
 
-@pytest.mark.filterwarnings("ignore::nfactor.errors.TiesWarning")
 @pytest.mark.parametrize("name", ["truncated", "truncated, tied", "wide span"])
 def test_hostile_frame_matches_the_oracles(name):
     frame = hostile_frame(name)

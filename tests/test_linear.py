@@ -5,7 +5,6 @@ import pytest
 
 from nfactor import INTERCEPT, Dataset, fit_wls, replicate, student_t_two_sided
 from nfactor.errors import (
-    DegenerateTestWarning,
     DuplicateTerm,
     InsufficientObservations,
     InvalidWeight,
@@ -148,9 +147,9 @@ def test_profile_matches_refit_at_every_weight(wald_dataset, which):
 @pytest.mark.parametrize("response, p", [([5.0] * 8, 0.0), ([0.0] * 8, 1.0)])
 def test_zero_residual_profile_keeps_weight_1_p(response, p):
     # t stays +-inf or 0 at every weight; the t tail maps them to 0 and 1
-    # without an inf / inf (RuntimeWarning is an error in this suite)
-    with pytest.warns(DegenerateTestWarning):
-        fit = fit_wls(Dataset({"y": response}), "y", ())
+    # without an inf / inf (every warning is an error in this suite)
+    fit = fit_wls(Dataset({"y": response}), "y", ())
+    assert fit.warnings == ("degenerate",)
     for w in (1, 2, 10**6):
         assert fit.p_at(w) == p
 
@@ -232,13 +231,37 @@ def test_a_raw_scale_covariate_keeps_its_column():
     np.testing.assert_allclose(fit.t_stats, t, rtol=1e-8)
 
 
+@pytest.mark.parametrize("x_scale, y_scale",
+                         [(1e300, 1e300), (1e-300, 1e-300), (1e300, 1e-300), (-1e-300, 1e300)])
+def test_covariate_and_response_units_do_not_move_t(x_scale, y_scale):
+    # squares of 1e+-300 leave the doubles; the fit scales each column and
+    # the response by a power of two first, and maps the estimates back
+    rng = np.random.default_rng(44)
+    x = rng.standard_normal(30)
+    y = 1.0 + 0.4 * x + rng.standard_normal(30)
+    base = fit_wls(Dataset({"y": y, "x": x}), "y", ["x"], tested="x")
+    fit = fit_wls(Dataset({"y": y * y_scale, "x": x * x_scale}), "y", ["x"], tested="x")
+    assert fit.term_names == base.term_names and fit.warnings == ()
+    np.testing.assert_allclose(fit.t_stats, base.t_stats * [1.0, math.copysign(1.0, x_scale)],
+                               rtol=1e-12)
+    np.testing.assert_allclose(fit.p_values, base.p_values, rtol=1e-12)
+    assert fit.p_at(7) == pytest.approx(base.p_at(7), rel=1e-12)
+    # past the double range an estimate reads inf (or 0), as the product does
+    units = np.array([y_scale, y_scale / x_scale])
+    np.testing.assert_allclose(fit.coefficients, base.coefficients * units, rtol=1e-12)
+    np.testing.assert_allclose(fit.standard_errors, base.standard_errors * abs(units),
+                               rtol=1e-12)
+    assert fit.root_mse == pytest.approx(base.root_mse * y_scale, rel=1e-12)
+    assert fit.residual_ss == pytest.approx(base.residual_ss * y_scale * y_scale, rel=1e-12)
+
+
 # ---- degenerate and error cases ----------------------------------------------
 
 
 def test_constant_response_is_degenerate():
     d = Dataset({"y": [5.0] * 8})
-    with pytest.warns(DegenerateTestWarning):
-        fit = fit_wls(d, "y", ())
+    fit = fit_wls(d, "y", ())
+    assert fit.warnings == ("degenerate",)
     assert fit.coefficients[0] == pytest.approx(5.0, rel=1e-15)
     assert fit.residual_ss == 0.0
     assert fit.standard_errors[0] == 0.0
@@ -248,8 +271,8 @@ def test_constant_response_is_degenerate():
 
 def test_constant_zero_response_is_degenerate_with_p_one():
     d = Dataset({"y": [0.0] * 8})
-    with pytest.warns(DegenerateTestWarning):
-        fit = fit_wls(d, "y", ())
+    fit = fit_wls(d, "y", ())
+    assert fit.warnings == ("degenerate",)
     assert fit.t_stats[0] == 0.0
     assert fit.p_values[0] == 1.0
 
@@ -257,8 +280,8 @@ def test_constant_zero_response_is_degenerate_with_p_one():
 def test_round_off_coefficient_of_an_exact_fit_is_zero(wald_dataset):
     # y on itself: the intercept comes out as round-off, about 1e-17, which
     # in exact arithmetic is 0 and must not read as infinitely significant
-    with pytest.warns(DegenerateTestWarning):
-        fit = fit_wls(wald_dataset, "y", ["y"])
+    fit = fit_wls(wald_dataset, "y", ["y"])
+    assert fit.warnings == ("degenerate",)
     assert fit.term_names == (INTERCEPT, "y")
     assert fit.t_stats.tolist() == [0.0, math.inf]
     assert fit.p_values.tolist() == [1.0, 0.0]
@@ -266,8 +289,8 @@ def test_round_off_coefficient_of_an_exact_fit_is_zero(wald_dataset):
 
 def test_exact_constant_fit_keeps_an_infinite_t():
     # the intercept's term contributes |1| * sqrt(3), far above round-off
-    with pytest.warns(DegenerateTestWarning):
-        fit = fit_wls(Dataset({"y": [1.0, 1.0, 1.0]}), "y", ())
+    fit = fit_wls(Dataset({"y": [1.0, 1.0, 1.0]}), "y", ())
+    assert fit.warnings == ("degenerate",)
     assert fit.t_stats[0] == math.inf
     assert fit.p_values[0] == 0.0
 

@@ -14,6 +14,7 @@ from nfactor.numerics import (
     solve_spd,
     student_t_two_sided,
 )
+from nfactor.search import compute_nf
 
 from oracles import (
     chi2_sf_quadrature,
@@ -376,6 +377,22 @@ def test_chi2_closed_form_is_relatively_exact(df):
         for reference in (chi2_sf_quadrature(x, df), stats.chi2.sf(x, df)):
             if reference > 1e-300:
                 assert p == pytest.approx(reference, rel=1e-12, abs=0), (x, df)
+
+
+@pytest.mark.parametrize("df", range(1, 41))
+def test_chi2_is_a_probability(df):
+    # from df 7 up the rounded sum of the closed form passes 1 at small x
+    for x in np.logspace(-15, 3, 1000):
+        assert 0.0 <= chi2_sf(x, df) <= 1.0, x
+
+
+def test_a_tiny_lr_at_11_df_is_searched():
+    # unclamped, the sum reads 1.0000000000000002 at weight 2, which the
+    # search refuses as no probability
+    lr = 0.00016215548836946578
+    result = compute_nf(lambda w: chi2_sf(w * lr, 11), 100, 0.05)
+    assert result.p_at_1 == 1.0
+    assert result.nf_integer == math.ceil(stats.chi2.isf(0.05, 11) / lr) == 121336
 
 
 def test_chi2_rejects_a_fractional_df():
