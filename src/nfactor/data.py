@@ -28,18 +28,6 @@ from .errors import (
 )
 
 
-def distinct(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of a 1-d array of finite numbers.
-
-    The same result as ``np.unique``, without the import of ``numpy.ma``
-    that ``np.unique`` makes under numpy 2.x.
-    """
-    ordered = np.sort(values)
-    if ordered.size == 0:
-        return ordered
-    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-
-
 # Largest frequency weight: every integer up to 2**53 converts to a double
 # exactly, and w * statistic and w * n - k stay finite.
 MAX_WEIGHT = 2**53
@@ -116,6 +104,9 @@ class SurvivalFrame:
     raises NonNumericCell (naming a covariate by its name), a flag not 0 or
     1 InvalidEventFlag, a covariate named twice DuplicateTerm, and intervals
     that do not chain per subject NonIncreasingTime, in that order.
+    ``n_subjects`` counts the records that open their subject, from the
+    grouping the chain check builds, so ids that compare equal (-0.0 and
+    0.0) are one subject.
     """
 
     subject_ids: np.ndarray
@@ -124,6 +115,7 @@ class SurvivalFrame:
     event: np.ndarray
     covariates: np.ndarray
     covariate_names: tuple[str, ...]
+    n_subjects: int = field(init=False)
 
     def __post_init__(self):
         names = tuple(self.covariate_names)
@@ -155,14 +147,11 @@ class SurvivalFrame:
             bad = np.flatnonzero(chained & (start != previous_stop))
         if bad.size:
             raise NonIncreasingTime(float(ids[bad[0]]))
+        object.__setattr__(self, "n_subjects", n - int(chained.sum()))
 
     @property
     def n_records(self) -> int:
         return len(self.stop)
-
-    @property
-    def n_subjects(self) -> int:
-        return len(distinct(self.subject_ids))
 
 
 def _previous_in_subject(ids: np.ndarray, values: np.ndarray):
@@ -188,7 +177,8 @@ def load_csv(path, required_columns=()) -> Dataset:
 
     Every cell is parsed as a float; blank or non-numeric cells (including
     nan/inf spellings) and repeated header names are rejected. Blank lines
-    are skipped, but still count in the data row numbers that errors name.
+    are skipped, but still count in the data row numbers that errors name;
+    the header is the first line that is not blank.
     A leading UTF-8 byte-order mark is ignored. Row order is preserved.
     A file that cannot be opened or read as UTF-8 raises UnreadableFile.
     """
@@ -203,10 +193,10 @@ def load_csv(path, required_columns=()) -> Dataset:
 def _read_csv(path, required_columns) -> Dataset:
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise EmptyFile(f"{path}: no header row") from None
+        header = next((row for row in reader if row), None)
+        if header is None:
+            raise EmptyFile(f"{path}: no header row")
+        header = [h.strip() for h in header]
         for i, name in enumerate(header):
             if name in header[:i]:
                 raise DuplicateColumn(name)

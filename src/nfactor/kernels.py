@@ -26,13 +26,12 @@ Nothing about which records are at risk depends on beta, so it is laid out
 once per fit by ``risk_set_layout`` and read by every ``score`` call. The
 records are put in stable stop order, so at each distinct event time t the
 records with ``stop >= t`` are a suffix of that order, starting at an offset
-found by binary search. The records of that suffix that have not yet entered
-(``start >= t``) are masked out only at the event times that some record
-starts at or after; with no late entry the risk set is the suffix itself, a
-view. Building the layout costs O(n log n). A ``score`` call then costs
-O(n p) to gather its columns in stop order and O(T n p^2) over the T distinct
-event times, each of which reads its whole suffix: still quadratic on
-continuous event times.
+found by binary search, and the risk set is that suffix less the records
+that have not yet entered (``start >= t``). Building the layout costs
+O(n log n). A ``score`` call then costs O(n p) to gather its columns in stop
+order and O(T n p^2) over the T distinct event times, each of which reads
+its whole suffix: still quadratic on continuous event times. A layout with
+no event times gives zeros throughout.
 """
 
 from __future__ import annotations
@@ -51,8 +50,7 @@ class RiskSetLayout:
     the frame) in that order, so tied events keep file order; ``first``
     holds the offset in ``events`` of each distinct event time's group and
     ``d`` its size. ``lo[k]`` is the offset in ``order`` where ``stop >=
-    times[k]`` begins. The first ``n_late`` times have a record that starts
-    at or after them, so their suffix needs the ``start < t`` mask.
+    times[k]`` begins.
     """
 
     order: np.ndarray
@@ -62,7 +60,6 @@ class RiskSetLayout:
     d: np.ndarray
     times: np.ndarray
     lo: np.ndarray
-    n_late: int
 
 
 def risk_set_layout(start, stop, event) -> RiskSetLayout:
@@ -84,15 +81,12 @@ def risk_set_layout(start, stop, event) -> RiskSetLayout:
         d=np.diff(first, append=len(events)),
         times=times,
         lo=np.searchsorted(stop_sorted, times, side="left"),
-        n_late=int(np.searchsorted(times, start.max(), side="right")) if times.size else 0,
     )
 
 
 def score(layout: RiskSetLayout, x, beta):
     p = x.shape[1]
     hess = np.zeros((p, p))
-    if layout.times.size == 0:
-        return 0.0, np.zeros(p), hess, 0.0
     eta = x @ beta
     eta_s = eta[layout.order]
     x_s = x[layout.order]
@@ -102,15 +96,11 @@ def score(layout: RiskSetLayout, x, beta):
     s0 = np.empty(n_times)
     excess = np.empty(n_times)
     xbar = np.empty((n_times, p))
-    n_late = layout.n_late
     for k, (lo, t, d_k) in enumerate(zip(layout.lo.tolist(), layout.times.tolist(),
                                          layout.d.tolist())):
-        eta_r = eta_s[lo:]
-        xr = x_s[lo:]
-        if k < n_late:
-            entered = start_s[lo:] < t
-            eta_r = eta_r[entered]
-            xr = xr[entered]
+        entered = start_s[lo:] < t
+        eta_r = eta_s[lo:][entered]
+        xr = x_s[lo:][entered]
         m = eta_r.max()
         shifted = eta_r - m
         rel = np.exp(shifted)

@@ -153,15 +153,17 @@ _FPMIN = 1e-300
 
 
 def _beta_contfrac(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta function (modified Lentz)."""
+    """Continued fraction for the incomplete beta function (modified Lentz).
+
+    ``_beta_inc`` calls it only where the first denominator
+    ``1 - (a + b) x / (a + 1)`` is above 2/17.5, so only the loop's
+    denominators need Lentz's guard against zero.
+    """
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
-    d = 1.0 / d
+    d = 1.0 / (1.0 - qab * x / qap)
     h = d
     for m in range(1, _MAX_ITER):
         m2 = 2 * m

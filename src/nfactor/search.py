@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from numbers import Integral
 
+from .data import MAX_WEIGHT
 from .errors import EvaluationFailed
 
 EXACT_HIT_TOL = 1e-12
@@ -64,12 +65,14 @@ def compute_nf(
 
     ``p_of_weight`` must deterministically map a positive integer weight to
     the test's p-value. When no weight up to ``max_weight`` reaches the
-    target, the result's ``w1`` is None.
+    target, the result's ``w1`` is None. The cap is at most
+    ``data.MAX_WEIGHT``, the largest weight the profiles take.
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target significance must lie in (0,1), got {target}")
-    if isinstance(max_weight, bool) or not isinstance(max_weight, Integral) or max_weight < 1:
-        raise ValueError(f"max_weight must be an integer of at least 1, got {max_weight!r}")
+    if (isinstance(max_weight, bool) or not isinstance(max_weight, Integral)
+            or not 1 <= max_weight <= MAX_WEIGHT):
+        raise ValueError(f"max_weight must be an integer from 1 to 2**53, got {max_weight!r}")
     max_weight = int(max_weight)
 
     # Insertion-ordered: both the cache of evaluations and their trace.

@@ -12,13 +12,15 @@ oracle take a frequency weight; the package's fits do not, so these are the
 weighted reference where replicating the data would be too large. The
 survival-frame constructors are checked against loops that chain each
 subject's records one record at a time through a dict keyed by subject id.
-``score_per_event_time`` is an earlier Cox kernel, kept verbatim: it finds
-each distinct event time's records and its risk set with masks over all
-records in file order, where the package's kernel reads a suffix of the
-stop order, so the two agree to round-off. ``breslow_loglik_decimal``
-is the Breslow log likelihood in 50-digit decimal arithmetic, so a
-likelihood ratio taken as the difference of two of them keeps every digit
-a double can hold.
+``score_per_event_time`` is an earlier Cox kernel, kept verbatim but for
+``np.unique`` in place of a package helper: it finds each distinct event
+time's records and its risk set with masks over all records in file order,
+where the package's kernel reads a suffix of the stop order, so the two
+agree to round-off. ``breslow_loglik_decimal`` is the Breslow log
+likelihood in 50-digit decimal arithmetic, so a likelihood ratio taken as
+the difference of two of them keeps every digit a double can hold. Nothing
+here imports from the package but its exception types, which the frame
+oracles raise so that their outcomes compare with the package's.
 """
 
 import decimal
@@ -28,7 +30,6 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.stats import t as student_t
 
-from nfactor.data import distinct
 from nfactor.errors import InvalidEventFlag, NonIncreasingTime
 
 
@@ -253,7 +254,7 @@ def score_per_event_time(start, stop, event, x, beta):
     ev_stop = stop[event]
     ev_eta = eta[event]
     ev_x = x[event]
-    for t in distinct(ev_stop):
+    for t in np.unique(ev_stop):
         at_t = ev_stop == t
         d = int(at_t.sum())
         risk = (start < t) & (t <= stop)

@@ -13,7 +13,7 @@ from nfactor import (
     stset_reconstruct,
     survival_frame_from_intervals,
 )
-from nfactor.data import MAX_WEIGHT, check_weight, distinct
+from nfactor.data import MAX_WEIGHT, check_weight
 from nfactor.errors import (
     DuplicateColumn,
     DuplicateTerm,
@@ -49,11 +49,13 @@ def test_linear30_has_the_reference_moments(wald_dataset):
     assert ((y - y.mean()) ** 2).sum() == pytest.approx(34.1462048, rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("where", ["trailing", "interior"])
+@pytest.mark.parametrize("where", ["leading", "trailing", "interior"])
 def test_blank_lines_are_skipped(tmp_path, wald_dataset, where):
     text = LINEAR_CSV.read_text()
     lines = text.splitlines(keepends=True)
-    if where == "trailing":
+    if where == "leading":
+        text = "\n\n" + text
+    elif where == "trailing":
         text += "\n"
     else:
         text = "".join(lines[:11] + ["\n"] + lines[11:])
@@ -97,6 +99,13 @@ def test_duplicate_header_name(tmp_path):
 def test_empty_file(tmp_path):
     path = tmp_path / "none.csv"
     path.write_text("")
+    with pytest.raises(EmptyFile):
+        load_csv(path)
+
+
+def test_only_blank_lines_is_empty_file(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("\n\r\n\n")
     with pytest.raises(EmptyFile):
         load_csv(path)
 
@@ -170,7 +179,7 @@ def test_reconstruct_totals(heart_frame):
     assert heart_frame.n_subjects == 20
     assert heart_frame.event.sum() == 20
     # no two events tie
-    assert len(distinct(heart_frame.stop[heart_frame.event])) == 20
+    assert len(np.unique(heart_frame.stop[heart_frame.event])) == 20
 
 
 def test_reconstruct_rejects_repeated_time():
@@ -378,6 +387,8 @@ def assert_same_outcome(frame, expected):
         return type(expected).__name__
     assert isinstance(frame, SurvivalFrame), frame
     np.testing.assert_array_equal(frame.start, expected)
+    # a set of floats holds -0.0 and 0.0 as one subject, as the frame does
+    assert frame.n_subjects == len(set(frame.subject_ids.tolist()))
     return "frame"
 
 
@@ -466,7 +477,7 @@ def test_replicate_frame_counts(heart_frame):
     assert rep.n_subjects == 80
     assert rep.event.sum() == 80
     assert (rep.stop - rep.start).sum() == 4 * 3071.0
-    assert len(distinct(rep.stop[rep.event])) < 80
+    assert len(np.unique(rep.stop[rep.event])) < 80
 
 
 def test_replicate_frame_preserves_covariate_rows(heart_frame):

@@ -5,7 +5,9 @@ covariate changes units or origin, when the covariates, rows or subject ids
 are rearranged, or when time is rescaled exactly. Each case rewrites
 stan30.csv and runs the request through ``cli.run``; the answer (exit code,
 ``nf_integer``, the printed ``w_int`` and the omitted terms) must be the
-untransformed request's. The command line leaves warnings to the process's
+untransformed request's. The Cox requests cover every covariate subset; the
+linear request regresses t1 on age, year and posttran and tests each slope,
+and the intercept where no offset moves it. The command line leaves warnings to the process's
 filters, and this suite's turn every warning into an error, so a request
 that overflows on the way fails here.
 """
@@ -30,6 +32,10 @@ SCALES = (1e-4, 1e-2, 1.0, 1e2, 1e4, -1e-3, -1e3)
 OFFSETS = (0.0, 1990.0, 1e6)
 # Units whose squares leave the doubles, at the origin only: 1990 + 1e-300 * v is 1990.
 FAR_SCALES = (1e-300, 1e-150, 1e150, 1e300, -1e300)
+RECODINGS = [*itertools.product(SCALES, OFFSETS), *itertools.product(FAR_SCALES, (0.0,))]
+
+# The linear request regresses t1 on these; each slope is tested in turn.
+LINEAR_COVARIATES = ("age", "year", "posttran")
 
 
 def write_rows(path, rows):
@@ -45,13 +51,25 @@ def recoded(rows, column, fn):
 
 
 def answer(path, covariates):
+    """What a Cox request on ``covariates`` answers."""
+    return request_answer(["--model", "cox-lr", "--data", str(path), "--time", "t1",
+                           "--event", "died", "--id", "id",
+                           "--covariates", ",".join(covariates)])
+
+
+def linear_answer(path, coefficient):
+    """What the linear request of t1 on LINEAR_COVARIATES answers for ``coefficient``."""
+    return request_answer(["--model", "linear-wald", "--data", str(path), "--response", "t1",
+                           "--covariates", ",".join(LINEAR_COVARIATES),
+                           "--wald-coefficient", coefficient])
+
+
+def request_answer(argv):
     """What a request answers: exit code, NF, printed w_int, omitted terms and best p.
 
     A request that fails answers its exit code and its stderr line.
     """
-    got = run_request(["--model", "cox-lr", "--data", str(path), "--time", "t1",
-                       "--event", "died", "--id", "id", "--covariates", ",".join(covariates),
-                       "--format", "json"])
+    got = run_request([*argv, "--format", "json"])
     if got["exit"] == 1:
         return 1, got["stderr"]
     doc = json.loads(got["stdout"])
@@ -65,8 +83,7 @@ def expected():
 
 
 @pytest.mark.parametrize("column, scale, offset",
-                         [*itertools.product(RECODED, SCALES, OFFSETS),
-                          *itertools.product(RECODED, FAR_SCALES, (0.0,))])
+                         [(column, *recoding) for column in RECODED for recoding in RECODINGS])
 def test_a_covariate_in_other_units_and_origin_gives_the_same_answer(
         expected, tmp_path, column, scale, offset):
     path = write_rows(tmp_path / "recoded.csv",
@@ -74,6 +91,28 @@ def test_a_covariate_in_other_units_and_origin_gives_the_same_answer(
     for subset in SUBSETS:
         if column in subset:
             assert answer(path, subset) == expected[subset], subset
+
+
+@pytest.fixture(scope="module")
+def expected_linear():
+    answers = {term: linear_answer(HEART_CSV, term) for term in ("intercept", *LINEAR_COVARIATES)}
+    assert {term: got[1:3] for term, got in answers.items()} == {
+        "intercept": (6, "5.6135"), "age": (20, "19.0880"), "year": (6, "5.5974"),
+        "posttran": (1, "1.0000")}
+    return answers
+
+
+@pytest.mark.parametrize("column, scale, offset",
+                         [(column, *recoding) for column in (*LINEAR_COVARIATES, "t1")
+                          for recoding in RECODINGS])
+def test_a_linear_column_in_other_units_and_origin_gives_the_same_slopes(
+        expected_linear, tmp_path, column, scale, offset):
+    path = write_rows(tmp_path / "recoded.csv",
+                      recoded(ROWS, column, lambda v: scale * v + offset))
+    # an offset moves the intercept by design
+    terms = [*LINEAR_COVARIATES, *(["intercept"] if offset == 0.0 else [])]
+    for term in terms:
+        assert linear_answer(path, term) == expected_linear[term], term
 
 
 def test_covariate_order_does_not_matter(expected):

@@ -6,6 +6,7 @@ import pytest
 from scipy.stats import chi2
 
 from nfactor import Dataset, compute_nf, fit_cox, fit_wls, student_t_two_sided
+from nfactor.data import MAX_WEIGHT
 from nfactor.errors import EvaluationFailed
 
 from test_golden_reports import TESTS_DIR, bundled_requests, run_request
@@ -168,6 +169,16 @@ def test_validates_arguments():
     for cap in (2.5, 40.0, np.float64(3.0), True, False):
         with pytest.raises(ValueError, match="max_weight must be an integer"):
             compute_nf(curve, 30, 0.05, cap)
+
+
+def test_a_cap_past_the_largest_weight_is_refused_before_any_evaluation():
+    def p_of_weight(w):
+        raise AssertionError(f"evaluated weight {w}")
+
+    for cap in (MAX_WEIGHT + 1, 2**60):
+        with pytest.raises(ValueError, match=r"max_weight must be an integer from 1 to 2\*\*53"):
+            compute_nf(p_of_weight, 30, 0.05, cap)
+    assert compute_nf(lambda w: 0.01, 30, 0.05, MAX_WEIGHT).nf_integer == 1
 
 
 def test_a_numpy_integer_cap_keeps_the_trace_in_ints():
