@@ -56,14 +56,15 @@ def _build_parser() -> _Parser:
                         help="target significance level (default 0.05)")
     parser.add_argument("--max-weight", type=int, default=DEFAULT_MAX_WEIGHT,
                         help="largest weight tried before giving up (at most 2**53)")
-    parser.add_argument("--time", help="last-observation time column (cox-lr)")
+    intervals = parser.add_mutually_exclusive_group()
+    intervals.add_argument("--time", help="last-observation time column (cox-lr)")
     parser.add_argument("--event", help="event flag column (cox-lr)")
     parser.add_argument("--id", dest="id_col", help="subject id column (cox-lr)")
     parser.add_argument("--covariates", default="",
                         help="comma-separated covariate columns")
-    parser.add_argument("--explicit-intervals", metavar="START,STOP",
-                        help="use explicit start/stop columns instead of "
-                             "reconstructing intervals from --time")
+    intervals.add_argument("--explicit-intervals", metavar="START,STOP",
+                           help="use explicit start/stop columns instead of "
+                                "reconstructing intervals from --time")
     parser.add_argument("--response", help="response column (linear-wald)")
     parser.add_argument("--wald-coefficient", default=INTERCEPT,
                         help=f"coefficient to test (default: {INTERCEPT})")

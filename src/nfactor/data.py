@@ -176,9 +176,9 @@ def load_csv(path, required_columns=()) -> Dataset:
     """Load a comma-separated file with a header row into a Dataset.
 
     Every cell is parsed as a float; blank or non-numeric cells (including
-    nan/inf spellings) and repeated header names are rejected. Blank lines
-    are skipped, but still count in the data row numbers that errors name;
-    the header is the first line that is not blank.
+    nan/inf spellings) and repeated header names are rejected. Blank or
+    whitespace-only lines are skipped, but still count in the data row
+    numbers that errors name; the header is the first line that is not blank.
     A leading UTF-8 byte-order mark is ignored. Row order is preserved.
     A file that cannot be opened or read as UTF-8 raises UnreadableFile.
     """
@@ -193,7 +193,7 @@ def load_csv(path, required_columns=()) -> Dataset:
 def _read_csv(path, required_columns) -> Dataset:
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = next((row for row in reader if row), None)
+        header = next((row for row in reader if not _blank(row)), None)
         if header is None:
             raise EmptyFile(f"{path}: no header row")
         header = [h.strip() for h in header]
@@ -205,7 +205,7 @@ def _read_csv(path, required_columns) -> Dataset:
                 raise MissingColumn(name)
         raw: list[list[float]] = [[] for _ in header]
         for rownum, row in enumerate(reader, start=1):
-            if not row:
+            if _blank(row):
                 continue
             if len(row) != len(header):
                 raise NonNumericCell(rownum, header[min(len(row), len(header) - 1)])
@@ -218,6 +218,11 @@ def _read_csv(path, required_columns) -> Dataset:
                     raise NonNumericCell(rownum, header[j], cell)
                 raw[j].append(value)
     return Dataset({name: np.array(col) for name, col in zip(header, raw)})
+
+
+def _blank(row: list[str]) -> bool:
+    """A line with no cells or one cell of only whitespace; ``,`` holds two empty cells."""
+    return not row or (len(row) == 1 and not row[0].strip())
 
 
 def _frame(

@@ -9,11 +9,11 @@ triangular solves and inverses run on ``numpy.linalg``.
 
 The chi-square tail is the upper regularized gamma at a half-integer shape,
 in closed form: ``erfc`` or ``exp`` plus a sum of positive terms, about
-1e-13 relative down to tails of 1e-300. The Student t tail follows the
-continued fraction of the regularized incomplete beta function and, since
-its degrees of freedom grow with the frequency weight, switches to an
-asymptotic expansion for large ``df``; it keeps about 1e-14 relative
-accuracy up to ``df`` of 10^10.
+1e-13 relative down to tails of 1e-300. The Student t tail is the
+regularized incomplete beta I_x(df/2, 1/2): a continued fraction and, since
+df grows with the frequency weight, an asymptotic expansion for large
+``df``, whose coefficients are built once, for b = 1/2. It keeps about
+1e-14 relative accuracy up to ``df`` of 10^10.
 """
 
 from __future__ import annotations
@@ -156,8 +156,9 @@ def _beta_contfrac(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta function (modified Lentz).
 
     ``_beta_inc`` calls it only where the first denominator
-    ``1 - (a + b) x / (a + 1)`` is above 2/17.5, so only the loop's
-    denominators need Lentz's guard against zero.
+    ``1 - (a + b) x / (a + 1)`` is above 2/17.5. Over 400k sampled (a, x) no
+    loop denominator fell below 0.1996 (0.807 on the symmetric side), but
+    that is no proof, so the loop keeps Lentz's guards against zero.
     """
     qab = a + b
     qap = a + 1.0
@@ -167,25 +168,18 @@ def _beta_contfrac(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _MAX_ITER):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # One Lentz update for the even, then the odd partial numerator of step m.
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < _FPMIN:
+                d = _FPMIN
+            c = 1.0 + aa / c
+            if abs(c) < _FPMIN:
+                c = _FPMIN
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _EPS:
             break
     return h
@@ -225,8 +219,13 @@ def _log_gamma_ratio(a: float, b: float) -> float:
     )
 
 
-# (2m + 1)! for the coefficients of the large-a expansion below.
+# (2m + 1)! and the coefficients p_n of the large-a expansion below, which
+# depend on b alone: built once, for b = 1/2, by the reference's recursion.
 _ODD_FACTORIALS = tuple(float(math.factorial(2 * m + 1)) for m in range(_GRAT_TERMS))
+_GRAT_P = [1.0]
+for _n in range(1, _GRAT_TERMS):
+    _GRAT_P.append(-0.5 / _ODD_FACTORIALS[_n] + sum(
+        (m * 0.5 - _n) * _GRAT_P[_n - m] / _ODD_FACTORIALS[m] for m in range(1, _n)) / _n)
 
 
 def _beta_inc_large_a(a: float, x: float, y: float) -> float:
@@ -236,31 +235,23 @@ def _beta_inc_large_a(a: float, x: float, y: float) -> float:
     Morris (ACM TOMS 708, 1992, eq. 9; their BGRAT). Every term is formed
     without cancellation, so the relative error stays near machine precision
     however large ``a`` is; the continued fraction loses about ``a`` ulps as
-    x approaches 1.
+    x approaches 1. Its coefficients ``_GRAT_P`` are built once, for b = 1/2.
     """
-    b = 0.5
-    bm1 = b - 1.0
-    nu = a + bm1 / 2.0
+    nu = a - 0.25
     log_x = math.log1p(-y) if y < 0.35 else math.log(x)
     u = -nu * log_x
-    # h = u^b e^-u / Gamma(b); k_n = h * J_n of the reference.
-    h = math.exp(b * math.log(u) - u - math.lgamma(b))
-    scale = math.exp(_log_gamma_ratio(a, b) - b * math.log(nu))
-    k = math.erfc(math.sqrt(u))  # Q(1/2, u)
-    total = k
-    p = [1.0]
+    # power starts at h = u^b e^-u / Gamma(b); k_n = h * J_n of the reference.
+    power = math.exp(0.5 * math.log(u) - u - math.lgamma(0.5))
+    scale = math.exp(_log_gamma_ratio(a, 0.5) - 0.5 * math.log(nu))
+    total = k = math.erfc(math.sqrt(u))  # Q(1/2, u)
     half_log_x_sq = (log_x / 2.0) ** 2
-    power = h
     four_nu_sq = 4.0 * nu * nu
-    b2n = b
+    b2n = 0.5
     for n in range(1, _GRAT_TERMS):
-        pn = bm1 / _ODD_FACTORIALS[n]
-        pn += sum((m * b - n) * p[n - m] / _ODD_FACTORIALS[m] for m in range(1, n)) / n
-        p.append(pn)
         k = (b2n * (b2n + 1.0) * k + (u + b2n + 1.0) * power) / four_nu_sq
         power *= half_log_x_sq
         b2n += 2.0
-        term = pn * k
+        term = _GRAT_P[n] * k
         total += term
         if abs(term) <= _EPS * abs(total):
             break
@@ -296,12 +287,10 @@ def student_t_two_sided(t: float, df: float) -> float:
         raise DomainError(f"degrees of freedom must be positive and finite, got {df}")
     if math.isnan(t):
         raise DomainError("t statistic is nan")
-    if t == 0.0:
-        return 1.0
     if math.isinf(t):
         return 0.0
-    # Form x = df / (df + t^2) and its complement separately: at large df,
-    # 1 - x recomputed from a rounded x has lost most of its digits.
+    # Form x = df / (df + t^2) and its complement apart, exactly 1 and 0 at
+    # t = 0: at large df, 1 - x from a rounded x has lost most of its digits.
     t2 = t * t
     return _beta_inc(df / 2.0, df / (df + t2), t2 / (df + t2))
 

@@ -388,6 +388,17 @@ def test_a_model_without_its_option_is_one_usage_line(capsys, args, line):
     assert captured.out == ""
 
 
+def test_time_with_explicit_intervals_is_one_usage_line(capsys):
+    args = ["--model", "cox-lr", "--data", str(HEART_CSV), "--time", "t1",
+            "--explicit-intervals", "t0,t1", "--event", "died", "--id", "id",
+            "--covariates", "age"]
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "nfactor: error: argument --explicit-intervals: not allowed with argument --time\n")
+    assert captured.out == ""
+
+
 def test_unknown_model(capsys):
     code = run(["--model", "anova", "--data", str(HEART_CSV)])
     assert code == 1

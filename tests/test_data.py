@@ -49,27 +49,34 @@ def test_linear30_has_the_reference_moments(wald_dataset):
     assert ((y - y.mean()) ** 2).sum() == pytest.approx(34.1462048, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("line", ["\n", "   \n", "\t\n"], ids=["empty", "spaces", "tab"])
 @pytest.mark.parametrize("where", ["leading", "trailing", "interior"])
-def test_blank_lines_are_skipped(tmp_path, wald_dataset, where):
+def test_blank_lines_are_skipped(tmp_path, wald_dataset, where, line):
     text = LINEAR_CSV.read_text()
     lines = text.splitlines(keepends=True)
     if where == "leading":
-        text = "\n\n" + text
+        text = line + line + text
     elif where == "trailing":
-        text += "\n"
+        text += line
     else:
-        text = "".join(lines[:11] + ["\n"] + lines[11:])
+        text = "".join(lines[:11] + [line] + lines[11:])
     path = tmp_path / "blank.csv"
     path.write_text(text)
     np.testing.assert_array_equal(load_csv(path, ["y"]).column("y"), wald_dataset.column("y"))
 
 
-def test_row_numbers_count_blank_lines(tmp_path):
+# A line of commas holds empty cells, so it is a row, not a blank line.
+@pytest.mark.parametrize("text, row", [
+    ("a,b\n1,2\n\n3,x\n", 3),
+    ("a,b\n1,2\n \t\n3,x\n", 3),
+    ("a,b\n1,2\n,\n", 2),
+], ids=["blank", "whitespace", "commas"])
+def test_row_numbers_count_blank_lines(tmp_path, text, row):
     path = tmp_path / "blank.csv"
-    path.write_text("a,b\n1,2\n\n3,x\n")
+    path.write_text(text)
     with pytest.raises(NonNumericCell) as err:
         load_csv(path, ["a", "b"])
-    assert err.value.row == 3
+    assert err.value.row == row
 
 
 def test_header_only_file_is_empty_dataset(tmp_path):

@@ -215,3 +215,67 @@ def test_hostile_frame_matches_the_oracles(name):
         np.testing.assert_allclose(g, g_o, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(h, h_o, rtol=1e-10, atol=1e-12)
     assert fit.lr_stat == pytest.approx(breslow_lr_decimal(*args, fit.beta), rel=1e-9, abs=0)
+
+
+# ---- invariances at 2,000 records -------------------------------------------
+
+
+def split_at_event_times(start, stop, event, x):
+    """Cut each record (s, e] at the last event time c with s < c < e, if any.
+
+    The pieces are (s, c] without an event and (c, e] with the record's flag;
+    both hold the record's covariates (and would hold its id, which the
+    kernel does not read). Every risk set, and so the score, is unchanged.
+    """
+    times = np.unique(stop[event])
+    last = np.searchsorted(times, stop, side="left") - 1
+    cut = times[np.maximum(last, 0)]
+    inside = (last >= 0) & (cut > start)
+    return (np.concatenate([start, cut[inside]]),
+            np.concatenate([np.where(inside, cut, stop), stop[inside]]),
+            np.concatenate([event & ~inside, event[inside]]),
+            np.concatenate([x, x[inside]]))
+
+
+def late_record(start, stop, event, x):
+    """The records and one more, (t, t + 1] without an event, t the last event time."""
+    t = stop[event].max()
+    return (np.append(start, t), np.append(stop, t + 1.0), np.append(event, False),
+            np.vstack([x, [[0.3, -1.2]]]))
+
+
+# Changes of the records that leave every risk set as it is, checked in O(n)
+# each at 2,000 records with continuous times and 40% left truncation: the
+# episode split, a record that enters at the last event time, and a
+# permutation. The work is bounded by the number of score calls.
+def test_score_is_invariant_to_record_changes(monkeypatch):
+    calls = []
+    score = kernels.score
+
+    def counted(*args):
+        calls.append(args)
+        return score(*args)
+
+    monkeypatch.setattr(kernels, "score", counted)
+    b = np.array([0.8, -0.5])
+    original = hazard_records(3, 2000, b, 0.4)
+    rng = np.random.default_rng(5)
+    betas = (b, 0.5 * b, rng.standard_normal(2))
+    split = split_at_event_times(*original)
+    assert len(split[0]) == 2000 + 1997
+    order = rng.permutation(2000)
+    changed = {
+        "split": split,
+        "late record": late_record(*original),
+        "permutation": [column[order] for column in original],
+    }
+    want = [score_records(*original, beta) for beta in betas]
+    for name, args in changed.items():
+        for beta, (ll_w, g_w, h_w, gain_w) in zip(betas, want):
+            ll, g, h, gain = score_records(*args, beta)
+            where = f"{name} at beta {beta}"
+            assert ll == pytest.approx(ll_w, rel=1e-12, abs=0), where
+            np.testing.assert_allclose(g, g_w, rtol=1e-10, atol=1e-12, err_msg=where)
+            np.testing.assert_allclose(h, h_w, rtol=1e-10, atol=1e-12, err_msg=where)
+            assert gain == pytest.approx(gain_w, rel=1e-10, abs=0), where
+    assert len(calls) == 12

@@ -418,6 +418,27 @@ def test_t_matches_scipy_at_large_df(t, df):
     assert student_t_two_sided(t, df) == pytest.approx(2 * stats.t.sf(t, df), rel=1e-10, abs=0)
 
 
+def _with_neighbours(v):
+    return [math.nextafter(v, 0.0), v, math.nextafter(v, math.inf)]
+
+
+# The tail switches branch at x = df / (df + t^2) = 1/2 (the large-a expansion
+# against the continued fraction, for df >= 30), at t^2 = 3 df / (df + 2) (the
+# direct fraction against its symmetric form) and at df = 30.
+_SWITCHES = [(t, df) for df in (1, 2, 5, 10, 28, 29, 30, 31, 59, 100, 1e3, 1e6)
+             for t2 in (df, 3 * df / (df + 2)) for t in _with_neighbours(math.sqrt(t2))]
+_SWITCHES += [(t, df) for df in _with_neighbours(30.0)
+              for t in (math.sqrt(df), math.sqrt(3 * df / (df + 2)), 1.96)]
+
+
+# Points whose tail is below 1e-300 (t^2 = df at df 1e6) are left out.
+@pytest.mark.parametrize("t,df", [(t, df) for t, df in _SWITCHES
+                                  if 2 * stats.t.sf(t, df) >= 1e-300])
+def test_t_matches_scipy_at_each_branch_switch(t, df):
+    expected = 2 * stats.t.sf(t, df)
+    assert student_t_two_sided(t, df) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
 def test_t_reference_values():
     assert student_t_two_sided(0.0929164 / 0.1981124, 29) == pytest.approx(0.643, abs=5e-4)
     assert student_t_two_sided(0.0929164 / 0.0472881, 509) == pytest.approx(0.050, abs=5e-4)
