@@ -66,7 +66,7 @@ def _build_parser() -> _Parser:
                            help="use explicit start/stop columns instead of "
                                 "reconstructing intervals from --time")
     parser.add_argument("--response", help="response column (linear-wald)")
-    parser.add_argument("--wald-coefficient", default=INTERCEPT,
+    parser.add_argument("--wald-coefficient",
                         help=f"coefficient to test (default: {INTERCEPT})")
     parser.add_argument("--format", choices=["text", "json"], default="text")
     return parser
@@ -75,31 +75,43 @@ def _build_parser() -> _Parser:
 def _parse(argv) -> argparse.Namespace:
     """Parse a command line and check that its options fit together.
 
-    ``covariates`` becomes a list of names and ``explicit_intervals`` a
-    ``(start, stop)`` pair or None.
+    Each model refuses the other model's options. ``covariates`` becomes a
+    list of names, and ``intervals`` the interval columns under the names
+    the report's spec uses: ``{"time": ...}``, ``{"start": ..., "stop": ...}``
+    from ``--explicit-intervals``, or None when neither option is given. A
+    linear-wald request without ``--wald-coefficient`` tests the intercept.
     """
     args = _build_parser().parse_args(argv)
+    foreign = {
+        COX_LR: (("--response", args.response), ("--wald-coefficient", args.wald_coefficient)),
+        LINEAR_WALD: (("--time", args.time), ("--explicit-intervals", args.explicit_intervals),
+                      ("--event", args.event), ("--id", args.id_col)),
+    }[args.model]
+    given = [flag for flag, value in foreign if value is not None]
+    if given:
+        raise CliError(f"model {args.model} does not take {', '.join(given)}")
+    args.intervals = None if args.time is None else {"time": args.time}
     if args.explicit_intervals is not None:
         parts = [s.strip() for s in args.explicit_intervals.split(",")]
         if len(parts) != 2 or not all(parts):
             raise CliError("--explicit-intervals expects two column names: START,STOP")
-        args.explicit_intervals = tuple(parts)
+        args.intervals = dict(zip(("start", "stop"), parts))
     args.covariates = [c.strip() for c in args.covariates.split(",") if c.strip()]
     if not 0.0 < args.alpha < 1.0:
         raise CliError("target significance must lie in (0,1)")
     if not 1 <= args.max_weight <= MAX_WEIGHT:
         raise CliError("--max-weight must be an integer from 1 to 2**53")
     if args.model == COX_LR:
-        missing = [flag for flag, value in (("--event", args.event), ("--id", args.id_col))
-                   if value is None]
-        if args.explicit_intervals is None and args.time is None:
-            missing.insert(0, "--time")
+        missing = [flag for flag, value in (("--time", args.intervals), ("--event", args.event),
+                                            ("--id", args.id_col)) if value is None]
         if missing:
             raise CliError(f"model {COX_LR} requires {', '.join(missing)}")
         if not args.covariates:
             raise CliError(f"model {COX_LR} requires --covariates")
     elif args.response is None:
         raise CliError(f"model {LINEAR_WALD} requires --response")
+    elif args.wald_coefficient is None:
+        args.wald_coefficient = INTERCEPT
     return args
 
 
@@ -125,18 +137,12 @@ def _run_spec(args: argparse.Namespace) -> tuple[str, int]:
     the fit's own; the request touches no process-wide warning state.
     """
     if args.model == COX_LR:
-        intervals = args.explicit_intervals or (args.time,)
+        intervals = list(args.intervals.values())
         with _stage("load"):
             data = load_csv(args.data, [args.event, args.id_col, *args.covariates, *intervals])
         with _stage("frame"):
-            if args.explicit_intervals:
-                frame = survival_frame_from_intervals(
-                    data, *intervals, args.event, args.id_col, args.covariates,
-                )
-            else:
-                frame = stset_reconstruct(
-                    data, args.time, args.event, args.id_col, args.covariates,
-                )
+            build = survival_frame_from_intervals if "stop" in args.intervals else stset_reconstruct
+            frame = build(data, *intervals, args.event, args.id_col, args.covariates)
         with _stage("fit"):
             fit = fit_cox(frame)
     else:
@@ -166,19 +172,12 @@ def _run_spec(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _spec_json(args: argparse.Namespace) -> dict:
-    columns = {}
     if args.model == COX_LR:
-        if args.explicit_intervals:
-            columns["start"], columns["stop"] = args.explicit_intervals
-        else:
-            columns["time"] = args.time
-        columns["event"] = args.event
-        columns["id"] = args.id_col
-        columns["covariates"] = args.covariates
+        columns = {**args.intervals, "event": args.event, "id": args.id_col,
+                   "covariates": args.covariates}
     else:
-        columns["response"] = args.response
-        columns["covariates"] = args.covariates
-        columns["wald_coefficient"] = args.wald_coefficient
+        columns = {"response": args.response, "covariates": args.covariates,
+                   "wald_coefficient": args.wald_coefficient}
     return {
         "model": args.model,
         "data": args.data,

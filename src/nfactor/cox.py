@@ -89,8 +89,9 @@ class CoxFit:
     per-coefficient arrays align with it. ``n_subjects`` and ``n_failures``
     count the frame's subjects and event records (as floats). The
     likelihood-ratio test compares the fitted model against the null model
-    over the same kept covariates; ``p_at`` scales it to any weight.
-    ``warnings`` holds the sorted labels ``fit_cox`` describes.
+    over the same kept covariates; ``p_at`` scales it to any weight, and
+    ``p_lr`` is ``p_at(1)``. ``warnings`` holds the sorted labels
+    ``fit_cox`` describes.
     """
 
     covariate_names: tuple[str, ...]
@@ -104,7 +105,6 @@ class CoxFit:
     loglik_full: float
     lr_stat: float
     lr_df: int
-    p_lr: float
     n_subjects: float
     n_failures: float
     iterations: int
@@ -115,15 +115,15 @@ class CoxFit:
 
         The statistic scales linearly with a uniform weight, so this is
         ``chi2_sf(weight * lr_stat, lr_df)``: it equals
-        ``fit_cox(replicate_frame(frame, weight)).p_lr`` up to round-off, and
-        at weight 1 it is ``p_lr`` exactly. A test with no kept covariate has
-        p = 1 at every weight.
+        ``fit_cox(replicate_frame(frame, weight)).p_lr`` up to round-off. A
+        test with no kept covariate has p = 1 at every weight.
         """
-        return _lr_p_value(check_weight(weight) * self.lr_stat, self.lr_df)
+        lr_stat = check_weight(weight) * self.lr_stat
+        return chi2_sf(max(lr_stat, 0.0), self.lr_df) if self.lr_df else 1.0
 
-
-def _lr_p_value(lr_stat: float, lr_df: int) -> float:
-    return chi2_sf(max(lr_stat, 0.0), lr_df) if lr_df else 1.0
+    @property
+    def p_lr(self) -> float:
+        return self.p_at(1)
 
 
 def _newton(layout: kernels.RiskSetLayout, x: np.ndarray, names, ll, grad, neg_hess):
@@ -211,10 +211,6 @@ def fit_cox(frame: SurvivalFrame) -> CoxFit:
         beta, se = np.ldexp(beta, -exponent[kept]), np.ldexp(se, -exponent[kept])
         hazard_ratios = np.exp(beta)
 
-    lr_stat = 2.0 * gain
-    lr_df = len(kept)
-    p_lr = _lr_p_value(lr_stat, lr_df)
-
     return CoxFit(
         covariate_names=kept_names,
         beta=beta,
@@ -225,9 +221,8 @@ def fit_cox(frame: SurvivalFrame) -> CoxFit:
         omitted=omitted,
         loglik_null=ll_null,
         loglik_full=ll_full,
-        lr_stat=lr_stat,
-        lr_df=lr_df,
-        p_lr=p_lr,
+        lr_stat=2.0 * gain,
+        lr_df=len(kept),
         n_subjects=n_subjects,
         n_failures=n_failures,
         iterations=iterations,

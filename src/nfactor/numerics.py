@@ -77,8 +77,6 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     b = np.asarray(b, dtype=np.float64)
     lower = _cholesky_spd(a)
-    if lower.shape[0] != len(b):
-        raise ValueError("matrix and right-hand side dimensions differ")
     return np.linalg.solve(lower.T, np.linalg.solve(lower, b))
 
 

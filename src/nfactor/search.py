@@ -8,8 +8,9 @@ interpolation of the p-values:
 
     w_int = (W0 * (target - p1) + W1 * (p0 - target)) / (p0 - p1)
 
-Doubling and bisection keep p(lo) > target >= p(hi) at every step, so the
-bracket always straddles the target and the denominator is positive; on a
+Doubling starts at ``lo, hi = 0, 1``. Doubling and bisection keep ``lo``
+0 or a weight with p(lo) > target, and p(hi) <= target once doubling stops,
+so the bracket straddles the target and the denominator is positive; on a
 monotone p-curve W1 is the smallest significant weight. ``compute_nf``'s
 ``result`` is the one place that decides the record: ``w_int`` is W1 itself
 when there is no W0 or when p1 hits the target, and the formula otherwise.
@@ -75,19 +76,18 @@ def compute_nf(
         raise ValueError(f"max_weight must be an integer from 1 to 2**53, got {max_weight!r}")
     max_weight = int(max_weight)
 
-    # Insertion-ordered: both the cache of evaluations and their trace.
+    # Every evaluation in order; the search never asks for a weight twice.
     trace: dict[int, float] = {}
 
     def evaluate(w: int) -> float:
-        if w not in trace:
-            try:
-                p = float(p_of_weight(w))
-            except Exception as exc:
-                raise EvaluationFailed(w, exc) from exc
-            if not 0.0 <= p <= 1.0:
-                raise EvaluationFailed(w, ValueError(f"p-value {p} outside [0, 1]"))
-            trace[w] = p
-        return trace[w]
+        try:
+            p = float(p_of_weight(w))
+        except Exception as exc:
+            raise EvaluationFailed(w, exc) from exc
+        if not 0.0 <= p <= 1.0:
+            raise EvaluationFailed(w, ValueError(f"p-value {p} outside [0, 1]"))
+        trace[w] = p
+        return p
 
     def result(w0=None, w1=None):
         p0, p1 = trace.get(w0), trace.get(w1)
@@ -113,11 +113,9 @@ def compute_nf(
             best_p=min(trace.values()),
         )
 
-    if evaluate(1) <= target:
-        return result(w1=1)
-
-    # Geometric doubling until the target is reached or the cap is hit.
-    lo = hi = 1
+    # Geometric doubling from weight 1 until the target is reached or the
+    # cap is hit; lo = 0 stands for "no W0".
+    lo, hi = 0, 1
     while evaluate(hi) > target:
         if hi == max_weight:
             return result()
@@ -131,4 +129,4 @@ def compute_nf(
         else:
             lo = mid
 
-    return result(lo, hi)
+    return result(lo or None, hi)

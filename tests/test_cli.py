@@ -388,6 +388,23 @@ def test_a_model_without_its_option_is_one_usage_line(capsys, args, line):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("args, refused", [
+    ([*COX_ARGS, "--response", "y", "--wald-coefficient", "age"],
+     "cox-lr does not take --response, --wald-coefficient"),
+    ([*COX_ARGS, "--wald-coefficient", "intercept"], "cox-lr does not take --wald-coefficient"),
+    ([*LINEAR_ARGS, "--time", "t1", "--event", "died", "--id", "id"],
+     "linear-wald does not take --time, --event, --id"),
+    ([*LINEAR_ARGS, "--explicit-intervals", "t0,t1"],
+     "linear-wald does not take --explicit-intervals"),
+], ids=["cox-lr with linear options", "cox-lr with the default coefficient",
+        "linear-wald with cox options", "linear-wald with explicit intervals"])
+def test_a_model_with_the_other_models_option_is_one_usage_line(capsys, args, refused):
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"nfactor: error: model {refused}\n"
+    assert captured.out == ""
+
+
 def test_time_with_explicit_intervals_is_one_usage_line(capsys):
     args = ["--model", "cox-lr", "--data", str(HEART_CSV), "--time", "t1",
             "--explicit-intervals", "t0,t1", "--event", "died", "--id", "id",
@@ -490,11 +507,16 @@ def test_an_error_line_names_its_stage(capsys, monkeypatch, tmp_path,
     assert captured.out == ""
 
 
-def test_bad_explicit_intervals_value(capsys):
+@pytest.mark.parametrize("value", ["onlyone", "a,", ",b", "a,b,c"])
+def test_bad_explicit_intervals_value(capsys, value):
     code = run(["--model", "cox-lr", "--data", str(HEART_CSV),
-                "--explicit-intervals", "onlyone", "--event", "died",
+                "--explicit-intervals", value, "--event", "died",
                 "--id", "id", "--covariates", "age"])
     assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "nfactor: error: --explicit-intervals expects two column names: START,STOP\n")
+    assert captured.out == ""
 
 
 # ---- output determinism and round-tripping ------------------------------------
@@ -684,7 +706,9 @@ def test_the_reused_parser_carries_nothing_between_requests(capsys, monkeypatch)
     with pytest.raises(SystemExit) as help_exit:
         run(["--help"])
     assert help_exit.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: nfactor")
+    usage = capsys.readouterr().out
+    assert usage.startswith("usage: nfactor")
+    assert "coefficient to test (default: intercept)" in " ".join(usage.split())
     code, doc, _ = run_json(capsys, COX_ARGS)
     assert code == 0 and doc["spec"]["columns"]["covariates"] == COVARIATES
     code, doc, _ = run_json(capsys, LINEAR_ARGS)

@@ -65,18 +65,21 @@ def test_blank_lines_are_skipped(tmp_path, wald_dataset, where, line):
     np.testing.assert_array_equal(load_csv(path, ["y"]).column("y"), wald_dataset.column("y"))
 
 
-# A line of commas holds empty cells, so it is a row, not a blank line.
-@pytest.mark.parametrize("text, row", [
-    ("a,b\n1,2\n\n3,x\n", 3),
-    ("a,b\n1,2\n \t\n3,x\n", 3),
-    ("a,b\n1,2\n,\n", 2),
-], ids=["blank", "whitespace", "commas"])
-def test_row_numbers_count_blank_lines(tmp_path, text, row):
+# A line of commas holds empty cells, so it is a row, not a blank line. The
+# loader names the first bad cell in row-major order.
+@pytest.mark.parametrize("text, row, column", [
+    ("a,b\n1,2\n\n3,x\n", 3, "b"),
+    ("a,b\n1,2\n \t\n3,x\n", 3, "b"),
+    ("a,b\n1,2\n,\n", 2, "a"),
+    ("a,b\n1,2\n\n3,inf\n", 3, "b"),
+    ("a,b\n1,nan\ninf,2\n", 1, "b"),
+], ids=["blank", "whitespace", "commas", "blank then inf", "row-major"])
+def test_row_numbers_count_blank_lines(tmp_path, text, row, column):
     path = tmp_path / "blank.csv"
     path.write_text(text)
     with pytest.raises(NonNumericCell) as err:
         load_csv(path, ["a", "b"])
-    assert err.value.row == row
+    assert (err.value.row, err.value.column) == (row, column)
 
 
 def test_header_only_file_is_empty_dataset(tmp_path):
@@ -133,6 +136,7 @@ def test_non_numeric_cell(tmp_path, cell):
         load_csv(path, ["a", "b"])
     assert err.value.row == 2
     assert err.value.column == "b"
+    assert str(err.value).endswith(f": {cell!r}")
 
 
 def test_ragged_row(tmp_path):

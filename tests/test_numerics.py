@@ -119,6 +119,11 @@ def test_solve_rejects_indefinite():
     assert (info.value.pivot_index, info.value.pivot) == (1, -3.0)
 
 
+def test_solve_rejects_a_mismatched_right_hand_side():
+    with pytest.raises(ValueError):
+        solve_spd(np.eye(2), [1.0, 2.0, 3.0])
+
+
 def test_solve_rejects_zero_matrix():
     with pytest.raises(NotPositiveDefinite) as info:
         solve_spd(np.zeros((2, 2)), [1.0, 1.0])

@@ -137,7 +137,7 @@ def test_trace_records_evaluations_in_order():
 
     result = compute_nf(curve, 30, 0.05, 1000)
     assert [w for w, _ in result.trace] == seen
-    assert len(seen) == len(set(seen))  # cache prevents repeat evaluations
+    assert len(seen) == len(set(seen))  # each weight is evaluated once
 
 
 def test_evaluation_failure_is_wrapped():
