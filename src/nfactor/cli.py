@@ -235,6 +235,10 @@ def _fmt(value, decimals=4) -> str:
     return f"{value:.{decimals}f}"
 
 
+def _p(value) -> str:
+    return f"{value:.3e}" if 0 < value < 5e-5 else _fmt(value)
+
+
 # A table's estimate and std. err. print in fixed point while that fits
 # their 10-character columns; from 1e5 up, and when not finite, they print
 # as 1.463e+272 or inf. A small-unit covariate can have a hazard ratio of
@@ -251,7 +255,7 @@ def _text_lines(doc: dict) -> list[str]:
     lines = [
         "non-significance factor report",
         f"model: {spec['model']}   data: {spec['data']}   "
-        f"target alpha: {_fmt(doc['target_alpha'])}",
+        f"target alpha: {_p(doc['target_alpha'])}",
         "",
     ]
     if spec["model"] == COX_LR:
@@ -264,7 +268,7 @@ def _text_lines(doc: dict) -> list[str]:
                 for c in fit["coefficients"]]
         footer = (
             f"  log likelihood {_fmt(fit['loglik_full'])} (null {_fmt(fit['loglik_null'])})   "
-            f"LR chi2({fit['lr_df']}) = {_fmt(fit['lr_stat'])}   p = {_fmt(fit['p_lr'])}"
+            f"LR chi2({fit['lr_df']}) = {_fmt(fit['lr_stat'])}   p = {_p(fit['p_lr'])}"
         )
     else:
         lines.append(
@@ -287,24 +291,24 @@ def _text_lines(doc: dict) -> list[str]:
     if "best_p" in doc:
         lines.append(
             f"target not reached up to weight {doc['max_weight']}: "
-            f"best p = {_fmt(doc['best_p'])}"
+            f"best p = {_p(doc['best_p'])}"
         )
     else:
         if doc["w0"] is None:
             lines.append(
-                f"already significant at weight 1: p = {_fmt(doc['p_at_1'])} "
-                f"<= {_fmt(doc['target_alpha'])}"
+                f"already significant at weight 1: p = {_p(doc['p_at_1'])} "
+                f"<= {_p(doc['target_alpha'])}"
             )
         else:
             lines.append(
-                f"bracket: w0 = {doc['w0']} (p = {_fmt(doc['p0'])})   "
-                f"w1 = {doc['w1']} (p = {_fmt(doc['p1'])})"
+                f"bracket: w0 = {doc['w0']} (p = {_p(doc['p0'])})   "
+                f"w1 = {doc['w1']} (p = {_p(doc['p1'])})"
             )
         lines.append(
             f"nf_integer = {doc['nf_integer']}   w_int = {_fmt(doc['w_int'])}   "
             f"n_int = {_fmt(doc['n_int'])}"
         )
-    trace = "; ".join(f"w={w} p={_fmt(p)}" for w, p in doc["trace"])
+    trace = "; ".join(f"w={w} p={_p(p)}" for w, p in doc["trace"])
     lines.append(f"trace: {trace}")
     if doc["warnings"]:
         lines.append("warnings: " + ", ".join(doc["warnings"]))
@@ -330,9 +334,9 @@ def emit_report(document: dict, format: str = "text") -> str:
     ``w0``, ``p0``, ``w1``, ``p1``, ``w_int``, ``n_int``, ``nf_integer``,
     ``exact_hit``), ``trace`` and ``warnings``, plus ``best_p`` and
     ``max_weight`` when the target is unreachable. JSON spells each float in
-    its shortest round-trip form and writes non-finite values as null; text
-    rounds for display, prints them as ``inf`` or ``nan``, and prints a
-    table's estimates and standard errors from 1e5 up in exponent form.
+    its shortest round-trip form, non-finite ones as null; text rounds, prints
+    ``inf`` or ``nan``, and uses exponent form for a table's estimates and
+    standard errors from 1e5 up and for other p-values in (0, 5e-5).
     """
     if format == "json":
         return json.dumps(_finite_or_null(document), ensure_ascii=False, allow_nan=False) + "\n"

@@ -44,11 +44,11 @@ def check_weight(weight) -> float:
     return float(weight)
 
 
-def check_distinct_terms(names) -> None:
-    """Raise DuplicateTerm at the first model term named twice."""
+def check_distinct(names, error) -> None:
+    """Raise ``error(name)`` (DuplicateColumn or DuplicateTerm) at the first name given twice."""
     for i, name in enumerate(names):
         if name in names[:i]:
-            raise DuplicateTerm(name)
+            raise error(name)
 
 
 def _finite_array(values, names) -> np.ndarray:
@@ -138,7 +138,7 @@ class SurvivalFrame:
         for attr, value in dict(subject_ids=ids, start=start, stop=stop, event=event,
                                 covariates=x, covariate_names=names).items():
             object.__setattr__(self, attr, value)
-        check_distinct_terms(names)
+        check_distinct(names, DuplicateTerm)
         # start < stop on every record; per subject the intervals chain.
         # Each check names the subject of its first offending record.
         bad = np.flatnonzero(start >= stop)
@@ -197,9 +197,7 @@ def _read_csv(path, required_columns) -> Dataset:
         if header is None:
             raise EmptyFile(f"{path}: no header row")
         header = [h.strip() for h in header]
-        for i, name in enumerate(header):
-            if name in header[:i]:
-                raise DuplicateColumn(name)
+        check_distinct(header, DuplicateColumn)
         for name in required_columns:
             if name not in header:
                 raise MissingColumn(name)
@@ -217,7 +215,7 @@ def _read_csv(path, required_columns) -> Dataset:
                 if not math.isfinite(value):
                     raise NonNumericCell(rownum, header[j], cell)
                 raw[j].append(value)
-    return Dataset({name: np.array(col) for name, col in zip(header, raw)})
+    return Dataset(dict(zip(header, raw)))
 
 
 def _blank(row: list[str]) -> bool:

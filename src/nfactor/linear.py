@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, check_distinct_terms, check_weight
-from .errors import InsufficientObservations, UntestableCoefficient
+from .data import Dataset, check_distinct, check_weight
+from .errors import DuplicateTerm, InsufficientObservations, UntestableCoefficient
 from .numerics import (inverse_spd, pivoted_rank_factor, scale_exponent, solve_spd,
                        student_t_two_sided)
 
@@ -99,7 +99,7 @@ def fit_wls(
         raise InsufficientObservations(0, 1)
 
     names = (INTERCEPT, *covariates)
-    check_distinct_terms(names)
+    check_distinct(names, DuplicateTerm)
     # the intercept column of ones is not scaled; its exponent is 0
     raw = np.column_stack([np.ones(n)] + [d.column(c) for c in covariates])
     exponent = np.concatenate(([0], scale_exponent(raw[:, 1:])))

@@ -3,28 +3,25 @@
 The weight axis is explored with geometric doubling followed by integer
 bisection, which needs O(log W) p-value evaluations on a monotone curve.
 The bracketing weights (largest still-nonsignificant W0, smallest
-significant W1 = W0 + 1) are then refined to a fractional weight by linear
-interpolation of the p-values:
+significant W1 = W0 + 1) are then refined to a fractional weight on the
+paper's line through (W0, p0) and (W1, p1), read at the target from W1:
 
-    w_int = (W0 * (target - p1) + W1 * (p0 - target)) / (p0 - p1)
+    w_int = W1 - (target - p1) / (p0 - p1)
 
 Doubling starts at ``lo, hi = 0, 1``. Doubling and bisection keep ``lo``
 0 or a weight with p(lo) > target, and p(hi) <= target once doubling stops,
 so the bracket straddles the target and the denominator is positive; on a
 monotone p-curve W1 is the smallest significant weight. ``compute_nf``'s
 ``result`` is the one place that decides the record: ``w_int`` is W1 itself
-when there is no W0 or when p1 hits the target, and the formula otherwise.
+only when there is no W0 or when p1 equals the target, and the line otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
-from .data import MAX_WEIGHT
-from .errors import EvaluationFailed
-
-EXACT_HIT_TOL = 1e-12
+from .data import check_weight
+from .errors import EvaluationFailed, InvalidWeight
 
 DEFAULT_MAX_WEIGHT = 1_000_000
 
@@ -34,12 +31,12 @@ class NfResult:
     """Outcome of a non-significance-factor search.
 
     ``nf_integer`` is the smallest integer weight whose p-value reaches the
-    target; ``w_int`` the interpolated fractional weight and ``n_int`` the
-    implied sample size (base rows times ``w_int``). ``w0``/``p0`` are None
-    when the test is already significant at weight 1 and no bracket exists.
-    When no weight up to the cap reaches the target, every field from ``w0``
-    to ``exact_hit`` is None. ``best_p`` is the smallest p-value evaluated
-    and ``trace`` lists every (weight, p) evaluation in order.
+    target; ``w_int`` is the interpolated weight, W1 itself only when there
+    is no W0 or when p1 equals the target (``exact_hit``), and ``n_int`` is
+    base rows times ``w_int``. ``w0``/``p0`` are None when the test is
+    already significant at weight 1. When no weight up to the cap reaches
+    the target, every field from ``w0`` to ``exact_hit`` is None. ``best_p``
+    is the smallest p-value evaluated and ``trace`` every (weight, p) in order.
     """
 
     target_alpha: float
@@ -71,10 +68,11 @@ def compute_nf(
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target significance must lie in (0,1), got {target}")
-    if (isinstance(max_weight, bool) or not isinstance(max_weight, Integral)
-            or not 1 <= max_weight <= MAX_WEIGHT):
-        raise ValueError(f"max_weight must be an integer from 1 to 2**53, got {max_weight!r}")
-    max_weight = int(max_weight)
+    try:
+        max_weight = int(check_weight(max_weight))
+    except InvalidWeight:
+        raise ValueError(
+            f"max_weight must be an integer from 1 to 2**53, got {max_weight!r}") from None
 
     # Every evaluation in order; the search never asks for a weight twice.
     trace: dict[int, float] = {}
@@ -91,13 +89,13 @@ def compute_nf(
 
     def result(w0=None, w1=None):
         p0, p1 = trace.get(w0), trace.get(w1)
-        exact_hit = None if w1 is None else abs(p1 - target) <= EXACT_HIT_TOL
+        exact_hit = None if w1 is None else p1 == target
         if w1 is None:
             w_int = None
-        elif w0 is None or exact_hit:
+        elif w0 is None:
             w_int = float(w1)
         else:
-            w_int = (w0 * (target - p1) + w1 * (p0 - target)) / (p0 - p1)
+            w_int = w1 - (target - p1) / (p0 - p1)
         return NfResult(
             target_alpha=target,
             p_at_1=trace[1],

@@ -81,6 +81,16 @@ def test_text_report(capsys):
     assert "warnings" not in out  # nothing to report on the clean run
 
 
+def test_text_report_prints_small_probabilities_in_exponent_form(capsys):
+    # at 4 decimals alpha and both bracket p-values would all read 0.0000
+    assert run([*COX_ARGS, "--alpha", "1e-5"]) == 0
+    out = capsys.readouterr().out
+    assert "target alpha: 1.000e-05" in out
+    assert "bracket: w0 = 15 (p = 1.493e-05)   w1 = 16 (p = 6.671e-06)" in out
+    assert "w=14 p=3.335e-05; w=15 p=1.493e-05" in out
+    assert "p = 0.6433" in out and "P>|z|" in out  # larger p-values keep 4 decimals
+
+
 # Report branches the bundled goldens never reach: (CSV, arguments, text report).
 # Each request reads case.csv from the working directory.
 BRANCH_CASES = {
@@ -95,9 +105,9 @@ BRANCH_CASES = {
         "  intercept        2.0667     0.0882   23.43   0.000\n"
         "  tested coefficient: intercept\n"
         "\n"
-        "already significant at weight 1: p = 0.0000 <= 0.0500\n"
+        "already significant at weight 1: p = 2.634e-06 <= 0.0500\n"
         "nf_integer = 1   w_int = 1.0000   n_int = 6.0000\n"
-        "trace: w=1 p=0.0000\n",
+        "trace: w=1 p=2.634e-06\n",
     ),
     "zero_residual": (
         "y,x\n1,0\n3,1\n5,2\n7,3\n",

@@ -89,6 +89,21 @@ def test_header_only_file_is_empty_dataset(tmp_path):
     assert d.n_rows == 0
 
 
+def test_loaded_values_are_float_of_each_cell_bit_for_bit(tmp_path):
+    cells = ["-0", "5e-324", "1_000", " 2.5 ", "1e308", "-1e-300"]
+    rows = [cells, cells[::-1]]
+    path = tmp_path / "spellings.csv"
+    path.write_text("a,b,c,d,e,f\n" + "".join(",".join(row) + "\n" for row in rows))
+    d = load_csv(path)
+    for j, name in enumerate("abcdef"):
+        column = d.column(name)
+        want = np.array([float(row[j]) for row in rows])
+        assert column.tobytes() == want.tobytes()  # -0.0 keeps its sign
+        assert column.dtype == np.float64 and column.flags.c_contiguous
+        assert not column.flags.writeable
+    assert np.signbit(d.column("a")[0]) and d.column("b")[0] == 5e-324 > 0.0
+
+
 def test_missing_required_column(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("id,died\n1,0\n")

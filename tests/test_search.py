@@ -77,7 +77,11 @@ def stepped_curve(points, rest):
      pytest.approx(4.751, abs=1e-3)),
     # dyadic p-values make the linearity identity exact in floating point
     ({w: 0.75 for w in range(1, 11)}, 0.25, 0.5, (10, 11), 10.5),
-], ids=["reference example", "dyadic midpoint"])
+    # p1 is within 1e-12 of a 1e-12 target without equalling it: read on the
+    # line, not taken as a hit at W1
+    ({1: 0.9, 2: 0.5, 3: 4e-12}, 0.5e-12, 1e-12, (3, 4),
+     4 - (1e-12 - 0.5e-12) / (4e-12 - 0.5e-12)),
+], ids=["reference example", "dyadic midpoint", "tiny target"])
 def test_interpolates_inside_the_bracket(points, rest, target, bracket, w_int):
     result = compute_nf(stepped_curve(points, rest), 30, target, 100)
     assert (result.w0, result.w1) == bracket and not result.exact_hit
@@ -124,6 +128,9 @@ def test_matches_linear_scan_on_random_monotone_curves():
         if expected_w1 > 1:
             assert (result.w0, result.w1) == (expected_w1 - 1, expected_w1)
             assert result.p0 > target >= result.p1
+            w0, p0, w1, p1 = result.w0, result.p0, result.w1, result.p1
+            paper = (w0 * (target - p1) + w1 * (p0 - target)) / (p0 - p1)
+            assert result.w_int == pytest.approx(paper, rel=1e-12, abs=0)
         # evaluation budget on the monotone fast path
         assert len(result.trace) <= 2 * math.ceil(math.log2(max(result.nf_integer, 2))) + 3
 
@@ -253,6 +260,22 @@ def test_nf_is_the_exact_crossing(monkeypatch, argv):
     assert got["exit"] == 0
     assert doc["nf_integer"] == math.ceil(w_star)
     assert doc["w0"] < w_star <= doc["w1"]
+
+
+@pytest.mark.parametrize("alpha, w_int", [("1e-12", 35.3356), ("1e-13", 38.0765)])
+def test_a_tiny_alpha_reads_w_int_on_the_line(monkeypatch, alpha, w_int):
+    # p1 is within 1e-12 of alpha here, yet not equal to it: no exact hit
+    monkeypatch.chdir(TESTS_DIR)
+    argv = [a for a in STAN30_JSON if "age,posttran,surgery,year" in a][0]
+    got = run_request([*argv, "--alpha", alpha])
+    assert got["exit"] == 0
+    doc = json.loads(got["stdout"])
+    w0, p0, w1, p1 = doc["w0"], doc["p0"], doc["w1"], doc["p1"]
+    assert doc["exact_hit"] is False and p1 != float(alpha)
+    assert w0 < doc["w_int"] < w1
+    paper = (w0 * (float(alpha) - p1) + w1 * (p0 - float(alpha))) / (p0 - p1)
+    assert doc["w_int"] == pytest.approx(paper, rel=1e-12, abs=0)
+    assert round(doc["w_int"], 4) == w_int
 
 
 def wald_p(fit, w):
