@@ -14,7 +14,6 @@ is still written, with the best p-value found).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import math
@@ -119,16 +118,6 @@ def _parse(argv) -> argparse.Namespace:
 _NF_KEYS = ("p_at_1", "w0", "p0", "w1", "p1", "w_int", "n_int", "nf_integer", "exact_hit")
 
 
-@contextlib.contextmanager
-def _stage(name: str):
-    """Name the request stage in any NfactorError raised inside."""
-    try:
-        yield
-    except NfactorError as exc:
-        exc.stage = name
-        raise
-
-
 def _run_spec(args: argparse.Namespace) -> tuple[str, int]:
     """Run a parsed request; returns its rendered report and exit code.
 
@@ -136,25 +125,25 @@ def _run_spec(args: argparse.Namespace) -> tuple[str, int]:
     it: load, frame, fit, search or report. The report's ``warnings`` are
     the fit's own; the request touches no process-wide warning state.
     """
-    if args.model == COX_LR:
-        intervals = list(args.intervals.values())
-        with _stage("load"):
+    stage = "load"
+    try:
+        if args.model == COX_LR:
+            intervals = list(args.intervals.values())
             data = load_csv(args.data, [args.event, args.id_col, *args.covariates, *intervals])
-        with _stage("frame"):
+            stage = "frame"
             build = survival_frame_from_intervals if "stop" in args.intervals else stset_reconstruct
             frame = build(data, *intervals, args.event, args.id_col, args.covariates)
-        with _stage("fit"):
+            stage = "fit"
             fit = fit_cox(frame)
-    else:
-        with _stage("load"):
+        else:
             data = load_csv(args.data, [args.response, *args.covariates])
-        with _stage("fit"):
+            stage = "fit"
             fit = fit_wls(data, args.response, args.covariates, args.wald_coefficient)
 
-    with _stage("search"):
+        stage = "search"
         nf = compute_nf(fit.p_at, data.n_rows, args.alpha, args.max_weight)
 
-    with _stage("report"):
+        stage = "report"
         document = {
             "spec": _spec_json(args),
             "fit": _fit_json(fit),
@@ -166,6 +155,9 @@ def _run_spec(args: argparse.Namespace) -> tuple[str, int]:
         if nf.w1 is None:
             document |= {"best_p": nf.best_p, "max_weight": args.max_weight}
         return emit_report(document, args.format), 2 if nf.w1 is None else 0
+    except NfactorError as exc:
+        exc.stage = stage
+        raise
 
 
 # ---- report emission --------------------------------------------------------

@@ -33,19 +33,28 @@ units, its offset or its coding:
   combination. The information at any beta has the same null space, so
   Newton solves on the kept block alone; it continues from that first
   score's kept sub-blocks.
-- **Divergence.** An accepted step whose linear predictor spans more than
-  ``MAX_ETA_SPAN`` (max eta - min eta over the records) raises
-  MonotoneLikelihood, naming the column that adds most to the span. Past
+- **Divergence.** The span decides when to look, the definition decides
+  what is found. An accepted step whose linear predictor spans more than
+  ``MAX_ETA_SPAN`` (max eta - min eta over the records) triggers a check
+  of candidate directions v against the definition of a monotone
+  likelihood: at every event time, each event's ``x @ v`` is at least the
+  largest in its risk set (Bryson & Johnson, Technometrics 23, 1981). The
+  candidates are the step, the new beta and each single column, in both
+  signs; the columns catch a separating column beside others that do not
+  separate. If one passes, the fit raises MonotoneLikelihood, naming the
+  column j with the largest ``|v_j|`` times its spread; otherwise Newton
+  goes on, a strong but finite effect, within ``MAX_ITERATIONS``. Past
   ``-log(eps)``, about 36, a lagging record's weight rounds to 0 beside a
   leading one and the gradient vanishes, so a fit on separated data would
-  otherwise "converge" there.
+  "converge" there if the check did not refuse it first.
 
 ``kernels.score`` is the only kernel the fit calls. The fit lays out the
 risk sets once (``kernels.risk_set_layout``, which also gives the event
 count and whether event times tie), and every pass reads that layout.
 Each Newton step costs one pass when the full step is accepted, because a
 step is judged by the ``ll`` that scoring it returns; each halving costs
-one more pass. A model with no kept covariate is Newton with no columns:
+one more pass. A step past the span trigger adds the separation check, one
+more pass over the risk sets. A model with no kept covariate is Newton with no columns:
 the first score gives its log likelihood, and it has converged at
 beta = () after 0 iterations.
 
@@ -72,8 +81,9 @@ from .numerics import (chi2_sf, inverse_spd, normal_two_sided, pivoted_rank_fact
                        scale_exponent, solve_spd)
 
 MAX_ITERATIONS = 100
-# Largest span (max eta - min eta over the records) of an accepted step's
-# linear predictor, below the ~36 where exp(-span) rounds away beside 1.
+# Span (max eta - min eta over the records) of an accepted step's linear
+# predictor past which the fit checks for a monotone likelihood; below the
+# ~36 where exp(-span) rounds away beside 1.
 MAX_ETA_SPAN = 30.0
 DECREMENT_PER_EVENT = 1e-20
 ULP_SLACK = 8.0
@@ -126,6 +136,30 @@ class CoxFit:
         return self.p_at(1)
 
 
+def _separating_column(layout: kernels.RiskSetLayout, x: np.ndarray, directions):
+    """The column that most drives a direction of separation, or None if none is found.
+
+    The candidates v are each column of ``directions`` and each single column
+    of ``x``, in both signs. One separates when every event's ``x @ v`` is at
+    least the largest in its risk set, within ``ULP_SLACK`` ulps of
+    ``max |x @ v|``. The first that does names the column j with the largest
+    ``|v_j|`` times the spread of ``x[:, j]``.
+    """
+    v = np.column_stack([directions, np.eye(x.shape[1])])
+    v = np.hstack([v, -v])
+    xv = x @ v
+    slack = ULP_SLACK * _EPS * np.abs(xv).max(axis=0)
+    xv_stop_order = xv[layout.order]
+    leads = np.ones(v.shape[1], dtype=bool)
+    for lo, t, first, d in zip(layout.lo.tolist(), layout.times.tolist(),
+                               layout.first.tolist(), layout.d.tolist()):
+        top = xv_stop_order[lo:][layout.start[lo:] < t].max(axis=0)
+        leads &= xv[layout.events[first:first + d]].min(axis=0) >= top - slack
+        if not leads.any():
+            return None
+    return int(np.argmax(np.abs(v[:, leads.argmax()]) * np.ptp(x, axis=0)))
+
+
 def _newton(layout: kernels.RiskSetLayout, x: np.ndarray, names, ll, grad, neg_hess):
     """Maximize the partial likelihood over the centred, kept columns ``x``.
 
@@ -147,23 +181,22 @@ def _newton(layout: kernels.RiskSetLayout, x: np.ndarray, names, ll, grad, neg_h
             raise NotConverged(iterations, decrement)
         iterations += 1
         floor = ll - ULP_SLACK * _EPS * abs(ll)
-        candidate = beta + step
-        scored = kernels.score(layout, x, candidate)
         scale = 1.0
-        while not scored[0] >= floor:
+        while True:
+            candidate = beta + scale * step
+            scored = kernels.score(layout, x, candidate)
+            if scored[0] >= floor:
+                break
             scale *= 0.5
             if scale < MIN_STEP_SCALE:
                 # g'step > 0, so a short enough step must raise ll unless
                 # the likelihood itself is not finite there.
                 raise NotConverged(iterations, decrement)
-            candidate = beta + scale * step
-            scored = kernels.score(layout, x, candidate)
-        eta = x @ candidate
-        top, bottom = eta.argmax(), eta.argmin()
-        span = float(eta[top] - eta[bottom])
+        span = float(np.ptp(x @ candidate))
         if span > MAX_ETA_SPAN:
-            worst = int(np.argmax(candidate * (x[top] - x[bottom])))
-            raise MonotoneLikelihood(names[worst], span, MAX_ETA_SPAN)
+            column = _separating_column(layout, x, np.column_stack([scale * step, candidate]))
+            if column is not None:
+                raise MonotoneLikelihood(names[column], span, MAX_ETA_SPAN)
         beta = candidate
         ll, grad, neg_hess, gain = scored
     return beta, ll, gain, neg_hess, iterations
@@ -177,8 +210,9 @@ def fit_cox(frame: SurvivalFrame) -> CoxFit:
     ``omitted``. Newton-Raphson runs with step-halving from beta = 0, where
     the null log likelihood falls out of the first score; a step whose
     linear predictor spans more than ``MAX_ETA_SPAN`` raises
-    MonotoneLikelihood. The fit at frequency weight w is the fit of
-    ``replicate_frame(frame, w)``; ``CoxFit.p_at`` gives its p-value.
+    MonotoneLikelihood if a direction of separation is found. The fit at
+    frequency weight w is the fit of ``replicate_frame(frame, w)``;
+    ``CoxFit.p_at`` gives its p-value.
     ``warnings`` has ``"degenerate"`` when no covariate is kept and ``"ties"``
     when event times tie (each tied event keeps the full risk-set sum).
     """

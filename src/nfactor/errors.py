@@ -110,7 +110,11 @@ class NotConverged(NfactorError):
 
 
 class MonotoneLikelihood(NfactorError):
-    """The linear predictor's span passed its bound; ``name`` adds most to it."""
+    """The partial likelihood has no finite maximum; ``name`` drives the divergence.
+
+    Raised only once the linear predictor's ``span`` has passed ``bound`` and
+    a direction is found along which every event leads its risk set.
+    """
 
     def __init__(self, name, span, bound):
         super().__init__(

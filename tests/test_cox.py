@@ -17,7 +17,7 @@ from nfactor import (
 from nfactor.errors import InvalidWeight, MonotoneLikelihood, NoEvents, NotConverged
 from nfactor.search import DEFAULT_MAX_WEIGHT, compute_nf
 
-from oracles import _loglik_loops, _score_loops, breslow_lr_decimal
+from oracles import _loglik_loops, _score_loops, breslow_lr_decimal, score_per_event_time
 from test_kernels import kernel_args
 
 # Reference output for the 30-row fixture, weight 1.
@@ -557,6 +557,104 @@ def test_monotone_likelihood_names_the_column_that_drives_the_span():
     with pytest.raises(MonotoneLikelihood) as info:
         fit_cox(frame)
     assert info.value.name == "x1"
+
+
+def strong_effect_frame(n, b, truncated=False, seed=11):
+    """x ~ N(0, 1), hazard exp(b x), exponential censoring at twice the median time.
+
+    ``truncated`` enters 40% of the subjects late, at a uniform share of
+    their stop time. Nothing separates: few events have the largest x in
+    their risk set.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n)
+    failure = rng.exponential(1.0 / np.exp(b * x))
+    censor = rng.exponential(2.0 * np.median(failure), n)
+    stop = np.minimum(failure, censor)
+    start = np.where(rng.random(n) < 0.4, stop * rng.random(n), 0.0) if truncated else np.zeros(n)
+    return SurvivalFrame(subject_ids=np.arange(n, dtype=float), start=start, stop=stop,
+                         event=failure <= censor, covariates=x[:, None], covariate_names=("x",))
+
+
+def plain_newton(frame):
+    """beta and the LR statistic from undamped Newton on the per-event-time oracle."""
+    args = (frame.start, frame.stop, frame.event, frame.covariates)
+    beta = np.zeros(frame.covariates.shape[1])
+    ll_null, grad, hess = score_per_event_time(*args, beta)
+    ll = ll_null
+    for _ in range(cox.MAX_ITERATIONS):
+        step = np.linalg.solve(hess, grad)
+        if grad @ step <= cox.DECREMENT_PER_EVENT * frame.event.sum():
+            return beta, 2.0 * (ll - ll_null)
+        beta = beta + step
+        ll, grad, hess = score_per_event_time(*args, beta)
+    raise AssertionError("the oracle Newton did not converge")
+
+
+def record_separation_checks(monkeypatch):
+    """The list that every call of ``cox._separating_column`` appends its answer to."""
+    answers, real = [], cox._separating_column
+    monkeypatch.setattr(cox, "_separating_column",
+                        lambda *args: answers.append(real(*args)) or answers[-1])
+    return answers
+
+
+@pytest.mark.parametrize("n, b, truncated", [
+    (2000, 5.0, False), (2000, 6.0, False), (500, 8.0, False),
+    (1000, 5.0, True), (500, 6.0, True), (500, 8.0, True),
+])
+def test_a_strong_finite_effect_is_estimated_past_the_span_trigger(monkeypatch, n, b, truncated):
+    # the linear predictor spans more than MAX_ETA_SPAN, so the definition
+    # is checked; no direction separates, and Newton goes on to the optimum
+    frame = strong_effect_frame(n, b, truncated)
+    checks = record_separation_checks(monkeypatch)
+    fit = fit_cox(frame)
+    beta, lr_stat = plain_newton(frame)
+    assert checks and set(checks) == {None}
+    np.testing.assert_allclose(fit.beta, beta, rtol=1e-8)
+    assert fit.lr_stat == pytest.approx(lr_stat, rel=1e-8)
+
+
+def separated_frame(seed, kind):
+    """40 records whose column ``sep`` separates, beside a column ``z`` with hazard exp(2 z).
+
+    ``binary``: ``sep`` is 0/1 and every event is at level 1 (quasi-complete
+    separation; censored records sit at both levels). ``leads``: ``sep`` is
+    minus the stop time, so each event has the largest in its risk set.
+    ``trails``: ``sep`` is the stop time, so each event has the smallest.
+    A third of the records enter late, and one more record enters after the
+    last event time, so it is in no risk set; its ``sep`` lies far on the
+    side that would break the separation if it were at risk.
+    """
+    rng = np.random.default_rng(seed)
+    n = 40
+    z = rng.normal(size=n)
+    stop = rng.exponential(1.0 / np.exp(2.0 * z))
+    event = rng.random(n) < 0.6
+    sep = {"binary": np.where(event, 1.0, rng.random(n) < 0.5),
+           "leads": -stop, "trails": stop}[kind]
+    start = np.where(rng.random(n) < 1 / 3, stop * rng.random(n), 0.0)
+    last = stop.max()
+    never_at_risk = (-10.0 if kind == "trails" else 10.0) * last
+    return SurvivalFrame(subject_ids=np.arange(n + 1, dtype=float),
+                         start=np.append(start, last), stop=np.append(stop, last + 1.0),
+                         event=np.append(event, False),
+                         covariates=np.column_stack([np.append(z, 0.0),
+                                                     np.append(sep, never_at_risk)]),
+                         covariate_names=("z", "sep"))
+
+
+@pytest.mark.parametrize("kind", ["binary", "leads", "trails"])
+@pytest.mark.parametrize("seed", range(4))
+def test_a_separating_column_beside_others_raises_monotone(monkeypatch, seed, kind):
+    # the definition finds the direction at the first step past the span
+    # trigger: the single columns, in both signs, catch it before Newton's
+    # step has shed the z component
+    checks = record_separation_checks(monkeypatch)
+    with pytest.raises(MonotoneLikelihood) as info:
+        fit_cox(separated_frame(seed, kind))
+    assert info.value.name == "sep"
+    assert checks == [1]
 
 
 def test_the_rank_rule_reads_the_null_information(heart_frame, monkeypatch):
