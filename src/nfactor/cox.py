@@ -35,10 +35,11 @@ units, its offset or its coding:
   score's kept sub-blocks.
 - **Divergence.** The span decides when to look, the definition decides
   what is found. An accepted step whose linear predictor spans more than
-  ``MAX_ETA_SPAN`` (max eta - min eta over the records) triggers a check
-  of candidate directions v against the definition of a monotone
-  likelihood: at every event time, each event's ``x @ v`` is at least the
-  largest in its risk set (Bryson & Johnson, Technometrics 23, 1981). The
+  ``MAX_ETA_SPAN`` (max eta - min eta over the records) triggers a check of
+  candidate directions v against the definition of a monotone likelihood:
+  at every event time, each event's ``x @ v`` is at least the largest in
+  its risk set (Bryson & Johnson, Technometrics 23, 1981). The check reads
+  the risk sets through ``kernels.risk_sets``, as ``score`` does. The
   candidates are the step, the new beta and each single column, in both
   signs; the columns catch a separating column beside others that do not
   separate. If one passes, the fit raises MonotoneLikelihood, naming the
@@ -54,9 +55,9 @@ count and whether event times tie), and every pass reads that layout.
 Each Newton step costs one pass when the full step is accepted, because a
 step is judged by the ``ll`` that scoring it returns; each halving costs
 one more pass. A step past the span trigger adds the separation check, one
-more pass over the risk sets. A model with no kept covariate is Newton with no columns:
-the first score gives its log likelihood, and it has converged at
-beta = () after 0 iterations.
+more pass over the risk sets. A model with no kept covariate is Newton
+with no columns: the first score gives its log likelihood, and it has
+converged at beta = () after 0 iterations.
 
 The likelihood ratio is twice the gain ``ll_full - ll_null`` that the
 kernel sums on the last accepted pass, without the cancellation of
@@ -149,11 +150,10 @@ def _separating_column(layout: kernels.RiskSetLayout, x: np.ndarray, directions)
     v = np.hstack([v, -v])
     xv = x @ v
     slack = ULP_SLACK * _EPS * np.abs(xv).max(axis=0)
-    xv_stop_order = xv[layout.order]
     leads = np.ones(v.shape[1], dtype=bool)
-    for lo, t, first, d in zip(layout.lo.tolist(), layout.times.tolist(),
-                               layout.first.tolist(), layout.d.tolist()):
-        top = xv_stop_order[lo:][layout.start[lo:] < t].max(axis=0)
+    for (xv_r,), first, d in zip(kernels.risk_sets(layout, xv[layout.order]),
+                                 layout.first.tolist(), layout.d.tolist()):
+        top = xv_r.max(axis=0)
         leads &= xv[layout.events[first:first + d]].min(axis=0) >= top - slack
         if not leads.any():
             return None

@@ -23,15 +23,15 @@ likelihood ratio keeps the digits that subtracting two values of ``ll``
 would cancel.
 
 Nothing about which records are at risk depends on beta, so it is laid out
-once per fit by ``risk_set_layout`` and read by every ``score`` call. The
-records are put in stable stop order, so at each distinct event time t the
-records with ``stop >= t`` are a suffix of that order, starting at an offset
-found by binary search, and the risk set is that suffix less the records
-that have not yet entered (``start >= t``). Building the layout costs
-O(n log n). A ``score`` call then costs O(n p) to gather its columns in stop
-order and O(T n p^2) over the T distinct event times, each of which reads
-its whole suffix: still quadratic on continuous event times. A layout with
-no event times gives zeros throughout.
+once per fit by ``risk_set_layout``. In stable stop order, the records with
+``stop >= t`` at a distinct event time t are a suffix found by binary
+search; the risk set is that suffix less the records that have not yet
+entered (``start >= t``). ``risk_sets`` is the one walk that applies this
+rule: ``score`` and the fit's separation check read their risk sets from it.
+Building the layout costs O(n log n). A ``score`` call then costs O(n p) to
+gather its columns in stop order and O(T n p^2) over the T distinct event
+times, each of which reads its whole suffix: still quadratic on continuous
+event times. A layout with no event times gives zeros throughout.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class RiskSetLayout:
     the frame) in that order, so tied events keep file order; ``first``
     holds the offset in ``events`` of each distinct event time's group and
     ``d`` its size. ``lo[k]`` is the offset in ``order`` where ``stop >=
-    times[k]`` begins.
+    times[k]`` begins. Only ``risk_sets`` reads ``start``, ``times`` and ``lo``.
     """
 
     order: np.ndarray
@@ -84,23 +84,21 @@ def risk_set_layout(start, stop, event) -> RiskSetLayout:
     )
 
 
+def risk_sets(layout: RiskSetLayout, *columns):
+    """Per distinct event time, in order, the rows of ``columns`` (in stop order) at risk."""
+    for lo, t in zip(layout.lo.tolist(), layout.times.tolist()):
+        entered = layout.start[lo:] < t
+        yield tuple(column[lo:][entered] for column in columns)
+
+
 def score(layout: RiskSetLayout, x, beta):
     p = x.shape[1]
     hess = np.zeros((p, p))
     eta = x @ beta
-    eta_s = eta[layout.order]
-    x_s = x[layout.order]
-    start_s = layout.start
-    n_times = layout.times.size
-    top = np.empty(n_times)
-    s0 = np.empty(n_times)
-    excess = np.empty(n_times)
-    xbar = np.empty((n_times, p))
-    for k, (lo, t, d_k) in enumerate(zip(layout.lo.tolist(), layout.times.tolist(),
-                                         layout.d.tolist())):
-        entered = start_s[lo:] < t
-        eta_r = eta_s[lo:][entered]
-        xr = x_s[lo:][entered]
+    top, s0, excess = np.empty((3, layout.d.size))
+    xbar = np.empty((layout.d.size, p))
+    rows = risk_sets(layout, eta[layout.order], x[layout.order])
+    for k, ((eta_r, xr), d_k) in enumerate(zip(rows, layout.d.tolist())):
         m = eta_r.max()
         shifted = eta_r - m
         rel = np.exp(shifted)

@@ -657,6 +657,61 @@ def test_a_separating_column_beside_others_raises_monotone(monkeypatch, seed, ki
     assert checks == [1]
 
 
+def combination_separated_frame(seed):
+    """Records separated along a + b only, with two tied events at each event time.
+
+    At event times 1..k the two events share an integer a + b that falls
+    with time, and differ in a. A censored record's a + b lies 1 to 5 below
+    that of the last event time at or before its stop; a third of the
+    censored records enter late. a is spread by up to 8 either way about
+    half the sum, and b is the rest.
+    """
+    rng = np.random.default_rng(seed)
+    k, n_censored = int(rng.integers(5, 11)), int(rng.integers(6, 16))
+    times = np.arange(1.0, k + 1.0)
+    top = 10.0 * k - (3 + rng.integers(0, 3, k)).cumsum()
+    censored_stop = rng.uniform(0.5, k + 1.0, n_censored)
+    last = np.maximum(np.searchsorted(times, censored_stop, side="right") - 1, 0)
+    total = np.concatenate([np.repeat(top, 2), top[last] - rng.integers(1, 6, n_censored)])
+    a = np.floor(total / 2) + rng.integers(-8, 9, total.size)
+    a[1:2 * k:2] += a[1:2 * k:2] == a[0:2 * k:2]
+    late = rng.random(n_censored) < 1 / 3
+    censored_start = np.where(late, censored_stop * rng.random(n_censored), 0.0)
+    start = np.concatenate([np.zeros(2 * k), censored_start])
+    return SurvivalFrame(subject_ids=np.arange(total.size, dtype=float), start=start,
+                         stop=np.concatenate([np.repeat(times, 2), censored_stop]),
+                         event=np.arange(total.size) < 2 * k,
+                         covariates=np.column_stack([a, total - a]), covariate_names=("a", "b"))
+
+
+def every_event_leads(frame, v):
+    """Whether each event's ``x @ v`` is the largest in its risk set, at every event time."""
+    xv = frame.covariates @ v
+    return all(xv[frame.event & (frame.stop == t)].min()
+               >= xv[(frame.start < t) & (t <= frame.stop)].max()
+               for t in np.unique(frame.stop[frame.event]))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_separation_along_a_combination_with_ties_raises_monotone(seed):
+    # no single column separates, in either sign, since each tied pair
+    # differs in a; only a + b does, so the check must find the direction
+    # in Newton's step or beta
+    frame = combination_separated_frame(seed)
+    a, total = frame.covariates[:, 0], frame.covariates.sum(axis=1)
+    for t in np.unique(frame.stop[frame.event]):
+        at_risk = (frame.start < t) & (t <= frame.stop)
+        tied = frame.event & (frame.stop == t)
+        assert tied.sum() == 2 and np.ptp(total[tied]) == 0 and np.ptp(a[tied]) > 0
+        assert total[tied][0] == total[at_risk].max()
+        assert (total[at_risk & ~frame.event] < total[tied][0]).all()
+    assert every_event_leads(frame, np.ones(2))
+    assert not any(every_event_leads(frame, sign * e) for sign in (1, -1) for e in np.eye(2))
+    with pytest.raises(MonotoneLikelihood) as info:
+        fit_cox(frame)
+    assert info.value.name in ("a", "b")
+
+
 def test_the_rank_rule_reads_the_null_information(heart_frame, monkeypatch):
     # the first score, at beta = 0, is the only pass over the risk sets
     # before the rank rule; its negated Hessian is what the rule factors

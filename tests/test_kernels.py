@@ -3,7 +3,8 @@ import pytest
 
 from nfactor import SurvivalFrame, cox, fit_cox, kernels, replicate_frame
 
-from oracles import _loglik_loops, _score_loops, breslow_lr_decimal, score_per_event_time
+from oracles import (_loglik_loops, _score_loops, breslow_loglik_decimal, breslow_lr_decimal,
+                     score_per_event_time)
 
 
 def records(frame):
@@ -215,6 +216,68 @@ def test_hostile_frame_matches_the_oracles(name):
         np.testing.assert_allclose(g, g_o, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(h, h_o, rtol=1e-10, atol=1e-12)
     assert fit.lr_stat == pytest.approx(breslow_lr_decimal(*args, fit.beta), rel=1e-9, abs=0)
+
+
+def assert_score_matches_the_oracles(start, stop, event, x, beta):
+    """``score`` against both loop oracles, and its gain against two 50-digit likelihoods."""
+    ll, g, h, gain = score_records(start, stop, event, x, beta)
+    for ll_o, g_o, h_o in (score_per_event_time(start, stop, event, x, beta),
+                           _score_loops(start, stop, event, x, beta, 1.0)):
+        assert ll == pytest.approx(ll_o, rel=1e-12)
+        np.testing.assert_allclose(g, g_o, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(h, h_o, rtol=1e-10, atol=1e-12)
+    rise = (breslow_loglik_decimal(start, stop, event, x, beta)
+            - breslow_loglik_decimal(start, stop, event, x, np.zeros_like(beta)))
+    assert gain == pytest.approx(float(rise), rel=1e-12, abs=0)
+
+
+def risk_set_masks(start, stop, event):
+    """The risk set at each distinct event time, as a mask over the records."""
+    return [(start < t) & (t <= stop) for t in np.unique(stop[event])]
+
+
+def test_far_spread_risk_sets_match_the_oracles():
+    # the records that stop before t = 50 have x_0 = 8 and the rest x_0
+    # within 0.1 of 0, so at beta_0 = 200 every risk set after t = 50 lies
+    # far below the early records: one shift of every exp by the largest eta
+    # over all records would round its sums to 0. (x_0 = 8 scales by a power
+    # of two, so the loop oracle's S2/S0 - (S1/S0)^2 does not cancel where
+    # the early records hold all the weight)
+    rng = np.random.default_rng(0)
+    n = 240
+    stop = rng.uniform(1.0, 100.0, n)
+    start = np.where(rng.random(n) < 0.3, stop * rng.uniform(0.2, 0.9, n), 0.0)
+    event = rng.random(n) < 0.6
+    x = np.column_stack([np.where(stop < 50.0, 8.0, rng.uniform(-0.1, 0.1, n)),
+                         rng.standard_normal(n)])
+    beta = np.array([200.0, 0.7])
+    eta = x @ beta
+    assert np.ptp(eta) > 1500
+    assert min(eta[risk].max() for risk in risk_set_masks(start, stop, event)) < eta.max() - 745
+    assert_score_matches_the_oracles(start, stop, event, x, beta)
+
+
+def test_late_entrants_that_outweigh_the_risk_set_match_the_oracles():
+    # 60 records from 0 with u near 0 stop before 80; 240 enter between 80
+    # and 90 with u near 1 (80% left-truncated). At beta_u = 20 the records
+    # not yet entered outweigh the few still at risk by far, so "stop >= t"
+    # less "start >= t" would cancel every digit of the risk set's sums
+    rng = np.random.default_rng(0)
+    n_early, n_late = 60, 240
+    entry = rng.uniform(80.0, 90.0, n_late)
+    start = np.concatenate([np.zeros(n_early), entry])
+    stop = np.concatenate([rng.uniform(1.0, 80.0, n_early),
+                           entry + 0.01 + rng.exponential(5.0, n_late)])
+    event = rng.random(n_early + n_late) < 0.7
+    u = np.repeat([0.0, 1.0], [n_early, n_late]) + 0.2 * rng.standard_normal(n_early + n_late)
+    x = np.column_stack([u, rng.standard_normal(n_early + n_late)])
+    beta = np.array([20.0, -0.5])
+    weight = np.exp(x @ beta - (x @ beta).max())
+    waiting_over_at_risk = [weight[start >= t].sum() / weight[risk].sum()
+                            for t, risk in zip(np.unique(stop[event]),
+                                               risk_set_masks(start, stop, event))]
+    assert max(waiting_over_at_risk) >= 1e6
+    assert_score_matches_the_oracles(start, stop, event, x, beta)
 
 
 # ---- invariances at 2,000 records -------------------------------------------
