@@ -256,8 +256,11 @@ def _text_lines(doc: dict) -> list[str]:
             f"{_fmt(fit['n_failures'], 0)} failures"
         )
         header = ("covariate", "haz. ratio", "z", "P>|z|")
-        rows = [(c["name"], c["hazard_ratio"], c["hazard_ratio"] * c["se_beta"], c["z"], c["p"])
-                for c in fit["coefficients"]]
+        # the std. err. of the hazard ratio; a beta that maps back to -inf has
+        # a hazard ratio of 0 and an infinite se, whose product would be nan
+        rows = [(c["name"], c["hazard_ratio"],
+                 math.inf if math.isinf(c["se_beta"]) else c["hazard_ratio"] * c["se_beta"],
+                 c["z"], c["p"]) for c in fit["coefficients"]]
         footer = (
             f"  log likelihood {_fmt(fit['loglik_full'])} (null {_fmt(fit['loglik_null'])})   "
             f"LR chi2({fit['lr_df']}) = {_fmt(fit['lr_stat'])}   p = {_p(fit['p_lr'])}"

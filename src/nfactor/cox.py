@@ -49,9 +49,10 @@ units, its offset or its coding:
   leading one and the gradient vanishes, so a fit on separated data would
   "converge" there if the check did not refuse it first.
 
-``kernels.score`` is the only kernel the fit calls. The fit lays out the
-risk sets once (``kernels.risk_set_layout``, which also gives the event
-count and whether event times tie), and every pass reads that layout.
+``kernels.score`` is the only kernel the fit calls. The fit scales and
+centres the columns in file order, then lays out the risk sets once
+(``kernels.risk_set_layout``, which also tells whether event times tie)
+with the columns in stop order; every pass reads those, gathering nothing.
 Each Newton step costs one pass when the full step is accepted, because a
 step is judged by the ``ll`` that scoring it returns; each halving costs
 one more pass. A step past the span trigger adds the separation check, one
@@ -151,7 +152,7 @@ def _separating_column(layout: kernels.RiskSetLayout, x: np.ndarray, directions)
     xv = x @ v
     slack = ULP_SLACK * _EPS * np.abs(xv).max(axis=0)
     leads = np.ones(v.shape[1], dtype=bool)
-    for (xv_r,), first, d in zip(kernels.risk_sets(layout, xv[layout.order]),
+    for (xv_r,), first, d in zip(kernels.risk_sets(layout, xv),
                                  layout.first.tolist(), layout.d.tolist()):
         top = xv_r.max(axis=0)
         leads &= xv[layout.events[first:first + d]].min(axis=0) >= top - slack
@@ -216,16 +217,12 @@ def fit_cox(frame: SurvivalFrame) -> CoxFit:
     ``warnings`` has ``"degenerate"`` when no covariate is kept and ``"ties"``
     when event times tie (each tied event keeps the full risk-set sum).
     """
-    layout = kernels.risk_set_layout(frame.start, frame.stop, frame.event)
-    if layout.d.size == 0:
+    if not frame.event.any():
         raise NoEvents("survival frame has no event records")
-
-    n_subjects = float(frame.n_subjects)
-    n_failures = float(layout.d.sum())
-
     exponent = scale_exponent(frame.covariates)
     x = np.ldexp(frame.covariates, -exponent)
     x -= x.mean(axis=0)
+    layout, x = kernels.risk_set_layout(frame.start, frame.stop, frame.event, x)
     ll_null, grad, neg_hess, _ = kernels.score(layout, x, np.zeros(x.shape[1]))
     kept, dropped = pivoted_rank_factor(neg_hess)
     kept_names = tuple(frame.covariate_names[j] for j in kept)
@@ -257,8 +254,8 @@ def fit_cox(frame: SurvivalFrame) -> CoxFit:
         loglik_full=ll_full,
         lr_stat=2.0 * gain,
         lr_df=len(kept),
-        n_subjects=n_subjects,
-        n_failures=n_failures,
+        n_subjects=float(frame.n_subjects),
+        n_failures=float(frame.event.sum()),
         iterations=iterations,
         warnings=tuple(label for label, fired in (
             ("degenerate", not kept), ("ties", layout.d.max() > 1)) if fired),

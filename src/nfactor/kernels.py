@@ -23,15 +23,17 @@ likelihood ratio keeps the digits that subtracting two values of ``ll``
 would cancel.
 
 Nothing about which records are at risk depends on beta, so it is laid out
-once per fit by ``risk_set_layout``. In stable stop order, the records with
-``stop >= t`` at a distinct event time t are a suffix found by binary
-search; the risk set is that suffix less the records that have not yet
-entered (``start >= t``). ``risk_sets`` is the one walk that applies this
-rule: ``score`` and the fit's separation check read their risk sets from it.
-Building the layout costs O(n log n). A ``score`` call then costs O(n p) to
-gather its columns in stop order and O(T n p^2) over the T distinct event
-times, each of which reads its whole suffix: still quadratic on continuous
-event times. A layout with no event times gives zeros throughout.
+once per fit by ``risk_set_layout``, which puts the records in stable stop
+order and gives ``x`` back in that order. There, the records with ``stop >=
+t`` at a distinct event time t are a suffix found by binary search, and
+each record's start is turned once into the index of the first event time
+after it, where it enters; the risk set at the k-th time is the suffix less
+the records that enter after k. ``risk_sets`` is the one walk that applies
+this rule: ``score`` and the fit's separation check read their risk sets
+from it, over contiguous columns. Building the layout costs O(n log n). A
+``score`` call then costs O(T n p^2) over the T distinct event times, each
+of which reads its whole suffix: still quadratic on continuous event
+times. A layout with no event times gives zeros throughout.
 """
 
 from __future__ import annotations
@@ -45,49 +47,46 @@ import numpy as np
 class RiskSetLayout:
     """Which records are at risk at each distinct event time, in stop order.
 
-    ``order`` is the stable stop order of the n records and ``start`` their
-    starts in that order. ``events`` lists the event records (indices into
-    the frame) in that order, so tied events keep file order; ``first``
-    holds the offset in ``events`` of each distinct event time's group and
-    ``d`` its size. ``lo[k]`` is the offset in ``order`` where ``stop >=
-    times[k]`` begins. Only ``risk_sets`` reads ``start``, ``times`` and ``lo``.
+    Every index is into the records in stable stop order. ``events`` lists
+    the event records, so tied events keep file order; ``first`` holds the
+    offset in ``events`` of each distinct event time's group and ``d`` its
+    size. ``lo[k]`` is where ``stop >= t_k`` begins, and ``entry[j]`` is the
+    first k with ``start_j < t_k``: record j is at risk at ``t_k`` when
+    ``lo[k] <= j`` and ``entry[j] <= k``. Only ``risk_sets`` reads ``lo``
+    and ``entry``.
     """
 
-    order: np.ndarray
-    start: np.ndarray
     events: np.ndarray
     first: np.ndarray
     d: np.ndarray
-    times: np.ndarray
     lo: np.ndarray
+    entry: np.ndarray
 
 
-def risk_set_layout(start, stop, event) -> RiskSetLayout:
-    """The part of ``score`` that beta does not change, for records ``(start, stop]``."""
+def risk_set_layout(start, stop, event, x) -> tuple[RiskSetLayout, np.ndarray]:
+    """``score``'s layout of the records ``(start, stop]``, and ``x`` in its stop order."""
     order = np.argsort(stop, kind="stable")
-    stop_sorted = stop[order]
-    is_event = event[order]
-    events = order[is_event]
-    ev_stop = stop_sorted[is_event]
+    stop = stop[order]
+    events = np.flatnonzero(event[order])
+    ev_stop = stop[events]
     new_time = np.ones(len(events), dtype=bool)
     new_time[1:] = ev_stop[1:] != ev_stop[:-1]
     first = np.flatnonzero(new_time)
     times = ev_stop[first]
-    return RiskSetLayout(
-        order=order,
-        start=start[order],
+    layout = RiskSetLayout(
         events=events,
         first=first,
         d=np.diff(first, append=len(events)),
-        times=times,
-        lo=np.searchsorted(stop_sorted, times, side="left"),
+        lo=np.searchsorted(stop, times, side="left"),
+        entry=np.searchsorted(times, start[order], side="right"),
     )
+    return layout, x[order]
 
 
 def risk_sets(layout: RiskSetLayout, *columns):
     """Per distinct event time, in order, the rows of ``columns`` (in stop order) at risk."""
-    for lo, t in zip(layout.lo.tolist(), layout.times.tolist()):
-        entered = layout.start[lo:] < t
+    for k, lo in enumerate(layout.lo.tolist()):
+        entered = layout.entry[lo:] <= k
         yield tuple(column[lo:][entered] for column in columns)
 
 
@@ -97,7 +96,7 @@ def score(layout: RiskSetLayout, x, beta):
     eta = x @ beta
     top, s0, excess = np.empty((3, layout.d.size))
     xbar = np.empty((layout.d.size, p))
-    rows = risk_sets(layout, eta[layout.order], x[layout.order])
+    rows = risk_sets(layout, eta, x)
     for k, ((eta_r, xr), d_k) in enumerate(zip(rows, layout.d.tolist())):
         m = eta_r.max()
         shifted = eta_r - m

@@ -7,8 +7,9 @@ partial pivoting, the normal tail from the erf Taylor series, weighted
 least-squares p-values from the normal equations and scipy's t tail, and the
 Cox log likelihood, score and negated Hessian from scalar loops that rebuild
 the risk set of every event record separately (ties included) instead of
-vectorizing once per distinct event time. The loops and the least-squares
-oracle take a frequency weight; the package's fits do not, so these are the
+vectorizing once per distinct event time, and take the Hessian's sums about
+the risk-set mean in a second pass. The loops and the least-squares oracle
+take a frequency weight; the package's fits do not, so these are the
 weighted reference where replicating the data would be too large. The
 survival-frame constructors are checked against loops that chain each
 subject's records one record at a time through a dict keyed by subject id.
@@ -192,21 +193,26 @@ def _score_loops(start, stop, event, x, beta, w):
                 m = eta[j]
         s0 = 0.0
         s1[:] = 0.0
-        s2[:, :] = 0.0
         for j in range(n):
             if start[j] < t and t <= stop[j]:
                 rel = np.exp(eta[j] - m)
                 s0 += rel
                 for a in range(p):
                     s1[a] += rel * x[j, a]
+        # a second pass sums about the risk-set mean: S2/S0 - (S1/S0)^2
+        # would cancel where the weight sits on records with nearly equal x
+        s2[:, :] = 0.0
+        for j in range(n):
+            if start[j] < t and t <= stop[j]:
+                rel = np.exp(eta[j] - m)
+                for a in range(p):
                     for b in range(a + 1):
-                        s2[a, b] += rel * x[j, a] * x[j, b]
+                        s2[a, b] += rel * (x[j, a] - s1[a] / s0) * (x[j, b] - s1[b] / s0)
         ll += w * (eta[i] - (np.log(w * s0) + m))
         for a in range(p):
             grad[a] += w * (x[i, a] - s1[a] / s0)
             for b in range(a + 1):
-                v = s2[a, b] / s0 - (s1[a] / s0) * (s1[b] / s0)
-                hess[a, b] += w * v
+                hess[a, b] += w * s2[a, b] / s0
     for a in range(p):
         for b in range(a):
             hess[b, a] = hess[a, b]

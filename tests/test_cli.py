@@ -303,6 +303,29 @@ def test_a_huge_hazard_ratio_prints_in_exponent_form(capsys, heart_dataset, tmp_
     assert row in capsys.readouterr().out.splitlines()
 
 
+def test_a_hazard_ratio_of_zero_prints_an_infinite_std_err(capsys, tmp_path):
+    # age is 0 on every row but the fourth, -5e-324: beta maps back to -inf,
+    # the hazard ratio to 0 and its se to inf, and 0 * inf would print nan
+    header, *rows = HEART_CSV.read_text().splitlines()
+    age = header.split(",").index("age")
+    lines = [header]
+    for i, row in enumerate(rows):
+        cells = row.split(",")
+        cells[age] = "-5e-324" if i == 3 else "0"
+        lines.append(",".join(cells))
+    path = tmp_path / "age.csv"
+    path.write_text("\n".join(lines) + "\n")
+    args = [*COX_ARGS[:-4], "--covariates", "age", "--data", str(path)]
+    code, doc, _ = run_json(capsys, args)
+    (coef,) = doc["fit"]["coefficients"]
+    assert code == 0 and coef["hazard_ratio"] == 0.0
+    assert coef["beta"] is None and coef["se_beta"] is None  # JSON writes -inf and inf as null
+    assert run(args) == 0
+    out = capsys.readouterr().out
+    assert "nan" not in out
+    assert "  age              0.0000        inf   -1.47   0.141" in out.splitlines()
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_byte_order_mark_gives_the_same_report(capsys, tmp_path, fmt):
     # spreadsheets export UTF-8 CSVs with a leading byte-order mark

@@ -18,7 +18,7 @@ from nfactor.errors import InvalidWeight, MonotoneLikelihood, NoEvents, NotConve
 from nfactor.search import DEFAULT_MAX_WEIGHT, compute_nf
 
 from oracles import _loglik_loops, _score_loops, breslow_lr_decimal, score_per_event_time
-from test_kernels import kernel_args
+from test_kernels import kernel_args, score_records
 
 # Reference output for the 30-row fixture, weight 1.
 LL_NULL = -42.335616
@@ -270,8 +270,9 @@ def test_a_fit_lays_out_its_risk_sets_once(heart_frame, monkeypatch, which, halv
     real_layout, real_score = kernels.risk_set_layout, kernels.score
 
     def risk_set_layout(*args):
-        layouts.append(real_layout(*args))
-        return layouts[-1]
+        layout, x = real_layout(*args)
+        layouts.append(layout)
+        return layout, x
 
     def score(layout, x, beta):
         calls.append(layout)
@@ -378,10 +379,9 @@ def faint_signal_frame(eps, seed=0, n=200):
     start = np.zeros(n)
     event = rng.random(n) < 0.6
     u, z, v = rng.standard_normal((3, n))
-    layout = kernels.risk_set_layout(start, stop, event)
 
     def score_at_zero(column):
-        return kernels.score(layout, column[:, None], np.zeros(1))[1][0]
+        return score_records(start, stop, event, column[:, None], np.zeros(1))[1][0]
 
     x0 = u - score_at_zero(u) / score_at_zero(z) * z
     return SurvivalFrame(subject_ids=np.arange(n, dtype=float), start=start, stop=stop,

@@ -13,13 +13,13 @@ def records(frame):
 
 
 def kernel_args(frame):
-    """The leading arguments of ``kernels.score`` for a frame: its layout and x."""
-    return kernels.risk_set_layout(frame.start, frame.stop, frame.event), frame.covariates
+    """The leading arguments of ``kernels.score`` for a frame: its layout and x in stop order."""
+    return kernels.risk_set_layout(frame.start, frame.stop, frame.event, frame.covariates)
 
 
 def score_records(start, stop, event, x, beta):
     """``kernels.score`` on records, through a layout built for this one call."""
-    return kernels.score(kernels.risk_set_layout(start, stop, event), x, beta)
+    return kernels.score(*kernels.risk_set_layout(start, stop, event, x), beta)
 
 
 # The unweighted kernel on the frame replicated w times (tied events) against
@@ -148,9 +148,9 @@ def test_no_event_records_score_zero():
 
 def test_gain_is_the_rise_over_beta_zero(heart_frame):
     for name, start, stop, event, x, beta in kernel_cases(heart_frame):
-        layout = kernels.risk_set_layout(start, stop, event)
-        ll, _, _, gain = kernels.score(layout, x, beta)
-        ll_zero, _, _, gain_zero = kernels.score(layout, x, np.zeros_like(beta))
+        args = kernels.risk_set_layout(start, stop, event, x)
+        ll, _, _, gain = kernels.score(*args, beta)
+        ll_zero, _, _, gain_zero = kernels.score(*args, np.zeros_like(beta))
         assert gain_zero == 0.0, name
         assert gain == pytest.approx(ll - ll_zero, rel=1e-9, abs=1e-12 * abs(ll_zero)), name
 
@@ -200,7 +200,7 @@ def hostile_frame(name):
 def test_hostile_frame_matches_the_oracles(name):
     frame = hostile_frame(name)
     args = records(frame)
-    layout = kernels.risk_set_layout(frame.start, frame.stop, frame.event)
+    layout, x = kernel_args(frame)
     fit = fit_cox(frame)
     assert fit.omitted == ()
     if name == "wide span":
@@ -211,7 +211,7 @@ def test_hostile_frame_matches_the_oracles(name):
         assert (layout.d.max() > 1) == (name == "truncated, tied")
     for beta in (fit.beta, 0.5 * fit.beta):
         ll_o, g_o, h_o = _score_loops(*args, beta, 1.0)
-        ll, g, h, _ = kernels.score(layout, frame.covariates, beta)
+        ll, g, h, _ = kernels.score(layout, x, beta)
         assert ll == pytest.approx(ll_o, rel=1e-12)
         np.testing.assert_allclose(g, g_o, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(h, h_o, rtol=1e-10, atol=1e-12)
@@ -236,18 +236,44 @@ def risk_set_masks(start, stop, event):
     return [(start < t) & (t <= stop) for t in np.unique(stop[event])]
 
 
+def test_risk_sets_are_the_records_at_risk():
+    # the records' own indices, laid out in stop order, come back from each
+    # risk set: they must be exactly the records with start < t <= stop
+    start = np.array([-1.0, -0.0, 0.0, 2.0, 1.0, 0.0, 4.0, 7.0, -0.0, 3.0, 0.5, 2.0, -2.0])
+    stop = np.array([0.0, 2.0, 3.0, 4.0, 4.0, 4.0, 7.0, 9.0, 7.0, 8.0, 1.5, 5.0, 3.0])
+    event = np.array([True, True, False, True, True, False, True, False, True, False, False,
+                      True, False])
+    times = np.unique(stop[event])
+    zero_starts = np.signbit(start[start == 0.0])
+    assert times[0] == 0.0 and zero_starts.any() and not zero_starts.all()  # -0.0, 0.0 at t = 0
+    assert np.isin(start, times[1:]).sum() >= 3  # starts at later event times
+    assert ((start < times[0]) & (stop > times[0])).any()  # at risk from the first time
+    assert (start == times[-1]).any()  # enters at the last event time
+    assert np.unique(stop[event], return_counts=True)[1].max() > 1  # tied events
+    n = len(stop)
+    layout, index = kernels.risk_set_layout(start, stop, event, np.arange(n)[:, None])
+    got = [np.sort(rows[:, 0]) for (rows,) in kernels.risk_sets(layout, index)]
+    want = [np.flatnonzero(mask) for mask in risk_set_masks(start, stop, event)]
+    assert len(got) == len(want) == len(times)
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert np.array_equal(g, w), f"t = {times[k]}"
+
+
+def truncated_records(rng, n):
+    """start, stop and event of n records stopping in (1, 100), 30% left-truncated."""
+    stop = rng.uniform(1.0, 100.0, n)
+    start = np.where(rng.random(n) < 0.3, stop * rng.uniform(0.2, 0.9, n), 0.0)
+    return start, stop, rng.random(n) < 0.6
+
+
 def test_far_spread_risk_sets_match_the_oracles():
     # the records that stop before t = 50 have x_0 = 8 and the rest x_0
     # within 0.1 of 0, so at beta_0 = 200 every risk set after t = 50 lies
     # far below the early records: one shift of every exp by the largest eta
-    # over all records would round its sums to 0. (x_0 = 8 scales by a power
-    # of two, so the loop oracle's S2/S0 - (S1/S0)^2 does not cancel where
-    # the early records hold all the weight)
+    # over all records would round its sums to 0
     rng = np.random.default_rng(0)
     n = 240
-    stop = rng.uniform(1.0, 100.0, n)
-    start = np.where(rng.random(n) < 0.3, stop * rng.uniform(0.2, 0.9, n), 0.0)
-    event = rng.random(n) < 0.6
+    start, stop, event = truncated_records(rng, n)
     x = np.column_stack([np.where(stop < 50.0, 8.0, rng.uniform(-0.1, 0.1, n)),
                          rng.standard_normal(n)])
     beta = np.array([200.0, 0.7])
@@ -255,6 +281,17 @@ def test_far_spread_risk_sets_match_the_oracles():
     assert np.ptp(eta) > 1500
     assert min(eta[risk].max() for risk in risk_set_masks(start, stop, event)) < eta.max() - 745
     assert_score_matches_the_oracles(start, stop, event, x, beta)
+
+
+def test_a_covariate_that_tracks_the_stop_times_matches_the_oracles():
+    # x_0 = -stop plus noise, so at beta_0 = 20 each risk set's weight sits
+    # on its few earliest stops, whose x_0 nearly agree and lie far from 0:
+    # an uncentred S2/S0 - (S1/S0)^2 puts the Hessian some 6e-10 off there
+    rng = np.random.default_rng(0)
+    n = 240
+    start, stop, event = truncated_records(rng, n)
+    x = np.column_stack([-stop + 3.0 * rng.standard_normal(n), rng.standard_normal(n)])
+    assert_score_matches_the_oracles(start, stop, event, x, np.array([20.0, 0.7]))
 
 
 def test_late_entrants_that_outweigh_the_risk_set_match_the_oracles():
