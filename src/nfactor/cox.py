@@ -33,21 +33,21 @@ units, its offset or its coding:
   combination. The information at any beta has the same null space, so
   Newton solves on the kept block alone; it continues from that first
   score's kept sub-blocks.
-- **Divergence.** The span decides when to look, the definition decides
-  what is found. An accepted step whose linear predictor spans more than
+- **Divergence.** The span decides when to look, the definition decides what
+  is found. An accepted step whose linear predictor spans more than
   ``MAX_ETA_SPAN`` (max eta - min eta over the records) triggers a check of
-  candidate directions v against the definition of a monotone likelihood:
-  at every event time, each event's ``x @ v`` is at least the largest in
-  its risk set (Bryson & Johnson, Technometrics 23, 1981). The check reads
-  the risk sets through ``kernels.risk_sets``, as ``score`` does. The
+  candidate directions v against the definition of a monotone likelihood: at
+  every event time, each event's ``x @ v`` is at least the largest in its
+  risk set (Bryson & Johnson, Technometrics 23, 1981); equivalently, no
+  record's exceeds the smallest event value over its run of event times. The
   candidates are the step, the new beta and each single column, in both
-  signs; the columns catch a separating column beside others that do not
-  separate. If one passes, the fit raises MonotoneLikelihood, naming the
-  column j with the largest ``|v_j|`` times its spread; otherwise Newton
-  goes on, a strong but finite effect, within ``MAX_ITERATIONS``. Past
-  ``-log(eps)``, about 36, a lagging record's weight rounds to 0 beside a
-  leading one and the gradient vanishes, so a fit on separated data would
-  "converge" there if the check did not refuse it first.
+  signs; the columns catch a separating column beside others that do not. If
+  one passes, the fit raises MonotoneLikelihood, naming the column j with
+  the largest ``|v_j|`` times its spread; otherwise Newton goes on, a strong
+  but finite effect, within ``MAX_ITERATIONS``. Past ``-log(eps)``, about
+  36, a lagging record's weight rounds to 0 beside a leading one and the
+  gradient vanishes, so a fit on separated data would "converge" there if
+  the check did not refuse it first.
 
 ``kernels.score`` is the only kernel the fit calls. The fit scales and
 centres the columns in file order, then lays out the risk sets once
@@ -55,10 +55,11 @@ centres the columns in file order, then lays out the risk sets once
 with the columns in stop order; every pass reads those, gathering nothing.
 Each Newton step costs one pass when the full step is accepted, because a
 step is judged by the ``ll`` that scoring it returns; each halving costs
-one more pass. A step past the span trigger adds the separation check, one
-more pass over the risk sets. A model with no kept covariate is Newton
-with no columns: the first score gives its log likelihood, and it has
-converged at beta = () after 0 iterations.
+one more pass. A step past the span trigger adds the separation check, in
+O((n + T) log T) time and O(T log T) memory per candidate over T event
+times. A model with no kept covariate is Newton with no columns: the first
+score gives its log likelihood, and it has converged at beta = () after 0
+iterations.
 
 The likelihood ratio is twice the gain ``ll_full - ll_null`` that the
 kernel sums on the last accepted pass, without the cancellation of
@@ -144,21 +145,26 @@ def _separating_column(layout: kernels.RiskSetLayout, x: np.ndarray, directions)
     The candidates v are each column of ``directions`` and each single column
     of ``x``, in both signs. One separates when every event's ``x @ v`` is at
     least the largest in its risk set, within ``ULP_SLACK`` ulps of
-    ``max |x @ v|``. The first that does names the column j with the largest
-    ``|v_j|`` times the spread of ``x[:, j]``.
+    ``max |x @ v|``: when no record's exceeds the smallest event value over
+    its run of event times. Level i of the table holds that minimum over each
+    window of 2^i times, so two windows cover a run. The first that separates
+    names the column j with the largest ``|v_j|`` times the spread of ``x[:, j]``.
     """
     v = np.column_stack([directions, np.eye(x.shape[1])])
     v = np.hstack([v, -v])
     xv = x @ v
     slack = ULP_SLACK * _EPS * np.abs(xv).max(axis=0)
-    leads = np.ones(v.shape[1], dtype=bool)
-    for (xv_r,), first, d in zip(kernels.risk_sets(layout, xv),
-                                 layout.first.tolist(), layout.d.tolist()):
-        top = xv_r.max(axis=0)
-        leads &= xv[layout.events[first:first + d]].min(axis=0) >= top - slack
-        if not leads.any():
-            return None
-    return int(np.argmax(np.abs(v[:, leads.argmax()]) * np.ptp(x, axis=0)))
+    table = np.full((layout.d.size.bit_length(), layout.d.size, v.shape[1]), np.inf)
+    table[0] = np.minimum.reduceat(xv[layout.events], layout.first)
+    for i in range(1, len(table)):
+        h = 2 ** (i - 1)
+        table[i, :-h] = np.minimum(table[i - 1, :-h], table[i - 1, h:])
+    at_risk = layout.entry < layout.leave
+    a, b = layout.entry[at_risk], layout.leave[at_risk]
+    level = np.frexp(b - a)[1] - 1  # floor(log2(b - a)), exactly
+    run_min = np.minimum(table[level, a], table[level, b - 2 ** level])
+    leads = (xv[at_risk] - slack <= run_min).all(axis=0)
+    return int(np.argmax(np.abs(v[:, leads.argmax()]) * np.ptp(x, axis=0))) if leads.any() else None
 
 
 def _newton(layout: kernels.RiskSetLayout, x: np.ndarray, names, ll, grad, neg_hess):

@@ -24,16 +24,16 @@ would cancel.
 
 Nothing about which records are at risk depends on beta, so it is laid out
 once per fit by ``risk_set_layout``, which puts the records in stable stop
-order and gives ``x`` back in that order. There, the records with ``stop >=
-t`` at a distinct event time t are a suffix found by binary search, and
-each record's start is turned once into the index of the first event time
-after it, where it enters; the risk set at the k-th time is the suffix less
-the records that enter after k. ``risk_sets`` is the one walk that applies
-this rule: ``score`` and the fit's separation check read their risk sets
-from it, over contiguous columns. Building the layout costs O(n log n). A
-``score`` call then costs O(T n p^2) over the T distinct event times, each
-of which reads its whole suffix: still quadratic on continuous event
-times. A layout with no event times gives zeros throughout.
+order and gives ``x`` back in that order. There, each record's interval
+becomes its run of distinct event times: record j is at risk at the k-th
+time t_k exactly when ``entry[j] <= k < leave[j]``, the counts of event
+times at or before its start and its stop. ``leave`` does not decrease in
+stop order, so ``score`` finds the records at risk at t_k as a suffix, by
+binary search, less those with ``entry > k``; the fit's separation check
+reads the runs as range minima, in O((n + T) log T). Building the layout
+costs O(n log n). A ``score`` call costs O(T n p^2) over the T distinct
+event times, each of which reads its whole suffix: still quadratic on
+continuous event times. A layout with no event times gives zeros throughout.
 """
 
 from __future__ import annotations
@@ -50,17 +50,16 @@ class RiskSetLayout:
     Every index is into the records in stable stop order. ``events`` lists
     the event records, so tied events keep file order; ``first`` holds the
     offset in ``events`` of each distinct event time's group and ``d`` its
-    size. ``lo[k]`` is where ``stop >= t_k`` begins, and ``entry[j]`` is the
-    first k with ``start_j < t_k``: record j is at risk at ``t_k`` when
-    ``lo[k] <= j`` and ``entry[j] <= k``. Only ``risk_sets`` reads ``lo``
-    and ``entry``.
+    size. Record j is at risk at the k-th time when ``entry[j] <= k <
+    leave[j]``: ``entry[j]`` is the first k with ``start_j < t_k`` and
+    ``leave[j]`` the first k with ``stop_j < t_k``.
     """
 
     events: np.ndarray
     first: np.ndarray
     d: np.ndarray
-    lo: np.ndarray
     entry: np.ndarray
+    leave: np.ndarray
 
 
 def risk_set_layout(start, stop, event, x) -> tuple[RiskSetLayout, np.ndarray]:
@@ -77,17 +76,10 @@ def risk_set_layout(start, stop, event, x) -> tuple[RiskSetLayout, np.ndarray]:
         events=events,
         first=first,
         d=np.diff(first, append=len(events)),
-        lo=np.searchsorted(stop, times, side="left"),
         entry=np.searchsorted(times, start[order], side="right"),
+        leave=np.searchsorted(times, stop, side="right"),
     )
     return layout, x[order]
-
-
-def risk_sets(layout: RiskSetLayout, *columns):
-    """Per distinct event time, in order, the rows of ``columns`` (in stop order) at risk."""
-    for k, lo in enumerate(layout.lo.tolist()):
-        entered = layout.entry[lo:] <= k
-        yield tuple(column[lo:][entered] for column in columns)
 
 
 def score(layout: RiskSetLayout, x, beta):
@@ -96,8 +88,10 @@ def score(layout: RiskSetLayout, x, beta):
     eta = x @ beta
     top, s0, excess = np.empty((3, layout.d.size))
     xbar = np.empty((layout.d.size, p))
-    rows = risk_sets(layout, eta, x)
-    for k, ((eta_r, xr), d_k) in enumerate(zip(rows, layout.d.tolist())):
+    suffixes = np.searchsorted(layout.leave, np.arange(layout.d.size), side="right")
+    for k, (lo, d_k) in enumerate(zip(suffixes.tolist(), layout.d.tolist())):
+        entered = layout.entry[lo:] <= k
+        eta_r, xr = eta[lo:][entered], x[lo:][entered]
         m = eta_r.max()
         shifted = eta_r - m
         rel = np.exp(shifted)

@@ -1,6 +1,8 @@
+import collections
 import dataclasses
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -710,6 +712,118 @@ def test_separation_along_a_combination_with_ties_raises_monotone(seed):
     with pytest.raises(MonotoneLikelihood) as info:
         fit_cox(frame)
     assert info.value.name in ("a", "b")
+
+
+def nearly_separated_frame(rng):
+    """start, stop, event and x = (sep, z) where sep separates, or fails at one record.
+
+    The distinct event times are 1..T, each with one or two events whose sep
+    is a small integer m_k drawn at random. Every record's sep is at most the
+    smallest m over its run of event times, so each event leads its risk
+    set; an event's run starts after the last earlier time with a smaller m.
+    Records enter at random event indices, many of them late, some on an
+    event time itself, and may then lie above an earlier m. One record
+    enters after the last event time with a sep far above every m. Returns
+    the records and whether one censored record was instead put a quarter
+    above the smallest m of its run, which breaks the separation there.
+    """
+    n_times = int(rng.integers(3, 40))
+    m = rng.integers(0, 8, n_times).astype(float)
+    runs = []  # (entry, leave, event, sep): at risk at event indices entry..leave-1
+    for k in range(n_times):
+        lower = np.flatnonzero(m[:k] < m[k])
+        for _ in range(rng.integers(1, 3)):
+            runs.append((rng.integers(lower[-1] + 1 if lower.size else 0, k + 1), k + 1,
+                         True, m[k]))
+    for _ in range(rng.integers(3, 2 * n_times)):
+        entry = int(rng.integers(0, n_times))
+        leave = int(rng.integers(entry + 1, n_times + 1))
+        runs.append((entry, leave, False, m[entry:leave].min() - rng.choice([0.0, 0.5, 2.0])))
+    broken = rng.random() < 0.5
+    if broken:
+        entry, leave, _, _ = runs[-1]
+        runs[-1] = (entry, leave, False, m[entry:leave].min() + 0.25)
+    entry, leave, event, sep = (np.array(c) for c in zip(*runs))
+    # event index k is time k + 1, so entry e means a start in [e, e + 1)
+    # and leave b a stop in [b, b + 1)
+    start = entry + rng.choice([0.0, 0.5], entry.size)
+    stop = np.where(event, leave, leave + rng.choice([0.0, 0.5], leave.size))
+    start, stop = np.append(start, n_times + 0.25), np.append(stop, n_times + 1.5)
+    x = np.column_stack([np.append(sep, 100.0), rng.standard_normal(start.size)])
+    return start, stop, np.append(event, False), x, broken
+
+
+def separating_column_by_masks(start, stop, event, x, directions):
+    """``cox._separating_column`` by the definition, over each risk set's mask."""
+    v = np.column_stack([directions, np.eye(x.shape[1])])
+    v = np.hstack([v, -v])
+    xv = x @ v
+    slack = cox.ULP_SLACK * np.finfo(float).eps * np.abs(xv).max(axis=0)
+    leads = np.ones(v.shape[1], dtype=bool)
+    for t in np.unique(stop[event]):
+        at_risk = (start < t) & (t <= stop)
+        leads &= xv[event & (stop == t)].min(axis=0) >= xv[at_risk].max(axis=0) - slack
+    return int(np.argmax(np.abs(v[:, leads.argmax()]) * np.ptp(x, axis=0))) if leads.any() else None
+
+
+def test_the_separation_check_is_the_definition_on_nearly_separated_frames():
+    # each record's run of event times, and the range minimum over it, must
+    # give the definition's answer, whether late entry makes the separation
+    # or one record breaks it anywhere in its run
+    rng = np.random.default_rng(7)
+    answers = collections.Counter()
+    for case in range(300):
+        start, stop, event, x, broken = nearly_separated_frame(rng)
+        directions = rng.standard_normal((2, 2))
+        want = separating_column_by_masks(start, stop, event, x, directions)
+        layout, x_sorted = kernels.risk_set_layout(start, stop, event, x)
+        assert cox._separating_column(layout, x_sorted, directions) == want, case
+        assert broken or want is not None, case  # sep itself separates
+        # a record (not the one never at risk) that enters after t yet lies
+        # above an event at t: sep separates only because it enters late
+        late_above = any((x[:-1, 0][start[:-1] > t] > x[event & (stop == t), 0].min()).any()
+                         for t in np.unique(stop[event]))
+        answers["none" if want is None else "late entry" if late_above else "found"] += 1
+    # both answers, most separations holding only because of late entry
+    assert answers["none"] >= 100 and answers["late entry"] >= 100, answers
+
+
+# C functions the check may call whatever the frame's size, and more per
+# level of its table of run minima (one level per doubling of the event
+# times); it makes 32 at every size with numpy 2.4
+CHECK_C_CALLS, CHECK_C_CALLS_PER_LEVEL = 40, 4
+
+
+@pytest.mark.parametrize("n", [10**3, 10**5])
+def test_the_separation_check_reads_the_record_runs_without_a_risk_set_walk(monkeypatch, n):
+    # x = (z, -stop) with 40% of the records left-truncated: the second
+    # column leads every risk set at its events. The check must find it
+    # without a score pass, and its C calls under the profiler must not
+    # grow with the records or the event times, as a walk over the risk
+    # sets would (several calls per event time)
+    rng = np.random.default_rng(n)
+    stop = rng.exponential(10.0, n)
+    start = np.where(rng.random(n) < 0.4, stop * rng.random(n), 0.0)
+    event = rng.random(n) < 0.7
+    layout, x = kernels.risk_set_layout(start, stop, event,
+                                        np.column_stack([rng.standard_normal(n), -stop]))
+    assert (start > 0).mean() > 0.35 and layout.d.size > 0.6 * n
+    monkeypatch.setattr(kernels, "score", lambda *args: pytest.fail("the check called score"))
+    calls = collections.Counter()  # by name: a bound method would keep its array alive
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            calls[arg.__qualname__] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        column = cox._separating_column(layout, x, rng.standard_normal((2, 2)))
+    finally:
+        sys.setprofile(previous)
+    assert column == 1
+    bound = CHECK_C_CALLS + CHECK_C_CALLS_PER_LEVEL * layout.d.size.bit_length()
+    assert calls.total() <= bound, calls.most_common(5)
 
 
 def test_the_rank_rule_reads_the_null_information(heart_frame, monkeypatch):

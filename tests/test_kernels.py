@@ -237,8 +237,8 @@ def risk_set_masks(start, stop, event):
 
 
 def test_risk_sets_are_the_records_at_risk():
-    # the records' own indices, laid out in stop order, come back from each
-    # risk set: they must be exactly the records with start < t <= stop
+    # the records' own indices, laid out in stop order, whose run holds k
+    # (entry <= k < leave) must be exactly the records with start < t_k <= stop
     start = np.array([-1.0, -0.0, 0.0, 2.0, 1.0, 0.0, 4.0, 7.0, -0.0, 3.0, 0.5, 2.0, -2.0])
     stop = np.array([0.0, 2.0, 3.0, 4.0, 4.0, 4.0, 7.0, 9.0, 7.0, 8.0, 1.5, 5.0, 3.0])
     event = np.array([True, True, False, True, True, False, True, False, True, False, False,
@@ -252,7 +252,8 @@ def test_risk_sets_are_the_records_at_risk():
     assert np.unique(stop[event], return_counts=True)[1].max() > 1  # tied events
     n = len(stop)
     layout, index = kernels.risk_set_layout(start, stop, event, np.arange(n)[:, None])
-    got = [np.sort(rows[:, 0]) for (rows,) in kernels.risk_sets(layout, index)]
+    got = [np.sort(index[(layout.entry <= k) & (k < layout.leave), 0])
+           for k in range(len(layout.d))]
     want = [np.flatnonzero(mask) for mask in risk_set_masks(start, stop, event)]
     assert len(got) == len(want) == len(times)
     for k, (g, w) in enumerate(zip(got, want)):

@@ -1,0 +1,138 @@
+"""A seeded fuzz of mutated bundled requests holds the command line to its contract.
+
+Each request is stan30.csv or linear30.csv with a few mutations: cells set to
+0, -0, +-1e300, 5e-324 or 1e15; rows deleted or duplicated; whole columns
+made constant or scaled by 1e+-150; the file cut to 1-6 rows. It draws its
+covariates, ``--alpha``, ``--max-weight`` and format at random too. Whatever
+the input, ``cli.run`` must answer in one of three ways:
+
+- exit 0 or 2 with a report: text with no ``nan``, or JSON in which every
+  value that is not finite is ``null``;
+- exit 1 with exactly one ``nfactor: error: <stage>: ...`` line and no report;
+- and when that line is a ``MonotoneLikelihood`` refusal, a linear program
+  (scipy, independent of the package's check) must find a direction v along
+  which every event's ``x @ v`` is at least every ``x @ v`` in its risk set,
+  with some strictly less: Bryson & Johnson's definition of a monotone
+  partial likelihood.
+"""
+
+import json
+import re
+
+import numpy as np
+from scipy.optimize import linprog
+
+from nfactor import load_csv, stset_reconstruct
+
+from conftest import COVARIATES, HEART_CSV, LINEAR_CSV
+from test_golden_reports import run_request
+
+N_REQUESTS = 200
+CELLS = ("0", "-0", "1e300", "-1e300", "5e-324", "1e15")
+ERROR_LINE = re.compile(r"nfactor: error: (load|frame|fit|search|report): [^\n]+\n")
+
+
+def mutate(rng, header, rows):
+    """The rows after one to three random mutations (a list of lists of cell text).
+
+    A mutated cell or column is a covariate's seven times in ten, so that
+    most requests reach the fit.
+    """
+    rows = [list(row) for row in rows]
+    covariates = [j for j, name in enumerate(header) if name in COVARIATES] or [0]
+    for _ in range(rng.integers(1, 4)):
+        if not rows:
+            break
+        kind, i = rng.integers(6), rng.integers(len(rows))
+        j = rng.choice(covariates) if rng.random() < 0.7 else rng.integers(len(header))
+        if kind == 0:
+            rows[i][j] = CELLS[rng.integers(len(CELLS))]
+        elif kind == 1:
+            del rows[i]
+        elif kind == 2:
+            rows.insert(i, list(rows[i]))
+        elif kind == 3:
+            value = rows[i][j] if rng.random() < 0.5 else CELLS[rng.integers(len(CELLS))]
+            for row in rows:
+                row[j] = value
+        elif kind == 4:
+            factor = 1e150 if rng.random() < 0.5 else 1e-150
+            for row in rows:
+                row[j] = repr(float(row[j]) * factor)
+        else:
+            rows = rows[:rng.integers(1, 7)]
+    return rows
+
+
+def fuzz_request(rng, tmp_path, index):
+    """argv of one mutated request, with its CSV written under ``tmp_path``."""
+    cox = rng.random() < 0.75
+    lines = (HEART_CSV if cox else LINEAR_CSV).read_text().splitlines()
+    header = lines[0].split(",")
+    rows = mutate(rng, header, [line.split(",") for line in lines[1:]])
+    path = tmp_path / f"request{index}.csv"
+    path.write_text("\n".join(",".join(row) for row in [header, *rows]) + "\n")
+    if cox:
+        chosen = [c for c in COVARIATES if rng.random() < 0.5] or [COVARIATES[rng.integers(4)]]
+        argv = ["--model", "cox-lr", "--time", "t1", "--event", "died", "--id", "id",
+                "--covariates", ",".join(chosen)]
+    else:
+        argv = ["--model", "linear-wald", "--response", "y"]
+    alpha = float(10.0 ** rng.uniform(-8, np.log10(0.5)))
+    max_weight = int(rng.choice([1, 2, 10, 1000, 10**6, 2**53]))
+    return [*argv, "--data", str(path), "--alpha", repr(alpha), "--max-weight",
+            str(max_weight), "--format", str(rng.choice(["text", "json"]))]
+
+
+def refuse_non_finite(token):
+    raise AssertionError(f"JSON report holds {token}")
+
+
+def finite_float(text):
+    value = float(text)
+    assert np.isfinite(value), f"JSON report holds {text}"
+    return value
+
+
+def lp_finds_separation(argv) -> bool:
+    """Whether a linear program finds a direction of monotone likelihood in the request's frame.
+
+    Each column is divided by its largest |value|, if not 0. Then v in [-1, 1]^p must
+    keep ``(x_j - x_i) @ v <= 0`` for every event record i and every record
+    j at risk at its time, and maximise the sum of ``(x_i - x_j) @ v``;
+    the frame separates when that sum is positive.
+    """
+    covariates = argv[argv.index("--covariates") + 1].split(",")
+    data = load_csv(argv[argv.index("--data") + 1], ["id", "t1", "died", *covariates])
+    frame = stset_reconstruct(data, "t1", "died", "id", covariates)
+    largest = np.abs(frame.covariates).max(axis=0)
+    x = frame.covariates / np.where(largest > 0, largest, 1.0)
+    ahead = np.vstack([x[(frame.start < frame.stop[i]) & (frame.stop[i] <= frame.stop)] - x[i]
+                       for i in np.flatnonzero(frame.event)])
+    result = linprog(ahead.sum(axis=0), A_ub=ahead, b_ub=np.zeros(len(ahead)),
+                     bounds=[(-1.0, 1.0)] * x.shape[1], method="highs")
+    assert result.status == 0, result.message
+    return -result.fun > 1e-9
+
+
+def test_mutated_requests_answer_or_refuse_in_one_line(tmp_path):
+    rng = np.random.default_rng(20261020)
+    exits, refusals = [], 0
+    for index in range(N_REQUESTS):
+        argv = fuzz_request(rng, tmp_path, index)
+        got = run_request(argv)
+        where = f"request {index}: {argv}\n{got['stdout']}{got['stderr']}"
+        exits.append(got["exit"])
+        if got["exit"] == 1:
+            assert got["stdout"] == "" and ERROR_LINE.fullmatch(got["stderr"]), where
+            if "is diverging" in got["stderr"]:
+                refusals += 1
+                assert lp_finds_separation(argv), where
+            continue
+        assert got["exit"] in (0, 2) and got["stderr"] == "", where
+        if argv[-1] == "json":
+            json.loads(got["stdout"], parse_constant=refuse_non_finite, parse_float=finite_float)
+        else:
+            assert "nan" not in got["stdout"].lower(), where
+    # the mix reaches every outcome, a monotone likelihood among the refusals
+    assert {0, 1, 2} <= set(exits) and refusals >= 5, (sorted(set(exits)), refusals)
