@@ -56,7 +56,7 @@ with the columns in stop order; every pass reads those, gathering nothing.
 Each Newton step costs one pass when the full step is accepted, because a
 step is judged by the ``ll`` that scoring it returns; each halving costs
 one more pass. A step past the span trigger adds the separation check, in
-O((n + T) log T) time and O(T log T) memory per candidate over T event
+O((n + T) log T) time and O(n + T) memory per candidate over T event
 times. A model with no kept covariate is Newton with no columns: the first
 score gives its log likelihood, and it has converged at beta = () after 0
 iterations.
@@ -146,24 +146,24 @@ def _separating_column(layout: kernels.RiskSetLayout, x: np.ndarray, directions)
     of ``x``, in both signs. One separates when every event's ``x @ v`` is at
     least the largest in its risk set, within ``ULP_SLACK`` ulps of
     ``max |x @ v|``: when no record's exceeds the smallest event value over
-    its run of event times. Level i of the table holds that minimum over each
-    window of 2^i times, so two windows cover a run. The first that separates
-    names the column j with the largest ``|v_j|`` times the spread of ``x[:, j]``.
+    its run of event times. Window minima are held one level at a time: two
+    windows of 2^i times cover a run of 2^i to 2^(i+1) - 1, so those records
+    are answered at level i, before the windows fold to level i + 1. The
+    first that separates names the column j with the largest ``|v_j|`` times
+    the spread of ``x[:, j]``.
     """
     v = np.column_stack([directions, np.eye(x.shape[1])])
     v = np.hstack([v, -v])
     xv = x @ v
     slack = ULP_SLACK * _EPS * np.abs(xv).max(axis=0)
-    table = np.full((layout.d.size.bit_length(), layout.d.size, v.shape[1]), np.inf)
-    table[0] = np.minimum.reduceat(xv[layout.events], layout.first)
-    for i in range(1, len(table)):
-        h = 2 ** (i - 1)
-        table[i, :-h] = np.minimum(table[i - 1, :-h], table[i - 1, h:])
-    at_risk = layout.entry < layout.leave
-    a, b = layout.entry[at_risk], layout.leave[at_risk]
-    level = np.frexp(b - a)[1] - 1  # floor(log2(b - a)), exactly
-    run_min = np.minimum(table[level, a], table[level, b - 2 ** level])
-    leads = (xv[at_risk] - slack <= run_min).all(axis=0)
+    level = np.frexp(layout.leave - layout.entry)[1] - 1  # floor(log2(run)); -1 if never at risk
+    window = np.minimum.reduceat(xv[layout.events], layout.first)
+    leads = np.ones(v.shape[1], dtype=bool)
+    for i in range(layout.d.size.bit_length()):
+        h, ask = 2 ** i, level == i
+        run_min = np.minimum(window[layout.entry[ask]], window[layout.leave[ask] - h])
+        leads &= (xv[ask] - slack <= run_min).all(axis=0)
+        np.minimum(window[:-h], window[h:], out=window[:-h])
     return int(np.argmax(np.abs(v[:, leads.argmax()]) * np.ptp(x, axis=0))) if leads.any() else None
 
 

@@ -21,6 +21,7 @@ from .errors import (
     EmptyFile,
     InvalidEventFlag,
     InvalidWeight,
+    LongRow,
     MissingColumn,
     NonIncreasingTime,
     NonNumericCell,
@@ -176,11 +177,13 @@ def load_csv(path, required_columns=()) -> Dataset:
     """Load a comma-separated file with a header row into a Dataset.
 
     Every cell is parsed as a float; blank or non-numeric cells (including
-    nan/inf spellings) and repeated header names are rejected. Blank or
-    whitespace-only lines are skipped, but still count in the data row
-    numbers that errors name; the header is the first line that is not blank.
-    A leading UTF-8 byte-order mark is ignored. Row order is preserved.
-    A file that cannot be opened or read as UTF-8 raises UnreadableFile.
+    nan/inf spellings) and repeated header names are rejected. A short row
+    raises NonNumericCell at its first missing column, a long one LongRow.
+    Blank or whitespace-only lines are skipped, but still count in the data
+    row numbers that errors name; the header is the first line that is not
+    blank. A leading UTF-8 byte-order mark is ignored. Row order is
+    preserved. A file that cannot be opened or read as UTF-8 raises
+    UnreadableFile.
     """
     try:
         return _read_csv(path, required_columns)
@@ -205,8 +208,10 @@ def _read_csv(path, required_columns) -> Dataset:
         for rownum, row in enumerate(reader, start=1):
             if _blank(row):
                 continue
-            if len(row) != len(header):
-                raise NonNumericCell(rownum, header[min(len(row), len(header) - 1)])
+            if len(row) > len(header):
+                raise LongRow(rownum, len(row), len(header))
+            if len(row) < len(header):
+                raise NonNumericCell(rownum, header[len(row)])
             for j, cell in enumerate(row):
                 try:
                     value = float(cell)

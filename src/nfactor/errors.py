@@ -56,6 +56,13 @@ class NonNumericCell(NfactorError):
         self.column = column
 
 
+class LongRow(NfactorError):
+    def __init__(self, row, cells, columns):
+        super().__init__(
+            f"data row {row} has {cells} cells, but the header names {columns} columns")
+        self.row = row
+
+
 class NonIncreasingTime(NfactorError):
     def __init__(self, subject_id):
         super().__init__(

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -789,9 +790,12 @@ def test_the_separation_check_is_the_definition_on_nearly_separated_frames():
 
 
 # C functions the check may call whatever the frame's size, and more per
-# level of its table of run minima (one level per doubling of the event
-# times); it makes 32 at every size with numpy 2.4
+# level of its window minima (one level per doubling of the event times,
+# held one at a time, so O(n + T) memory per candidate)
 CHECK_C_CALLS, CHECK_C_CALLS_PER_LEVEL = 40, 4
+# traced bytes one check may hold at its peak, in arrays of n records by its
+# 2(p + 2) candidates: a table of every level of run minima needs more
+CHECK_PEAK_ARRAYS = 6
 
 
 @pytest.mark.parametrize("n", [10**3, 10**5])
@@ -800,7 +804,8 @@ def test_the_separation_check_reads_the_record_runs_without_a_risk_set_walk(monk
     # column leads every risk set at its events. The check must find it
     # without a score pass, and its C calls under the profiler must not
     # grow with the records or the event times, as a walk over the risk
-    # sets would (several calls per event time)
+    # sets would (several calls per event time); its traced peak must stay
+    # within a few arrays of the records by the candidates
     rng = np.random.default_rng(n)
     stop = rng.exponential(10.0, n)
     start = np.where(rng.random(n) < 0.4, stop * rng.random(n), 0.0)
@@ -824,6 +829,13 @@ def test_the_separation_check_reads_the_record_runs_without_a_risk_set_walk(monk
     assert column == 1
     bound = CHECK_C_CALLS + CHECK_C_CALLS_PER_LEVEL * layout.d.size.bit_length()
     assert calls.total() <= bound, calls.most_common(5)
+    tracemalloc.start()
+    try:
+        cox._separating_column(layout, x, rng.standard_normal((2, 2)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= CHECK_PEAK_ARRAYS * n * 2 * (2 + 2) * 8, peak
 
 
 def test_the_rank_rule_reads_the_null_information(heart_frame, monkeypatch):

@@ -20,6 +20,7 @@ from nfactor.errors import (
     EmptyFile,
     InvalidEventFlag,
     InvalidWeight,
+    LongRow,
     MissingColumn,
     NfactorError,
     NonIncreasingTime,
@@ -159,6 +160,17 @@ def test_ragged_row(tmp_path):
     path.write_text("a,b\n1,2\n3\n")
     with pytest.raises(NonNumericCell):
         load_csv(path)
+
+
+def test_a_long_row_is_named_with_its_cell_count(tmp_path):
+    # a trailing comma adds an empty cell past the last column; no column
+    # holds a bad cell, so none is named
+    path = tmp_path / "long.csv"
+    path.write_text("y,x\n1,2,\n")
+    with pytest.raises(LongRow) as err:
+        load_csv(path)
+    assert str(err.value) == "data row 1 has 3 cells, but the header names 2 columns"
+    assert err.value.row == 1
 
 
 def test_dataset_rejects_nan():

@@ -14,6 +14,10 @@ the input, ``cli.run`` must answer in one of three ways:
   which every event's ``x @ v`` is at least every ``x @ v`` in its risk set,
   with some strictly less: Bryson & Johnson's definition of a monotone
   partial likelihood.
+
+An answered Cox fit must sit at its maximum: at the reported betas, the
+gradient and information of ``tests/oracles.py::score_per_event_time`` give
+a Newton decrement of at most ``MAX_DECREMENT_PER_EVENT`` per event.
 """
 
 import json
@@ -25,11 +29,13 @@ from scipy.optimize import linprog
 from nfactor import load_csv, stset_reconstruct
 
 from conftest import COVARIATES, HEART_CSV, LINEAR_CSV
+from oracles import score_per_event_time
 from test_golden_reports import run_request
 
 N_REQUESTS = 200
 CELLS = ("0", "-0", "1e300", "-1e300", "5e-324", "1e15")
 ERROR_LINE = re.compile(r"nfactor: error: (load|frame|fit|search|report): [^\n]+\n")
+MAX_DECREMENT_PER_EVENT = 1e-12
 
 
 def mutate(rng, header, rows):
@@ -94,6 +100,12 @@ def finite_float(text):
     return value
 
 
+def request_frame(argv, covariates):
+    """The survival frame of a Cox request's data over ``covariates``."""
+    data = load_csv(argv[argv.index("--data") + 1], ["id", "t1", "died", *covariates])
+    return stset_reconstruct(data, "t1", "died", "id", covariates)
+
+
 def lp_finds_separation(argv) -> bool:
     """Whether a linear program finds a direction of monotone likelihood in the request's frame.
 
@@ -102,9 +114,7 @@ def lp_finds_separation(argv) -> bool:
     j at risk at its time, and maximise the sum of ``(x_i - x_j) @ v``;
     the frame separates when that sum is positive.
     """
-    covariates = argv[argv.index("--covariates") + 1].split(",")
-    data = load_csv(argv[argv.index("--data") + 1], ["id", "t1", "died", *covariates])
-    frame = stset_reconstruct(data, "t1", "died", "id", covariates)
+    frame = request_frame(argv, argv[argv.index("--covariates") + 1].split(","))
     largest = np.abs(frame.covariates).max(axis=0)
     x = frame.covariates / np.where(largest > 0, largest, 1.0)
     ahead = np.vstack([x[(frame.start < frame.stop[i]) & (frame.stop[i] <= frame.stop)] - x[i]
@@ -115,9 +125,24 @@ def lp_finds_separation(argv) -> bool:
     return -result.fun > 1e-9
 
 
+def decrement_per_event(argv, coefficients) -> float:
+    """Newton decrement ``g' H^-1 g`` per event at a Cox report's betas, by the loop oracle.
+
+    Each kept column is divided by a power of two near its largest |value|,
+    if not 0, and its beta multiplied by it, both exactly, so the decrement
+    does not see the column's units.
+    """
+    frame = request_frame(argv, [c["name"] for c in coefficients])
+    exponent = np.frexp(np.abs(frame.covariates).max(axis=0))[1]
+    beta = np.ldexp([c["beta"] for c in coefficients], exponent)
+    _, grad, information = score_per_event_time(
+        frame.start, frame.stop, frame.event, np.ldexp(frame.covariates, -exponent), beta)
+    return float(grad @ np.linalg.solve(information, grad)) / frame.event.sum()
+
+
 def test_mutated_requests_answer_or_refuse_in_one_line(tmp_path):
     rng = np.random.default_rng(20261020)
-    exits, refusals = [], 0
+    exits, refusals, decrements = [], 0, []
     for index in range(N_REQUESTS):
         argv = fuzz_request(rng, tmp_path, index)
         got = run_request(argv)
@@ -131,8 +156,15 @@ def test_mutated_requests_answer_or_refuse_in_one_line(tmp_path):
             continue
         assert got["exit"] in (0, 2) and got["stderr"] == "", where
         if argv[-1] == "json":
-            json.loads(got["stdout"], parse_constant=refuse_non_finite, parse_float=finite_float)
+            report = json.loads(got["stdout"], parse_constant=refuse_non_finite,
+                                parse_float=finite_float)
+            coefficients = report["fit"]["coefficients"] if "cox-lr" in argv else []
+            if coefficients and all(c["beta"] is not None for c in coefficients):
+                decrements.append(decrement_per_event(argv, coefficients))
+                assert decrements[-1] <= MAX_DECREMENT_PER_EVENT, (decrements[-1], where)
         else:
             assert "nan" not in got["stdout"].lower(), where
-    # the mix reaches every outcome, a monotone likelihood among the refusals
+    # the mix reaches every outcome, a monotone likelihood among the refusals,
+    # and enough answered Cox fits for the decrement check to mean something
     assert {0, 1, 2} <= set(exits) and refusals >= 5, (sorted(set(exits)), refusals)
+    assert len(decrements) >= 20, len(decrements)
