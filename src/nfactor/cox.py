@@ -36,30 +36,26 @@ units, its offset or its coding:
 - **Divergence.** The span decides when to look, the definition decides what
   is found. An accepted step whose linear predictor spans more than
   ``MAX_ETA_SPAN`` (max eta - min eta over the records) triggers a check of
-  candidate directions v against the definition of a monotone likelihood: at
-  every event time, each event's ``x @ v`` is at least the largest in its
-  risk set (Bryson & Johnson, Technometrics 23, 1981); equivalently, no
-  record's exceeds the smallest event value over its run of event times. The
-  candidates are the step, the new beta and each single column, in both
-  signs; the columns catch a separating column beside others that do not. If
-  one passes, the fit raises MonotoneLikelihood, naming the column j with
+  candidate directions v against the definition of a monotone likelihood
+  (``kernels.events_lead``): at every event time, each event's ``x @ v`` is at
+  least the largest in its risk set (Bryson & Johnson, Technometrics 23,
+  1981). The candidates are the step, the new beta and each single column, in
+  both signs; the columns catch a separating column beside others that do not.
+  If one passes, the fit raises MonotoneLikelihood, naming the column j with
   the largest ``|v_j|`` times its spread; otherwise Newton goes on, a strong
-  but finite effect, within ``MAX_ITERATIONS``. Past ``-log(eps)``, about
-  36, a lagging record's weight rounds to 0 beside a leading one and the
-  gradient vanishes, so a fit on separated data would "converge" there if
-  the check did not refuse it first.
+  but finite effect, within ``MAX_ITERATIONS``. Past ``-log(eps)``, about 36,
+  a lagging record's weight rounds to 0 beside a leading one and the gradient
+  vanishes, so a fit on separated data would "converge" there if the check did
+  not refuse it first.
 
-``kernels.score`` is the only kernel the fit calls. The fit scales and
-centres the columns in file order, then lays out the risk sets once
-(``kernels.risk_set_layout``, which also tells whether event times tie)
-with the columns in stop order; every pass reads those, gathering nothing.
-Each Newton step costs one pass when the full step is accepted, because a
-step is judged by the ``ll`` that scoring it returns; each halving costs
-one more pass. A step past the span trigger adds the separation check, in
-O((n + T) log T) time and O(n + T) memory per candidate over T event
-times. A model with no kept covariate is Newton with no columns: the first
-score gives its log likelihood, and it has converged at beta = () after 0
-iterations.
+The fit scales and centres the columns in file order, then lays out the risk
+sets once (``kernels.risk_set_layout``, which also tells whether event times
+tie) with the columns in stop order; ``kernels.score`` reads those on every
+pass, gathering nothing. Each Newton step costs one pass when the full step
+is accepted, because a step is judged by the ``ll`` that scoring it returns;
+each halving costs one more pass. A model with no kept covariate is Newton
+with no columns: the first score gives its log likelihood, and it has
+converged at beta = () after 0 iterations.
 
 The likelihood ratio is twice the gain ``ll_full - ll_null`` that the
 kernel sums on the last accepted pass, without the cancellation of
@@ -145,25 +141,13 @@ def _separating_column(layout: kernels.RiskSetLayout, x: np.ndarray, directions)
     The candidates v are each column of ``directions`` and each single column
     of ``x``, in both signs. One separates when every event's ``x @ v`` is at
     least the largest in its risk set, within ``ULP_SLACK`` ulps of
-    ``max |x @ v|``: when no record's exceeds the smallest event value over
-    its run of event times. Window minima are held one level at a time: two
-    windows of 2^i times cover a run of 2^i to 2^(i+1) - 1, so those records
-    are answered at level i, before the windows fold to level i + 1. The
-    first that separates names the column j with the largest ``|v_j|`` times
-    the spread of ``x[:, j]``.
+    ``max |x @ v|`` (``kernels.events_lead``); the first names the column j
+    with the largest ``|v_j|`` times the spread of ``x[:, j]``.
     """
     v = np.column_stack([directions, np.eye(x.shape[1])])
     v = np.hstack([v, -v])
     xv = x @ v
-    slack = ULP_SLACK * _EPS * np.abs(xv).max(axis=0)
-    level = np.frexp(layout.leave - layout.entry)[1] - 1  # floor(log2(run)); -1 if never at risk
-    window = np.minimum.reduceat(xv[layout.events], layout.first)
-    leads = np.ones(v.shape[1], dtype=bool)
-    for i in range(layout.d.size.bit_length()):
-        h, ask = 2 ** i, level == i
-        run_min = np.minimum(window[layout.entry[ask]], window[layout.leave[ask] - h])
-        leads &= (xv[ask] - slack <= run_min).all(axis=0)
-        np.minimum(window[:-h], window[h:], out=window[:-h])
+    leads = kernels.events_lead(layout, xv, ULP_SLACK * _EPS * np.abs(xv).max(axis=0))
     return int(np.argmax(np.abs(v[:, leads.argmax()]) * np.ptp(x, axis=0))) if leads.any() else None
 
 

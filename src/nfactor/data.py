@@ -182,44 +182,48 @@ def load_csv(path, required_columns=()) -> Dataset:
     Blank or whitespace-only lines are skipped, but still count in the data
     row numbers that errors name; the header is the first line that is not
     blank. A leading UTF-8 byte-order mark is ignored. Row order is
-    preserved. A file that cannot be opened or read as UTF-8 raises
-    UnreadableFile.
+    preserved. A file that cannot be opened, read as UTF-8 or split into
+    cells by the csv module (a cell longer than its field limit of 131,072
+    characters) raises UnreadableFile; a split that fails names its file line.
     """
     try:
-        return _read_csv(path, required_columns)
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                return _read_rows(path, reader, required_columns)
+            except csv.Error as exc:
+                raise UnreadableFile(path, f"line {reader.line_num}: {exc}") from exc
     except OSError as exc:
         raise UnreadableFile(path, exc.strerror or exc) from exc
     except UnicodeDecodeError as exc:
         raise UnreadableFile(path, f"not UTF-8 text ({exc})") from exc
 
 
-def _read_csv(path, required_columns) -> Dataset:
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next((row for row in reader if not _blank(row)), None)
-        if header is None:
-            raise EmptyFile(f"{path}: no header row")
-        header = [h.strip() for h in header]
-        check_distinct(header, DuplicateColumn)
-        for name in required_columns:
-            if name not in header:
-                raise MissingColumn(name)
-        raw: list[list[float]] = [[] for _ in header]
-        for rownum, row in enumerate(reader, start=1):
-            if _blank(row):
-                continue
-            if len(row) > len(header):
-                raise LongRow(rownum, len(row), len(header))
-            if len(row) < len(header):
-                raise NonNumericCell(rownum, header[len(row)])
-            for j, cell in enumerate(row):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise NonNumericCell(rownum, header[j], cell) from None
-                if not math.isfinite(value):
-                    raise NonNumericCell(rownum, header[j], cell)
-                raw[j].append(value)
+def _read_rows(path, reader, required_columns) -> Dataset:
+    header = next((row for row in reader if not _blank(row)), None)
+    if header is None:
+        raise EmptyFile(f"{path}: no header row")
+    header = [h.strip() for h in header]
+    check_distinct(header, DuplicateColumn)
+    for name in required_columns:
+        if name not in header:
+            raise MissingColumn(name)
+    raw: list[list[float]] = [[] for _ in header]
+    for rownum, row in enumerate(reader, start=1):
+        if _blank(row):
+            continue
+        if len(row) > len(header):
+            raise LongRow(rownum, len(row), len(header))
+        if len(row) < len(header):
+            raise NonNumericCell(rownum, header[len(row)])
+        for j, cell in enumerate(row):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise NonNumericCell(rownum, header[j], cell) from None
+            if not math.isfinite(value):
+                raise NonNumericCell(rownum, header[j], cell)
+            raw[j].append(value)
     return Dataset(dict(zip(header, raw)))
 
 

@@ -16,7 +16,7 @@ class NfactorError(Exception):
 
 
 class UnreadableFile(NfactorError):
-    """The input file cannot be opened or is not UTF-8 text."""
+    """The input file cannot be opened, is not UTF-8 text or cannot be split into cells."""
 
     def __init__(self, path, reason):
         super().__init__(f"cannot read {path}: {reason}")

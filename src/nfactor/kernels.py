@@ -1,6 +1,6 @@
-"""The Cox partial likelihood kernel.
+"""The Cox partial likelihood kernel, and the risk-set layout it reads.
 
-``score`` is the one risk-set kernel: it returns the log partial likelihood
+``score`` is the one likelihood kernel: it returns the log partial likelihood
 together with its gradient, its negated Hessian and its gain over beta = 0,
 over counting-process risk sets:
 
@@ -24,16 +24,15 @@ would cancel.
 
 Nothing about which records are at risk depends on beta, so it is laid out
 once per fit by ``risk_set_layout``, which puts the records in stable stop
-order and gives ``x`` back in that order. There, each record's interval
-becomes its run of distinct event times: record j is at risk at the k-th
-time t_k exactly when ``entry[j] <= k < leave[j]``, the counts of event
-times at or before its start and its stop. ``leave`` does not decrease in
-stop order, so ``score`` finds the records at risk at t_k as a suffix, by
-binary search, less those with ``entry > k``; the fit's separation check
-reads the runs as range minima, in O((n + T) log T). Building the layout
-costs O(n log n). A ``score`` call costs O(T n p^2) over the T distinct
-event times, each of which reads its whole suffix: still quadratic on
-continuous event times. A layout with no event times gives zeros throughout.
+order and gives ``x`` back in that order. There, record j is at risk at the
+k-th distinct event time t_k exactly when ``entry[j] <= k < leave[j]``, its
+run. Only this module reads the runs. ``score`` finds the records at risk at
+t_k as the suffix with ``leave > k``, less those with ``entry > k``;
+``events_lead``, the fit's separation check, takes range minima over the
+runs in O((n + T) log T). Building the layout costs O(n log n). A ``score``
+call costs O(T n p^2) over the T distinct event times, each of which reads
+its whole suffix: still quadratic on continuous event times. A layout with
+no event times gives zeros throughout.
 """
 
 from __future__ import annotations
@@ -50,8 +49,7 @@ class RiskSetLayout:
     Every index is into the records in stable stop order. ``events`` lists
     the event records, so tied events keep file order; ``first`` holds the
     offset in ``events`` of each distinct event time's group and ``d`` its
-    size. Record j is at risk at the k-th time when ``entry[j] <= k <
-    leave[j]``: ``entry[j]`` is the first k with ``start_j < t_k`` and
+    size. ``entry[j]`` is the first k with ``start_j < t_k`` and
     ``leave[j]`` the first k with ``stop_j < t_k``.
     """
 
@@ -109,6 +107,24 @@ def score(layout: RiskSetLayout, x, beta):
     gain = float((eta_d - d * (top + np.log1p(excess))).sum())
     grad = x[layout.events].sum(axis=0) - d @ xbar
     return ll, grad, hess, gain
+
+
+def events_lead(layout: RiskSetLayout, xv, slack):
+    """Per column of ``xv``: no record's value less ``slack`` exceeds its run's least event value.
+
+    Window minima are held one level at a time, O(n + T) memory per column:
+    two windows of 2^i times cover a run of 2^i to 2^(i+1) - 1, so those
+    records are answered at level i, before the windows fold to level i + 1.
+    """
+    level = np.frexp(layout.leave - layout.entry)[1] - 1  # floor(log2(run)); -1 if never at risk
+    window = np.minimum.reduceat(xv[layout.events], layout.first)
+    leads = np.ones(xv.shape[1], dtype=bool)
+    for i in range(layout.d.size.bit_length()):
+        h, ask = 2 ** i, level == i
+        run_min = np.minimum(window[layout.entry[ask]], window[layout.leave[ask] - h])
+        leads &= (xv[ask] - slack <= run_min).all(axis=0)
+        np.minimum(window[:-h], window[h:], out=window[:-h])
+    return leads
 
 
 # Kept only by name, for perfbench's tracer, which wraps ``kernels.loglik``:

@@ -144,6 +144,17 @@ def test_unreadable_file(unreadable_csv):
     assert str(err.value).startswith(f"cannot read {path}: {reason}")
 
 
+def test_a_cell_past_the_csv_field_limit_names_its_file_line(tmp_path):
+    # the csv module refuses a cell longer than its field limit before
+    # float() sees it; the limit is process-wide, so the loader leaves it be
+    path = tmp_path / "wide.csv"
+    path.write_text("y,x\n1,2\n\n" + "1" * 200_000 + ",3\n")
+    with pytest.raises(UnreadableFile) as err:
+        load_csv(path, ["y"])
+    assert str(err.value) == (
+        f"cannot read {path}: line 4: field larger than field limit (131072)")
+
+
 @pytest.mark.parametrize("cell", ["abc", "", "nan", "inf", "-inf"])
 def test_non_numeric_cell(tmp_path, cell):
     path = tmp_path / "bad.csv"

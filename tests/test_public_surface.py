@@ -2,9 +2,10 @@
 
 A public function is one in ``nfactor.__all__`` or a module-level function of
 an ``nfactor.*`` module whose name has no leading underscore. Under
-``sys.setprofile`` ``cli.run`` answers the 32 bundled requests and one
-``--explicit-intervals`` request; every function it calls on the way is
-reached. A function it does not reach must be named in
+``sys.setprofile`` ``cli.run`` answers the 32 bundled requests, one
+``--explicit-intervals`` request and one strong effect whose Newton steps
+cross the span trigger, so the separation check runs; every function it
+calls on the way is reached. A function it does not reach must be named in
 ``NOT_REACHED_BY_THE_CLI`` with its reason, or be wrapped by the benchmark's
 tracer (``perfbench/tracing.py``'s ``WRAPPED``, read from its source and never
 imported). A named function that the command line does reach fails, so the
@@ -23,6 +24,7 @@ import pytest
 import nfactor
 
 from test_cli import BRANCH_CASES
+from test_cox import strong_effect_frame
 from test_golden_reports import TESTS_DIR, bundled_requests, run_request
 
 TRACING = TESTS_DIR.parent / "perfbench" / "tracing.py"
@@ -64,10 +66,18 @@ WRAPPED = wrapped()
 @pytest.fixture(scope="module")
 def reached(tmp_path_factory):
     """Code objects of every Python function that ``cli.run`` calls on the requests."""
+    folder = tmp_path_factory.mktemp("surface")
     csv, args, _ = BRANCH_CASES["explicit_intervals"]
-    path = tmp_path_factory.mktemp("surface") / "intervals.csv"
-    path.write_text(csv)
-    requests = [*bundled_requests(), [*args, "--data", str(path), "--format", "json"]]
+    intervals = folder / "intervals.csv"
+    intervals.write_text(csv)
+    effect = strong_effect_frame(300, 8.0)  # its Newton steps reach the separation check
+    strong = folder / "strong.csv"
+    strong.write_text("id,t,e,x\n" + "".join(
+        f"{i},{t!r},{e:d},{x!r}\n" for i, (t, e, x) in enumerate(zip(
+            effect.stop.tolist(), effect.event.tolist(), effect.covariates[:, 0].tolist()))))
+    requests = [*bundled_requests(), [*args, "--data", str(intervals), "--format", "json"],
+                ["--model", "cox-lr", "--data", str(strong), "--time", "t", "--event", "e",
+                 "--id", "id", "--covariates", "x", "--format", "json"]]
     codes = set()
 
     def profile(frame, event, arg):
@@ -82,7 +92,7 @@ def reached(tmp_path_factory):
             exits = [run_request(argv)["exit"] for argv in requests]
         finally:
             sys.setprofile(previous)
-    assert set(exits) <= {0, 2} and exits[-1] == 0, exits
+    assert set(exits) <= {0, 2} and exits[-2:] == [0, 0], exits
     return codes
 
 

@@ -3,8 +3,11 @@
 Each request is stan30.csv or linear30.csv with a few mutations: cells set to
 0, -0, +-1e300, 5e-324 or 1e15; rows deleted or duplicated; whole columns
 made constant or scaled by 1e+-150; the file cut to 1-6 rows. It draws its
-covariates, ``--alpha``, ``--max-weight`` and format at random too. Whatever
-the input, ``cli.run`` must answer in one of three ways:
+covariates, ``--alpha``, ``--max-weight`` and format at random too. A second
+set of such requests has one cell hit by a fault that the csv module meets
+before ``float()`` does: a cell past its field limit, a NUL byte or an
+unterminated quote. Whatever the input, ``cli.run`` must answer in one of
+three ways:
 
 - exit 0 or 2 with a report: text with no ``nan``, or JSON in which every
   value that is not finite is ``null``;
@@ -22,8 +25,10 @@ a Newton decrement of at most ``MAX_DECREMENT_PER_EVENT`` per event.
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
+import pytest
 from scipy.optimize import linprog
 
 from nfactor import load_csv, stset_reconstruct
@@ -140,6 +145,19 @@ def decrement_per_event(argv, coefficients) -> float:
     return float(grad @ np.linalg.solve(information, grad)) / frame.event.sum()
 
 
+def answer_or_refusal(got, where):
+    """The JSON report of an answer (None for text or a refusal), once it keeps the contract."""
+    if got["exit"] == 1:
+        assert got["stdout"] == "" and ERROR_LINE.fullmatch(got["stderr"]), where
+        return None
+    assert got["exit"] in (0, 2) and got["stderr"] == "", where
+    if got["argv"][-1] == "json":
+        return json.loads(got["stdout"], parse_constant=refuse_non_finite,
+                          parse_float=finite_float)
+    assert "nan" not in got["stdout"].lower(), where
+    return None
+
+
 def test_mutated_requests_answer_or_refuse_in_one_line(tmp_path):
     rng = np.random.default_rng(20261020)
     exits, refusals, decrements = [], 0, []
@@ -148,23 +166,44 @@ def test_mutated_requests_answer_or_refuse_in_one_line(tmp_path):
         got = run_request(argv)
         where = f"request {index}: {argv}\n{got['stdout']}{got['stderr']}"
         exits.append(got["exit"])
-        if got["exit"] == 1:
-            assert got["stdout"] == "" and ERROR_LINE.fullmatch(got["stderr"]), where
-            if "is diverging" in got["stderr"]:
-                refusals += 1
-                assert lp_finds_separation(argv), where
-            continue
-        assert got["exit"] in (0, 2) and got["stderr"] == "", where
-        if argv[-1] == "json":
-            report = json.loads(got["stdout"], parse_constant=refuse_non_finite,
-                                parse_float=finite_float)
-            coefficients = report["fit"]["coefficients"] if "cox-lr" in argv else []
-            if coefficients and all(c["beta"] is not None for c in coefficients):
-                decrements.append(decrement_per_event(argv, coefficients))
-                assert decrements[-1] <= MAX_DECREMENT_PER_EVENT, (decrements[-1], where)
-        else:
-            assert "nan" not in got["stdout"].lower(), where
+        report = answer_or_refusal(got, where)
+        if "is diverging" in got["stderr"]:
+            refusals += 1
+            assert lp_finds_separation(argv), where
+        coefficients = report["fit"]["coefficients"] if report and "cox-lr" in argv else []
+        if coefficients and all(c["beta"] is not None for c in coefficients):
+            decrements.append(decrement_per_event(argv, coefficients))
+            assert decrements[-1] <= MAX_DECREMENT_PER_EVENT, (decrements[-1], where)
     # the mix reaches every outcome, a monotone likelihood among the refusals,
     # and enough answered Cox fits for the decrement check to mean something
     assert {0, 1, 2} <= set(exits) and refusals >= 5, (sorted(set(exits)), refusals)
     assert len(decrements) >= 20, len(decrements)
+
+
+# faults the csv module meets before float() does, each put into one cell
+CSV_FAULTS = {
+    "oversized cell": lambda cell: "1" * 200_000,  # past the module's field limit
+    "NUL byte": lambda cell: cell[:1] + "\0" + cell[1:],
+    "unterminated quote": lambda cell: '"' + cell,
+}
+N_CSV_FAULT_REQUESTS = 20
+
+
+@pytest.mark.parametrize("fault", CSV_FAULTS)
+def test_csv_faults_answer_or_refuse_in_one_line(tmp_path, fault):
+    rng = np.random.default_rng([20261020, list(CSV_FAULTS).index(fault)])
+    for index in range(N_CSV_FAULT_REQUESTS):
+        argv = fuzz_request(rng, tmp_path, index)
+        path = Path(argv[argv.index("--data") + 1])
+        lines = path.read_text().splitlines()
+        i = rng.integers(len(lines))
+        cells = lines[i].split(",")
+        j = rng.integers(len(cells))
+        cells[j] = CSV_FAULTS[fault](cells[j])
+        lines[i] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        got = run_request(argv)
+        where = f"request {index}, line {i + 1}: {argv}\n{got['stderr']}"
+        answer_or_refusal(got, where)
+        if fault == "oversized cell":  # every line is split into cells, so none passes the load
+            assert got["stderr"].startswith("nfactor: error: load: cannot read "), where
