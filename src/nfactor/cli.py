@@ -5,10 +5,10 @@ prints; the text format is rendered from the same document. Its
 ``warnings`` are the labels the fit returned (``"ties"``, ``"degenerate"``);
 any other warning raised on the way goes to the process's own filters.
 
-Exit codes: 0 on success, 1 on input or model errors (one diagnostic line on
-stderr, naming the stage that failed once the command line has parsed),
-2 when no weight up to the cap reaches the target significance (the report
-is still written, with the best p-value found).
+Exit codes, all decided in ``run``: 0 on success, 1 on input or model
+errors (one diagnostic line on stderr, naming the stage that failed once the
+command line has parsed), 2 when no weight up to the cap reaches the target
+significance (the report is still written, with the best p-value found).
 """
 
 from __future__ import annotations
@@ -116,48 +116,6 @@ def _parse(argv) -> argparse.Namespace:
 
 # NfResult fields a report carries, in report order.
 _NF_KEYS = ("p_at_1", "w0", "p0", "w1", "p1", "w_int", "n_int", "nf_integer", "exact_hit")
-
-
-def _run_spec(args: argparse.Namespace) -> tuple[str, int]:
-    """Run a parsed request; returns its rendered report and exit code.
-
-    An NfactorError leaves with its ``stage`` set to the step that raised
-    it: load, frame, fit, search or report. The report's ``warnings`` are
-    the fit's own; the request touches no process-wide warning state.
-    """
-    stage = "load"
-    try:
-        if args.model == COX_LR:
-            intervals = list(args.intervals.values())
-            data = load_csv(args.data, [args.event, args.id_col, *args.covariates, *intervals])
-            stage = "frame"
-            build = survival_frame_from_intervals if "stop" in args.intervals else stset_reconstruct
-            frame = build(data, *intervals, args.event, args.id_col, args.covariates)
-            stage = "fit"
-            fit = fit_cox(frame)
-        else:
-            data = load_csv(args.data, [args.response, *args.covariates])
-            stage = "fit"
-            fit = fit_wls(data, args.response, args.covariates, args.wald_coefficient)
-
-        stage = "search"
-        nf = compute_nf(fit.p_at, data.n_rows, args.alpha, args.max_weight)
-
-        stage = "report"
-        document = {
-            "spec": _spec_json(args),
-            "fit": _fit_json(fit),
-            "target_alpha": args.alpha,
-            **{key: getattr(nf, key) for key in _NF_KEYS},
-            "trace": [[w, p] for w, p in nf.trace],
-            "warnings": list(fit.warnings),
-        }
-        if nf.w1 is None:
-            document |= {"best_p": nf.best_p, "max_weight": args.max_weight}
-        return emit_report(document, args.format), 2 if nf.w1 is None else 0
-    except NfactorError as exc:
-        exc.stage = stage
-        raise
 
 
 # ---- report emission --------------------------------------------------------
@@ -343,17 +301,48 @@ def emit_report(document: dict, format: str = "text") -> str:
 def run(argv) -> int:
     """Execute a command line; returns the process exit code.
 
-    The argument parser is built on the first call and reused by every later
-    one in the process.
+    ``stage`` names the step under way (load, frame, fit, search, report);
+    this is the one place that decides a request's error line and exit code.
+    The argument parser is built on the first call and reused after it.
     """
+    stage = ""
     try:
-        report, code = _run_spec(_parse(argv))
+        args = _parse(argv)
+        stage = "load"
+        if args.model == COX_LR:
+            intervals = list(args.intervals.values())
+            data = load_csv(args.data, [args.event, args.id_col, *args.covariates, *intervals])
+            stage = "frame"
+            build = survival_frame_from_intervals if "stop" in args.intervals else stset_reconstruct
+            frame = build(data, *intervals, args.event, args.id_col, args.covariates)
+            stage = "fit"
+            fit = fit_cox(frame)
+        else:
+            data = load_csv(args.data, [args.response, *args.covariates])
+            stage = "fit"
+            fit = fit_wls(data, args.response, args.covariates, args.wald_coefficient)
+
+        stage = "search"
+        nf = compute_nf(fit.p_at, data.n_rows, args.alpha, args.max_weight)
+
+        stage = "report"
+        document = {
+            "spec": _spec_json(args),
+            "fit": _fit_json(fit),
+            "target_alpha": args.alpha,
+            **{key: getattr(nf, key) for key in _NF_KEYS},
+            "trace": [[w, p] for w, p in nf.trace],
+            "warnings": list(fit.warnings),
+        }
+        if nf.w1 is None:
+            document |= {"best_p": nf.best_p, "max_weight": args.max_weight}
+        report = emit_report(document, args.format)
     except NfactorError as exc:
-        stage = f"{exc.stage}: " if exc.stage else ""
-        print(f"nfactor: error: {stage}{exc}", file=sys.stderr)
+        where = f"{stage}: " if stage else ""
+        print(f"nfactor: error: {where}{exc}", file=sys.stderr)
         return 1
     sys.stdout.write(report)
-    return code
+    return 2 if nf.w1 is None else 0
 
 
 def main():  # pragma: no cover - thin wrapper

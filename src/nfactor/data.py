@@ -182,17 +182,17 @@ def load_csv(path, required_columns=()) -> Dataset:
     Blank or whitespace-only lines are skipped, but still count in the data
     row numbers that errors name; the header is the first line that is not
     blank. A leading UTF-8 byte-order mark is ignored. Row order is
-    preserved. A file that cannot be opened, read as UTF-8 or split into
-    cells by the csv module (a cell longer than its field limit of 131,072
-    characters) raises UnreadableFile; a split that fails names its file line.
+    preserved. Quoting is strict. A file that cannot be opened, read as UTF-8
+    or split into cells by the csv module (a cell past its 131,072-character
+    field limit, text after a closing quote, a file that ends inside a quote)
+    raises UnreadableFile; a split that fails names its file line.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            try:
-                return _read_rows(path, reader, required_columns)
-            except csv.Error as exc:
-                raise UnreadableFile(path, f"line {reader.line_num}: {exc}") from exc
+            reader = csv.reader(fh, strict=True)
+            return _read_rows(path, reader, required_columns)
+    except csv.Error as exc:
+        raise UnreadableFile(path, f"line {reader.line_num}: {exc}") from exc
     except OSError as exc:
         raise UnreadableFile(path, exc.strerror or exc) from exc
     except UnicodeDecodeError as exc:

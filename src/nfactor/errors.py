@@ -2,14 +2,7 @@
 
 
 class NfactorError(Exception):
-    """Base class for every error this package raises deliberately.
-
-    ``stage`` names the step of a command-line request that raised it: load,
-    frame, fit, search or report. The command line sets it; elsewhere it is
-    None.
-    """
-
-    stage: str | None = None
+    """Base class for every error this package raises deliberately; ``cli.run`` names its stage."""
 
 
 # ---- data loading / reconstruction ----------------------------------------

@@ -540,6 +540,18 @@ def test_an_error_line_names_its_stage(capsys, monkeypatch, tmp_path,
     assert captured.out == ""
 
 
+def test_a_file_that_ends_inside_a_quote_is_refused_in_one_line(capsys, tmp_path):
+    # read leniently, the open quote would close at end of file and x = 7
+    path = tmp_path / "cut.csv"
+    path.write_text('y,x\n1,2\n2,3\n3,5\n4,4\n2,"7')
+    assert run(["--model", "linear-wald", "--data", str(path), "--response", "y",
+                "--covariates", "x"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"nfactor: error: load: cannot read {path}: line 6: unexpected end of data\n")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("value", ["onlyone", "a,", ",b", "a,b,c"])
 def test_bad_explicit_intervals_value(capsys, value):
     code = run(["--model", "cox-lr", "--data", str(HEART_CSV),

@@ -155,6 +155,20 @@ def test_a_cell_past_the_csv_field_limit_names_its_file_line(tmp_path):
         f"cannot read {path}: line 4: field larger than field limit (131072)")
 
 
+@pytest.mark.parametrize("text, reason", [
+    # a truncated file must not be answered: quoting is strict, so an open
+    # quote is an error rather than a cell that closes at end of file
+    ('y,x\n1,2\n2,3\n3,5\n4,4\n2,"7', "line 6: unexpected end of data"),
+    ('y,x\n1,2\n3,"4"x\n', "line 3: ',' expected after '\"'"),
+])
+def test_a_quoting_fault_names_its_file_line(tmp_path, text, reason):
+    path = tmp_path / "quoted.csv"
+    path.write_text(text)
+    with pytest.raises(UnreadableFile) as err:
+        load_csv(path, ["y", "x"])
+    assert str(err.value) == f"cannot read {path}: {reason}"
+
+
 @pytest.mark.parametrize("cell", ["abc", "", "nan", "inf", "-inf"])
 def test_non_numeric_cell(tmp_path, cell):
     path = tmp_path / "bad.csv"
