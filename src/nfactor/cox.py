@@ -51,7 +51,7 @@ units, its offset or its coding:
 The fit scales and centres the columns in file order, then lays out the risk
 sets once (``kernels.risk_set_layout``, which also tells whether event times
 tie) with the columns in stop order; ``kernels.score`` reads those on every
-pass, gathering nothing. Each Newton step costs one pass when the full step
+pass, sorting nothing. Each Newton step costs one pass when the full step
 is accepted, because a step is judged by the ``ll`` that scoring it returns;
 each halving costs one more pass. A model with no kept covariate is Newton
 with no columns: the first score gives its log likelihood, and it has
@@ -218,9 +218,9 @@ def fit_cox(frame: SurvivalFrame) -> CoxFit:
     kept_names = tuple(frame.covariate_names[j] for j in kept)
     omitted = tuple(frame.covariate_names[j] for j in dropped)
 
+    x = np.take(x, kept, axis=1)  # frees the all-columns copy for the whole of Newton
     beta, ll_full, gain, neg_hess, iterations = _newton(
-        layout, np.take(x, kept, axis=1), kept_names,
-        ll_null, grad[kept], neg_hess[np.ix_(kept, kept)],
+        layout, x, kept_names, ll_null, grad[kept], neg_hess[np.ix_(kept, kept)],
     )
 
     se = np.sqrt(np.diag(inverse_spd(neg_hess)))

@@ -95,8 +95,8 @@ def score(layout: RiskSetLayout, x, beta):
         rel = np.exp(shifted)
         s0_k = rel.sum()
         xbar_k = (rel @ xr) / s0_k
-        centered = xr - xbar_k
-        hess += (d_k / s0_k) * ((rel[:, None] * centered).T @ centered)
+        xr -= xbar_k
+        hess += (d_k / s0_k) * ((rel[:, None] * xr).T @ xr)
         top[k] = m
         s0[k] = s0_k
         excess[k] = np.expm1(shifted).sum() / shifted.size

@@ -100,9 +100,9 @@ def fit_wls(
 
     names = (INTERCEPT, *covariates)
     check_distinct(names, DuplicateTerm)
-    # the intercept column of ones is not scaled; its exponent is 0
+    # the intercept column of ones has exponent 0 under the same rule, so it is not scaled
     raw = np.column_stack([np.ones(n)] + [d.column(c) for c in covariates])
-    exponent = np.concatenate(([0], scale_exponent(raw[:, 1:])))
+    exponent = scale_exponent(raw)
     y_exponent = scale_exponent(y)
     scaled = np.ldexp(raw, -exponent)
     y = np.ldexp(y, -y_exponent)

@@ -552,6 +552,22 @@ def test_a_file_that_ends_inside_a_quote_is_refused_in_one_line(capsys, tmp_path
     assert captured.out == ""
 
 
+def test_a_frame_separated_only_by_late_entry_is_refused(capsys, tmp_path):
+    # record 4 (x = 3) entering at 1.5, after the event at t = 1, leaves each
+    # event leading its risk set; entering at 0 it lies above that event and
+    # the fit converges
+    refusal = ("nfactor: error: fit: coefficient for 'x' is diverging (linear predictor "
+               "spans 34 > 30); the partial likelihood appears monotone in this direction\n")
+    path = tmp_path / "entry.csv"
+    for entry, code, err in [("1.5", 1, refusal), ("0", 0, "")]:
+        path.write_text(f"id,start,stop,e,x\n1,0,1,1,1\n2,0,3,0,0\n3,2,3,1,5\n4,{entry},4,0,3\n")
+        assert run(["--model", "cox-lr", "--data", str(path), "--explicit-intervals",
+                    "start,stop", "--event", "e", "--id", "id", "--covariates", "x"]) == code
+        captured = capsys.readouterr()
+        assert captured.err == err, entry
+        assert captured.out == "" if code else "nf_integer = " in captured.out, entry
+
+
 @pytest.mark.parametrize("value", ["onlyone", "a,", ",b", "a,b,c"])
 def test_bad_explicit_intervals_value(capsys, value):
     code = run(["--model", "cox-lr", "--data", str(HEART_CSV),

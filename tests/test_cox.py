@@ -838,6 +838,48 @@ def test_the_separation_check_reads_the_record_runs_without_a_risk_set_walk(monk
     assert peak <= CHECK_PEAK_ARRAYS * n * 2 * (2 + 2) * 8, peak
 
 
+# arrays of n records by p columns that a fit's traced peak may hold beyond
+# those its design counts: boolean masks, per-time arrays, numpy's buffers
+FIT_PEAK_SLACK = 0.75
+
+
+def test_a_cox_fit_holds_the_arrays_its_design_counts():
+    # 10^5 records on 59 tied integer times, 40% left-truncated: the kernel
+    # walks each time's risk set, and tied times keep the fit near 0.5 s.
+    # An O(n log n) kernel would let the same bound run on continuous times
+    n, p = 10**5, 3
+    rng = np.random.default_rng(0)
+    stop = rng.integers(2, 61, n)
+    start = np.where(rng.random(n) < 0.4, rng.integers(1, stop), 0).astype(float)
+    event = rng.random(n) < 0.7
+    frame = SurvivalFrame(subject_ids=np.arange(n, dtype=float), start=start,
+                          stop=stop.astype(float), event=event,
+                          covariates=rng.standard_normal((n, p)),
+                          covariate_names=("x0", "x1", "x2"))
+    widest = max(((start < t) & (t <= stop)).mean() for t in np.unique(stop[event]))
+    # In arrays of n by p, an n-vector of doubles or indices being 1/p:
+    # - building the layout holds the scaled columns and their stop-order
+    #   copy (2), with the order, stops, entries and leaves (4/p) and the
+    #   event indices and their stops (2 * event share / p);
+    # - a score pass holds the kept columns (1), the layout's entries,
+    #   leaves and event indices and its eta ((3 + event share) / p). At
+    #   the widest risk set, a share of the records, the previous time's
+    #   gathered rows and their eta, shift and weight are still bound
+    #   (widest * (1 + 3/p)) while the next time gathers its eta and rows,
+    #   with numpy's index of the mask (widest * (1 + 2/p)).
+    # A second copy of the columns adds 1, more than the slack.
+    layout_build = 2 + (4 + 2 * event.mean()) / p
+    score_pass = 1 + (3 + event.mean()) / p + widest * (2 + 5 / p)
+    tracemalloc.start()
+    try:
+        fit_cox(frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = peak / (n * p * 8)
+    assert arrays <= max(layout_build, score_pass) + FIT_PEAK_SLACK, (arrays, score_pass)
+
+
 def test_the_rank_rule_reads_the_null_information(heart_frame, monkeypatch):
     # the first score, at beta = 0, is the only pass over the risk sets
     # before the rank rule; its negated Hessian is what the rule factors

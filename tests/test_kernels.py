@@ -318,6 +318,29 @@ def test_late_entrants_that_outweigh_the_risk_set_match_the_oracles():
     assert_score_matches_the_oracles(start, stop, event, x, beta)
 
 
+def test_records_that_have_left_and_outweigh_the_risk_set_match_the_oracles():
+    # the mirror of the late entrants: 240 records from 0 with u near 1 stop
+    # before 20; 60 from 0 with u near 0 run to 30-100. At beta_u = 20 the
+    # records that have left outweigh the few still at risk by far. The two
+    # hazards differ: a forward sum over the records entered, less those that
+    # have left, cancels here; a suffix sum over "stop >= t", less the records
+    # waiting to enter, cancels on the late entrants
+    rng = np.random.default_rng(0)
+    n_heavy, n_light = 240, 60
+    start = np.zeros(n_heavy + n_light)
+    stop = np.concatenate([rng.uniform(1.0, 20.0, n_heavy), rng.uniform(30.0, 100.0, n_light)])
+    event = rng.random(n_heavy + n_light) < 0.7
+    u = np.repeat([1.0, 0.0], [n_heavy, n_light]) + 0.2 * rng.standard_normal(n_heavy + n_light)
+    x = np.column_stack([u, rng.standard_normal(n_heavy + n_light)])
+    beta = np.array([20.0, -0.5])
+    weight = np.exp(x @ beta - (x @ beta).max())
+    left_over_at_risk = [weight[stop < t].sum() / weight[risk].sum()
+                         for t, risk in zip(np.unique(stop[event]),
+                                            risk_set_masks(start, stop, event))]
+    assert max(left_over_at_risk) >= 1e13
+    assert_score_matches_the_oracles(start, stop, event, x, beta)
+
+
 # ---- invariances at 2,000 records -------------------------------------------
 
 
