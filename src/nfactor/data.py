@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -208,7 +209,7 @@ def _read_rows(path, reader, required_columns) -> Dataset:
     for name in required_columns:
         if name not in header:
             raise MissingColumn(name)
-    raw: list[list[float]] = [[] for _ in header]
+    raw = [array("d") for _ in header]
     for rownum, row in enumerate(reader, start=1):
         if _blank(row):
             continue

@@ -20,7 +20,8 @@ The gain ``ll(beta) - ll(0)`` adds, at each distinct event time with d
 events, ``sum of their eta - d * (m + log1p(mean over the risk set of
 expm1(eta - m)))``. Its terms are of the size of eta, so a small
 likelihood ratio keeps the digits that subtracting two values of ``ll``
-would cancel.
+would cancel. The weights stay ``exp``, not ``expm1 + 1``, which would
+keep a weight below 1/2 only to about eps in absolute terms.
 
 Nothing about which records are at risk depends on beta, so it is laid out
 once per fit by ``risk_set_layout``, which puts the records in stable stop
@@ -65,15 +66,9 @@ def risk_set_layout(start, stop, event, x) -> tuple[RiskSetLayout, np.ndarray]:
     order = np.argsort(stop, kind="stable")
     stop = stop[order]
     events = np.flatnonzero(event[order])
-    ev_stop = stop[events]
-    new_time = np.ones(len(events), dtype=bool)
-    new_time[1:] = ev_stop[1:] != ev_stop[:-1]
-    first = np.flatnonzero(new_time)
-    times = ev_stop[first]
+    times, first, d = np.unique(stop[events], return_index=True, return_counts=True)
     layout = RiskSetLayout(
-        events=events,
-        first=first,
-        d=np.diff(first, append=len(events)),
+        events=events, first=first, d=d,
         entry=np.searchsorted(times, start[order], side="right"),
         leave=np.searchsorted(times, stop, side="right"),
     )
@@ -89,18 +84,17 @@ def score(layout: RiskSetLayout, x, beta):
     suffixes = np.searchsorted(layout.leave, np.arange(layout.d.size), side="right")
     for k, (lo, d_k) in enumerate(zip(suffixes.tolist(), layout.d.tolist())):
         entered = layout.entry[lo:] <= k
-        eta_r, xr = eta[lo:][entered], x[lo:][entered]
-        m = eta_r.max()
-        shifted = eta_r - m
-        rel = np.exp(shifted)
+        rel, xr = eta[lo:][entered], x[lo:][entered]
+        m = rel.max()
+        rel -= m
+        excess[k] = np.expm1(rel).sum() / rel.size
+        np.exp(rel, out=rel)
         s0_k = rel.sum()
         xbar_k = (rel @ xr) / s0_k
         xr -= xbar_k
         hess += (d_k / s0_k) * ((rel[:, None] * xr).T @ xr)
-        top[k] = m
-        s0[k] = s0_k
-        excess[k] = np.expm1(shifted).sum() / shifted.size
-        xbar[k] = xbar_k
+        top[k], s0[k], xbar[k] = m, s0_k, xbar_k
+        del rel, xr
     d = layout.d
     eta_d = np.add.reduceat(eta[layout.events], layout.first)
     ll = float((eta_d - d * (top + np.log(s0))).sum())

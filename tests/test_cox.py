@@ -840,7 +840,7 @@ def test_the_separation_check_reads_the_record_runs_without_a_risk_set_walk(monk
 
 # arrays of n records by p columns that a fit's traced peak may hold beyond
 # those its design counts: boolean masks, per-time arrays, numpy's buffers
-FIT_PEAK_SLACK = 0.75
+FIT_PEAK_SLACK = 0.25
 
 
 def test_a_cox_fit_holds_the_arrays_its_design_counts():
@@ -860,16 +860,17 @@ def test_a_cox_fit_holds_the_arrays_its_design_counts():
     # In arrays of n by p, an n-vector of doubles or indices being 1/p:
     # - building the layout holds the scaled columns and their stop-order
     #   copy (2), with the order, stops, entries and leaves (4/p) and the
-    #   event indices and their stops (2 * event share / p);
+    #   event indices (event share / p);
     # - a score pass holds the kept columns (1), the layout's entries,
     #   leaves and event indices and its eta ((3 + event share) / p). At
-    #   the widest risk set, a share of the records, the previous time's
-    #   gathered rows and their eta, shift and weight are still bound
-    #   (widest * (1 + 3/p)) while the next time gathers its eta and rows,
-    #   with numpy's index of the mask (widest * (1 + 2/p)).
-    # A second copy of the columns adds 1, more than the slack.
-    layout_build = 2 + (4 + 2 * event.mean()) / p
-    score_pass = 1 + (3 + event.mean()) / p + widest * (2 + 5 / p)
+    #   the widest risk set, a share of the records, one time's gathered
+    #   rows, their weights and the weighted rows are live
+    #   (widest * (2 + 1/p)); each time frees its gathers before the next.
+    # A second copy of the columns adds 1, and one time's gathers kept
+    # bound while the next gathers its own add about 0.4: each exceeds
+    # the slack.
+    layout_build = 2 + (4 + event.mean()) / p
+    score_pass = 1 + (3 + event.mean()) / p + widest * (2 + 1 / p)
     tracemalloc.start()
     try:
         fit_cox(frame)

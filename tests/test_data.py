@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -103,6 +104,29 @@ def test_loaded_values_are_float_of_each_cell_bit_for_bit(tmp_path):
         assert column.dtype == np.float64 and column.flags.c_contiguous
         assert not column.flags.writeable
     assert np.signbit(d.column("a")[0]) and d.column("b")[0] == 5e-324 > 0.0
+
+
+# n rows by c columns of doubles that a load's traced peak may reach: the
+# packed columns as read, the Dataset's copy of them, and array growth
+LOAD_PEAK_COLUMN_SETS = 2.5
+
+
+def test_a_load_holds_its_columns_as_packed_doubles(tmp_path):
+    # a float object in a list costs about four doubles, so a loader that
+    # collects cells as Python floats peaks near five column sets
+    n, c = 2 * 10**4, 4
+    values = np.random.default_rng(0).standard_normal((n, c))
+    path = tmp_path / "wide.csv"
+    path.write_text("a,b,c,d\n" + "".join(",".join(map(repr, row)) + "\n"
+                                          for row in values.tolist()))
+    tracemalloc.start()
+    try:
+        d = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(np.column_stack([d.column(k) for k in "abcd"]), values)
+    assert peak / (n * c * 8) <= LOAD_PEAK_COLUMN_SETS
 
 
 def test_missing_required_column(tmp_path):

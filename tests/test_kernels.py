@@ -239,19 +239,23 @@ def risk_set_masks(start, stop, event):
 def test_risk_sets_are_the_records_at_risk():
     # the records' own indices, laid out in stop order, whose run holds k
     # (entry <= k < leave) must be exactly the records with start < t_k <= stop
-    start = np.array([-1.0, -0.0, 0.0, 2.0, 1.0, 0.0, 4.0, 7.0, -0.0, 3.0, 0.5, 2.0, -2.0])
-    stop = np.array([0.0, 2.0, 3.0, 4.0, 4.0, 4.0, 7.0, 9.0, 7.0, 8.0, 1.5, 5.0, 3.0])
+    start = np.array([-1.0, -0.0, 0.0, 2.0, 1.0, 0.0, 4.0, 7.0, -0.0, 3.0, 0.5, 2.0, -2.0, -0.5])
+    stop = np.array([0.0, 2.0, 3.0, 4.0, 4.0, 4.0, 7.0, 9.0, 7.0, 8.0, 1.5, 5.0, 3.0, -0.0])
     event = np.array([True, True, False, True, True, False, True, False, True, False, False,
-                      True, False])
+                      True, False, True])
     times = np.unique(stop[event])
     zero_starts = np.signbit(start[start == 0.0])
     assert times[0] == 0.0 and zero_starts.any() and not zero_starts.all()  # -0.0, 0.0 at t = 0
+    zero_stops = np.signbit(stop[event & (stop == 0.0)])
+    assert zero_stops.any() and not zero_stops.all()  # events stop at -0.0 and at 0.0
     assert np.isin(start, times[1:]).sum() >= 3  # starts at later event times
     assert ((start < times[0]) & (stop > times[0])).any()  # at risk from the first time
     assert (start == times[-1]).any()  # enters at the last event time
     assert np.unique(stop[event], return_counts=True)[1].max() > 1  # tied events
     n = len(stop)
     layout, index = kernels.risk_set_layout(start, stop, event, np.arange(n)[:, None])
+    assert layout.first.dtype == layout.d.dtype == np.intp
+    assert layout.d[0] == 2  # the events at -0.0 and 0.0 are one time
     got = [np.sort(index[(layout.entry <= k) & (k < layout.leave), 0])
            for k in range(len(layout.d))]
     want = [np.flatnonzero(mask) for mask in risk_set_masks(start, stop, event)]
