@@ -4,8 +4,8 @@ This module keeps only what numpy lacks. One pivoting Cholesky serves both
 the solves and the collinearity rule: it judges each pivot against its own
 diagonal entry, so neither sees the units of a column. The solves raise
 NotPositiveDefinite, naming the first pivot it skips at ``rtol`` 1e-12; the
-collinearity rule omits the columns it skips at ``COLLINEARITY_RTOL``. The
-triangular solves and inverses run on ``numpy.linalg``.
+collinearity rule omits the columns it skips at ``COLLINEARITY_RTOL``. An
+inverse is ``solve_spd`` against the identity.
 
 The chi-square tail is the upper regularized gamma at a half-integer shape,
 in closed form: ``erfc`` or ``exp`` plus a sum of positive terms, about
@@ -60,14 +60,6 @@ def _pivoting_cholesky(a: np.ndarray, rtol: float) -> tuple[np.ndarray, list[tup
     return lower, skipped
 
 
-def _cholesky_spd(a: np.ndarray) -> np.ndarray:
-    """Cholesky factor of ``a``; NotPositiveDefinite names the first skipped row."""
-    lower, skipped = _pivoting_cholesky(a, _SPD_PIVOT_RTOL)
-    if skipped:
-        raise NotPositiveDefinite(*skipped[0])
-    return lower
-
-
 def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``a @ x = b`` for symmetric positive definite ``a``.
 
@@ -76,14 +68,15 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     times its own diagonal entry.
     """
     b = np.asarray(b, dtype=np.float64)
-    lower = _cholesky_spd(a)
+    lower, skipped = _pivoting_cholesky(a, _SPD_PIVOT_RTOL)
+    if skipped:
+        raise NotPositiveDefinite(*skipped[0])
     return np.linalg.solve(lower.T, np.linalg.solve(lower, b))
 
 
 def inverse_spd(a: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix via its Cholesky factor."""
-    inverse_lower = np.linalg.inv(_cholesky_spd(a))
-    return inverse_lower.T @ inverse_lower
+    """Inverse of a symmetric positive definite matrix: ``solve_spd`` against the identity."""
+    return solve_spd(a, np.eye(len(a)))
 
 
 def pivoted_rank_factor(a: np.ndarray) -> tuple[list[int], list[int]]:

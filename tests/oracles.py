@@ -155,26 +155,6 @@ def matrix_rank_by_elimination(x, rtol: float = 1e-9) -> int:
     return rank
 
 
-def _loglik_loops(start, stop, event, x, beta, w):
-    n, p = x.shape
-    eta = np.dot(x, beta)
-    ll = 0.0
-    for i in range(n):
-        if not event[i]:
-            continue
-        t = stop[i]
-        m = -np.inf
-        for j in range(n):
-            if start[j] < t and t <= stop[j] and eta[j] > m:
-                m = eta[j]
-        s0 = 0.0
-        for j in range(n):
-            if start[j] < t and t <= stop[j]:
-                s0 += np.exp(eta[j] - m)
-        ll += w * (eta[i] - (np.log(w * s0) + m))
-    return ll
-
-
 def _score_loops(start, stop, event, x, beta, w):
     n, p = x.shape
     eta = np.dot(x, beta)

@@ -20,7 +20,7 @@ from nfactor import (
 from nfactor.errors import InvalidWeight, MonotoneLikelihood, NoEvents, NotConverged
 from nfactor.search import DEFAULT_MAX_WEIGHT, compute_nf
 
-from oracles import _loglik_loops, _score_loops, breslow_lr_decimal, score_per_event_time
+from oracles import _score_loops, breslow_lr_decimal, score_per_event_time
 from test_kernels import kernel_args, score_records
 
 # Reference output for the 30-row fixture, weight 1.
@@ -202,7 +202,7 @@ def oracle_sweep(heart_dataset):
             zero = np.zeros(len(kept))
             at_w = {
                 w: (*_score_loops(*args, base.beta, float(w)),
-                    _loglik_loops(*args, zero, float(w)))
+                    _score_loops(*args, zero, float(w))[0])
                 for w in SWEEP_WEIGHTS
             }
             sweeps[subset] = base, int(frame.event.sum()), at_w

@@ -29,7 +29,7 @@ from nfactor.errors import (
     UnreadableFile,
 )
 
-from conftest import COVARIATES, HEART_CSV, LINEAR_CSV
+from conftest import COVARIATES, LINEAR_CSV
 from oracles import check_intervals_loop, stset_starts_loop
 
 
