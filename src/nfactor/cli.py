@@ -79,6 +79,7 @@ def _parse(argv) -> argparse.Namespace:
     the report's spec uses: ``{"time": ...}``, ``{"start": ..., "stop": ...}``
     from ``--explicit-intervals``, or None when neither option is given. A
     linear-wald request without ``--wald-coefficient`` tests the intercept.
+    ``columns`` is the spec's columns block, in report order.
     """
     args = _build_parser().parse_args(argv)
     foreign = {
@@ -107,10 +108,15 @@ def _parse(argv) -> argparse.Namespace:
             raise CliError(f"model {COX_LR} requires {', '.join(missing)}")
         if not args.covariates:
             raise CliError(f"model {COX_LR} requires --covariates")
-    elif args.response is None:
-        raise CliError(f"model {LINEAR_WALD} requires --response")
-    elif args.wald_coefficient is None:
-        args.wald_coefficient = INTERCEPT
+        args.columns = {**args.intervals, "event": args.event, "id": args.id_col,
+                        "covariates": args.covariates}
+    else:
+        if args.response is None:
+            raise CliError(f"model {LINEAR_WALD} requires --response")
+        if args.wald_coefficient is None:
+            args.wald_coefficient = INTERCEPT
+        args.columns = {"response": args.response, "covariates": args.covariates,
+                        "wald_coefficient": args.wald_coefficient}
     return args
 
 
@@ -121,25 +127,9 @@ _NF_KEYS = ("p_at_1", "w0", "p0", "w1", "p1", "w_int", "n_int", "nf_integer", "e
 # ---- report emission --------------------------------------------------------
 
 
-def _spec_json(args: argparse.Namespace) -> dict:
-    if args.model == COX_LR:
-        columns = {**args.intervals, "event": args.event, "id": args.id_col,
-                   "covariates": args.covariates}
-    else:
-        columns = {"response": args.response, "covariates": args.covariates,
-                   "wald_coefficient": args.wald_coefficient}
-    return {
-        "model": args.model,
-        "data": args.data,
-        "target_alpha": args.alpha,
-        "max_weight": args.max_weight,
-        "columns": columns,
-    }
-
-
 def _fit_json(fit: CoxFit | LinearFit) -> dict:
     if isinstance(fit, CoxFit):
-        return {
+        block = {
             "n_subjects": fit.n_subjects,
             "n_failures": fit.n_failures,
             "iterations": fit.iterations,
@@ -148,36 +138,26 @@ def _fit_json(fit: CoxFit | LinearFit) -> dict:
             "lr_stat": fit.lr_stat,
             "lr_df": fit.lr_df,
             "p_lr": fit.p_lr,
-            "coefficients": [
-                {
-                    "name": name,
-                    "beta": float(fit.beta[i]),
-                    "hazard_ratio": float(fit.hazard_ratios[i]),
-                    "se_beta": float(fit.se_beta[i]),
-                    "z": float(fit.z_stats[i]),
-                    "p": float(fit.p_wald[i]),
-                }
-                for i, name in enumerate(fit.covariate_names)
-            ],
-            "omitted": list(fit.omitted),
         }
-    return {
-        "weighted_n": fit.weighted_n,
-        "df_residual": fit.df_residual,
-        "residual_ss": fit.residual_ss,
-        "root_mse": fit.root_mse,
-        "coefficients": [
-            {
-                "name": name,
-                "coef": float(fit.coefficients[i]),
-                "se": float(fit.standard_errors[i]),
-                "t": float(fit.t_stats[i]),
-                "p": float(fit.p_values[i]),
-            }
-            for i, name in enumerate(fit.term_names)
-        ],
-        "omitted": list(fit.omitted),
-    }
+        names = fit.covariate_names
+        per_term = {"beta": fit.beta, "hazard_ratio": fit.hazard_ratios, "se_beta": fit.se_beta,
+                    "z": fit.z_stats, "p": fit.p_wald}
+    else:
+        block = {
+            "weighted_n": fit.weighted_n,
+            "df_residual": fit.df_residual,
+            "residual_ss": fit.residual_ss,
+            "root_mse": fit.root_mse,
+        }
+        names = fit.term_names
+        per_term = {"coef": fit.coefficients, "se": fit.standard_errors, "t": fit.t_stats,
+                    "p": fit.p_values}
+    block["coefficients"] = [
+        {"name": name, **{key: float(values[i]) for key, values in per_term.items()}}
+        for i, name in enumerate(names)
+    ]
+    block["omitted"] = list(fit.omitted)
+    return block
 
 
 def _fmt(value, decimals=4) -> str:
@@ -327,7 +307,13 @@ def run(argv) -> int:
 
         stage = "report"
         document = {
-            "spec": _spec_json(args),
+            "spec": {
+                "model": args.model,
+                "data": args.data,
+                "target_alpha": args.alpha,
+                "max_weight": args.max_weight,
+                "columns": args.columns,
+            },
             "fit": _fit_json(fit),
             "target_alpha": args.alpha,
             **{key: getattr(nf, key) for key in _NF_KEYS},

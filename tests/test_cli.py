@@ -202,9 +202,10 @@ def test_text_report_branches(capsys, monkeypatch, tmp_path, name):
 def test_explicit_intervals_spec(capsys, monkeypatch, tmp_path):
     code, out = run_branch_case(capsys, monkeypatch, tmp_path, "explicit_intervals", "json")
     assert code == 0
-    assert json.loads(out)["spec"]["columns"] == {
-        "start": "start", "stop": "stop", "event": "e", "id": "id", "covariates": ["x"],
-    }
+    # a dict compares equal in any key order; the report's order is pinned here
+    assert list(json.loads(out)["spec"]["columns"].items()) == [
+        ("start", "start"), ("stop", "stop"), ("event", "e"), ("id", "id"), ("covariates", ["x"]),
+    ]
 
 
 def test_json_has_no_non_finite_tokens(capsys, monkeypatch, tmp_path):

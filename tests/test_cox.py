@@ -212,7 +212,7 @@ def oracle_sweep(heart_dataset):
 
 
 @pytest.mark.parametrize("subset", SUBSETS, ids=",".join)
-def test_every_subset_converges_at_every_weight(oracle_sweep, subset):
+def test_every_subset_profile_matches_the_weighted_oracle(oracle_sweep, subset):
     # Frequency weights rescale the partial likelihood, so beta-hat does not
     # move with w and the LR statistic is exactly w times its weight-1 value.
     # So the closed-form profile p_at(w) is the p-value of the fit at w.
@@ -226,7 +226,7 @@ def test_every_subset_converges_at_every_weight(oracle_sweep, subset):
 
 
 @pytest.mark.parametrize("subset", SUBSETS, ids=",".join)
-def test_warm_start_from_weight_1_is_converged(oracle_sweep, subset):
+def test_the_weight_1_estimate_meets_the_stopping_rule_at_every_weight(oracle_sweep, subset):
     # The profile rests on the weight-1 estimate being the optimum at every
     # weight: it meets _newton's stopping rule scaled to w events per event.
     base, d, at_w = oracle_sweep(subset)

@@ -20,7 +20,8 @@ three ways:
 
 An answered Cox fit must sit at its maximum: at the reported betas, the
 gradient and information of ``tests/oracles.py::score_per_event_time`` give
-a Newton decrement of at most ``MAX_DECREMENT_PER_EVENT`` per event.
+a Newton decrement of at most ``MAX_DECREMENT_PER_EVENT`` per event, and the
+linear program must find no direction of monotone likelihood in its frame.
 """
 
 import json
@@ -174,6 +175,7 @@ def test_mutated_requests_answer_or_refuse_in_one_line(tmp_path):
         if coefficients and all(c["beta"] is not None for c in coefficients):
             decrements.append(decrement_per_event(argv, coefficients))
             assert decrements[-1] <= MAX_DECREMENT_PER_EVENT, (decrements[-1], where)
+            assert not lp_finds_separation(argv), where
     # the mix reaches every outcome, a monotone likelihood among the refusals,
     # and enough answered Cox fits for the decrement check to mean something
     assert {0, 1, 2} <= set(exits) and refusals >= 5, (sorted(set(exits)), refusals)
