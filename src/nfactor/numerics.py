@@ -13,7 +13,8 @@ in closed form: ``erfc`` or ``exp`` plus a sum of positive terms, about
 regularized incomplete beta I_x(df/2, 1/2): a continued fraction and, since
 df grows with the frequency weight, an asymptotic expansion for large
 ``df``, whose coefficients are built once, for b = 1/2. It keeps about
-1e-14 relative accuracy up to ``df`` of 10^10.
+1e-14 relative accuracy, and is tested up to ``df`` of 10^20: at the
+largest weight, 2**53, a 30-row linear fit has ``df`` of about 2.7e17.
 """
 
 from __future__ import annotations

@@ -65,9 +65,11 @@ def test_linear_reference_run(capsys):
     assert code == 0
     assert doc["nf_integer"] == 17
     assert doc["nf_integer"] * 30 == 510
-    assert doc["w0"] == 16
+    assert doc["w0"] == 16 and doc["w1"] == 17
     assert doc["p0"] == pytest.approx(0.057, abs=5e-4)
     assert doc["p1"] == pytest.approx(0.050, abs=5e-4)
+    assert doc["exact_hit"] is False
+    assert 16 < doc["w_int"] < 17
     assert doc["fit"]["coefficients"][0]["coef"] == pytest.approx(0.0929164, abs=1e-7)
 
 

@@ -26,7 +26,6 @@ from test_kernels import kernel_args, score_records
 # Reference output for the 30-row fixture, weight 1.
 LL_NULL = -42.335616
 LL_FULL = -41.499959
-HAZARD_RATIOS = {"age": 0.9764, "posttran": 0.6116, "year": 2.9011}
 
 
 def padded(fit):
@@ -56,72 +55,6 @@ def tiny_frame(x_values, events, stops=None):
     )
 
 
-# ---- golden fit, weight 1 ---------------------------------------------------
-
-
-def test_golden_logliks(heart_fit):
-    assert heart_fit.loglik_null == pytest.approx(LL_NULL, abs=1e-4)
-    assert heart_fit.loglik_full == pytest.approx(LL_FULL, abs=1e-4)
-
-
-def test_golden_lr_test(heart_fit):
-    assert heart_fit.lr_stat == pytest.approx(1.67, abs=0.01)
-    assert heart_fit.lr_df == 3
-    assert heart_fit.p_lr == pytest.approx(0.6433, abs=5e-4)
-
-
-def test_golden_hazard_ratios(heart_fit):
-    assert heart_fit.covariate_names == ("age", "posttran", "year")
-    for name, expected in HAZARD_RATIOS.items():
-        i = heart_fit.covariate_names.index(name)
-        assert heart_fit.hazard_ratios[i] == pytest.approx(expected, abs=2e-4)
-
-
-def test_golden_omitted_and_counts(heart_fit):
-    assert heart_fit.omitted == ("surgery",)
-    assert heart_fit.n_subjects == 20
-    assert heart_fit.n_failures == 20
-
-
-def test_golden_wald_column(heart_fit):
-    # displayed-table columns: Haz. Ratio, its std. err., z, P>|z|
-    se_hr = heart_fit.hazard_ratios * heart_fit.se_beta
-    np.testing.assert_allclose(se_hr, [0.0269655, 0.3984063, 3.001411], atol=2e-6)
-    np.testing.assert_allclose(heart_fit.z_stats.round(2), [-0.87, -0.75, 1.03])
-    np.testing.assert_allclose(heart_fit.p_wald.round(3), [0.387, 0.450, 0.303])
-
-
-# ---- golden weighted fits ---------------------------------------------------
-# Weight w is the paper's replication: every record repeated w times. The
-# profile of the weight-1 fit must give the same numbers.
-
-
-def test_golden_weight_4(replicated_heart_fit, heart_fit):
-    fit = replicated_heart_fit(4)
-    assert fit.loglik_full == pytest.approx(-276.90339, abs=1e-3)
-    assert fit.loglik_null == pytest.approx(-280.24601, abs=1e-3)
-    assert fit.lr_stat == pytest.approx(6.69, abs=0.01)
-    assert fit.p_lr == pytest.approx(0.0826, abs=5e-4)
-    assert fit.n_subjects == 80
-    assert fit.n_failures == 80
-    np.testing.assert_allclose(fit.hazard_ratios, heart_fit.hazard_ratios, rtol=1e-6)
-    assert 4 * heart_fit.lr_stat == pytest.approx(6.69, abs=0.01)
-    assert heart_fit.p_at(4) == pytest.approx(0.0826, abs=5e-4)
-
-
-def test_golden_weight_5(replicated_heart_fit, heart_fit):
-    fit = replicated_heart_fit(5)
-    assert fit.lr_stat == pytest.approx(8.36, abs=0.01)
-    assert fit.p_lr == pytest.approx(0.0392, abs=5e-4)
-    i = fit.covariate_names.index("age")
-    assert fit.hazard_ratios[i] * fit.se_beta[i] == pytest.approx(0.0120593, abs=1e-6)
-    np.testing.assert_allclose(fit.hazard_ratios, heart_fit.hazard_ratios, rtol=1e-6)
-    assert 5 * heart_fit.lr_stat == pytest.approx(8.36, abs=0.01)
-    assert heart_fit.p_at(5) == pytest.approx(0.0392, abs=5e-4)
-    se_5 = heart_fit.se_beta[i] / math.sqrt(5)
-    assert heart_fit.hazard_ratios[i] * se_5 == pytest.approx(0.0120593, abs=1e-6)
-
-
 # ---- log likelihood ---------------------------------------------------------
 
 
@@ -143,23 +76,6 @@ def test_loglik_single_record_is_zero():
     frame = tiny_frame([[0.0]], [True], stops=[5.0])
     for beta in (0.0, 0.7, -2.0):
         assert loglik(frame, [beta]) == 0.0
-
-
-@pytest.mark.parametrize("w", [2, 3, 7, 13])
-def test_weight_identity_loglik(heart_frame, heart_fit, w):
-    # ll(beta, w) = w * ll(beta, 1) - w * D * ln(w), D = 20 event records
-    lhs = loglik(replicate_frame(heart_frame, w), padded(heart_fit))
-    rhs = w * loglik(heart_frame, padded(heart_fit)) - w * 20 * math.log(w)
-    assert lhs == pytest.approx(rhs, rel=1e-9)
-
-
-@pytest.mark.parametrize("w", [2, 3, 7, 13])
-def test_weight_identity_fit(replicated_heart_fit, heart_fit, w):
-    fit = replicated_heart_fit(w)
-    np.testing.assert_allclose(fit.beta, heart_fit.beta, rtol=1e-9, atol=1e-12)
-    assert fit.lr_stat == pytest.approx(w * heart_fit.lr_stat, rel=1e-9)
-    np.testing.assert_allclose(fit.se_beta * math.sqrt(w), heart_fit.se_beta, rtol=1e-8)
-    assert heart_fit.p_at(w) == pytest.approx(fit.p_lr, rel=1e-9)
 
 
 def test_p_lr_strictly_decreasing_in_weight(heart_fit):
@@ -419,61 +335,7 @@ def test_stan30_lr_matches_the_decimal_oracle(heart_dataset, subset):
     assert fit.lr_stat == pytest.approx(exact_lr(frame, fit), rel=1e-13, abs=0)
 
 
-# ---- replication oracle -----------------------------------------------------
-
-
-@pytest.mark.parametrize("w", [2, 5])
-def test_replication_oracle(heart_frame, heart_fit, w):
-    # fitting w copies of every record is the weighted fit that the
-    # weight-1 fit implies: ll_w = w * ll_1 - w * d * log(w), LR_w = w * LR_1
-    replicated = fit_cox(replicate_frame(heart_frame, w))
-    assert heart_fit.warnings == () and replicated.warnings == ("ties",)
-    shift = w * 20 * math.log(w)
-    np.testing.assert_allclose(replicated.beta, heart_fit.beta, rtol=1e-8)
-    assert replicated.loglik_full == pytest.approx(w * heart_fit.loglik_full - shift, rel=1e-8)
-    assert replicated.loglik_null == pytest.approx(w * heart_fit.loglik_null - shift, rel=1e-8)
-    assert replicated.lr_stat == pytest.approx(w * heart_fit.lr_stat, rel=1e-8)
-    assert replicated.p_lr == pytest.approx(heart_fit.p_at(w), rel=1e-8)
-    assert replicated.n_subjects == w * heart_fit.n_subjects
-
-
 # ---- derivatives ------------------------------------------------------------
-
-
-def finite_difference_gradient(frame, beta, h=1e-6):
-    grad = np.zeros_like(beta)
-    for j in range(len(beta)):
-        up, down = beta.copy(), beta.copy()
-        up[j] += h
-        down[j] -= h
-        grad[j] = (loglik(frame, up) - loglik(frame, down)) / (2 * h)
-    return grad
-
-
-def test_gradient_matches_finite_differences(heart_frame):
-    rng = np.random.default_rng(42)
-    for _ in range(5):
-        beta = 0.2 * rng.standard_normal(4)
-        grad, _ = score_hessian(heart_frame, beta)
-        fd = finite_difference_gradient(heart_frame, beta)
-        np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6)
-
-
-def test_hessian_matches_finite_differences(heart_frame):
-    rng = np.random.default_rng(43)
-    h = 1e-5
-    for _ in range(5):
-        beta = 0.2 * rng.standard_normal(4)
-        _, neg_hess = score_hessian(heart_frame, beta)
-        fd = np.zeros((4, 4))
-        for j in range(4):
-            up, down = beta.copy(), beta.copy()
-            up[j] += h
-            down[j] -= h
-            g_up, _ = score_hessian(heart_frame, up)
-            g_down, _ = score_hessian(heart_frame, down)
-            fd[:, j] = -(g_up - g_down) / (2 * h)
-        np.testing.assert_allclose(neg_hess, fd, rtol=1e-5, atol=1e-5)
 
 
 def test_gradient_vanishes_at_estimate(heart_frame, heart_fit):

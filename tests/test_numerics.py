@@ -332,11 +332,6 @@ def test_chi2_spot_values(x, df, expected):
     assert chi2_sf_quadrature(x, df) == pytest.approx(expected, abs=1e-12)
 
 
-def test_chi2_reference_values():
-    assert chi2_sf(1.671314, 3) == pytest.approx(0.6433, abs=5e-4)
-    assert chi2_sf(2 * (372.62187 - 368.44359), 3) == pytest.approx(0.0392, abs=5e-4)
-
-
 @pytest.mark.parametrize("df", [1, 2, 5, 30])
 def test_chi2_at_zero_is_one(df):
     assert chi2_sf(0.0, df) == 1.0
@@ -416,10 +411,11 @@ def test_t_spot_values(t, df, expected):
     assert student_t_two_sided_quadrature(t, df) == pytest.approx(expected, abs=1e-12)
 
 
-@pytest.mark.parametrize("df", [30, 1e4, 1e6, 1e7, 1e8, 1e9])
+@pytest.mark.parametrize("df", [30, 1e4, 1e6, 1e7, 1e8, 1e9, 1e12, 1e15, 2**53 * 30 - 1, 1e20])
 @pytest.mark.parametrize("t", [1.0, 1.96, 3.0, 5.0])
 def test_t_matches_scipy_at_large_df(t, df):
-    # the linear model's df grows with the weight, up to ~10^9 in a search
+    # the linear model's df is w * n - k, and a search may try any weight up
+    # to 2**53: on the 30-row fixture that is 2**53 * 30 - 1, about 2.7e17
     assert student_t_two_sided(t, df) == pytest.approx(2 * stats.t.sf(t, df), rel=1e-10, abs=0)
 
 
@@ -442,11 +438,6 @@ _SWITCHES += [(t, df) for df in _with_neighbours(30.0)
 def test_t_matches_scipy_at_each_branch_switch(t, df):
     expected = 2 * stats.t.sf(t, df)
     assert student_t_two_sided(t, df) == pytest.approx(expected, rel=1e-12, abs=0)
-
-
-def test_t_reference_values():
-    assert student_t_two_sided(0.0929164 / 0.1981124, 29) == pytest.approx(0.643, abs=5e-4)
-    assert student_t_two_sided(0.0929164 / 0.0472881, 509) == pytest.approx(0.050, abs=5e-4)
 
 
 @pytest.mark.parametrize("df", [0.5, 1, 29, 509])

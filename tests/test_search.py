@@ -110,31 +110,6 @@ def test_bracket_and_interpolation_against_closed_form():
     assert result.n_int == 30 * result.w_int
 
 
-def test_matches_linear_scan_on_random_monotone_curves():
-    rng = np.random.default_rng(2026)
-    max_weight = 10_000
-    for _ in range(100):
-        p1 = rng.uniform(0.05, 1.0)
-        ratio = rng.uniform(0.5, 0.9995)
-        target = rng.uniform(1e-6, 0.2)
-        curve = geometric_curve(p1, ratio)
-        expected_w1 = scan_bracket(curve, target, max_weight)
-        result = compute_nf(curve, 30, target, max_weight)
-        if expected_w1 is None:
-            assert_unreachable(result, max_weight)
-            assert result.best_p == curve(max_weight)
-            continue
-        assert result.nf_integer == expected_w1
-        if expected_w1 > 1:
-            assert (result.w0, result.w1) == (expected_w1 - 1, expected_w1)
-            assert result.p0 > target >= result.p1
-            w0, p0, w1, p1 = result.w0, result.p0, result.w1, result.p1
-            paper = (w0 * (target - p1) + w1 * (p0 - target)) / (p0 - p1)
-            assert result.w_int == pytest.approx(paper, rel=1e-12, abs=0)
-        # evaluation budget on the monotone fast path
-        assert len(result.trace) <= 2 * math.ceil(math.log2(max(result.nf_integer, 2))) + 3
-
-
 def test_trace_records_evaluations_in_order():
     seen = []
 
@@ -208,34 +183,10 @@ def test_max_weight_one_unreachable():
 # ---- end-to-end with the model engines ---------------------------------------
 
 
-def test_cox_end_to_end(heart_frame):
-    result = compute_nf(fit_cox(heart_frame).p_at, 30, 0.05)
-    assert (result.w0, result.w1) == (4, 5)
-    assert result.w_int == pytest.approx(4.751, abs=1e-3)
-    assert result.n_int == pytest.approx(142.53, abs=0.05)
-    assert result.nf_integer == 5
-    assert result.p_at_1 == pytest.approx(0.6433, abs=5e-4)
-    traced_weights = [w for w, _ in result.trace]
-    assert traced_weights[0] == 1
-    assert {4, 5} <= set(traced_weights)
-
-
 def test_cox_generous_target_needs_no_weighting(heart_frame):
     result = compute_nf(fit_cox(heart_frame).p_at, 30, 0.7)
     assert result.nf_integer == 1
     assert result.w_int == 1.0
-
-
-def test_linear_end_to_end(wald_dataset):
-    fit = fit_wls(wald_dataset, "y", ())
-    result = compute_nf(fit.p_at, 30, 0.05)
-    assert result.nf_integer == 17
-    assert result.nf_integer * 30 == 510
-    assert (result.w0, result.w1) == (16, 17)
-    assert result.p0 == pytest.approx(0.057, abs=5e-4)
-    assert result.p1 == pytest.approx(0.050, abs=5e-4)
-    assert not result.exact_hit
-    assert 16 < result.w_int < 17
 
 
 STAN30_JSON = [a for a in bundled_requests() if "cox-lr" in a and a[-1] == "json"]
